@@ -10,18 +10,15 @@ from .basis import (
     TRUNCATED_BM,
     EigenBasis,
     EigenFunction,
-    basis_eval,
     basis_from_dict,
     basis_to_dict,
     hermite_eval,
     hermite_grad,
     hermite_order_expansion,
-    hermite_product_table,
     hermite_univariate_basis,
     product_table,
     trig_basis_1d,
     trig_basis_nd,
-    trig_product,
 )
 from .errors import (
     CapacityError,
@@ -55,7 +52,6 @@ from .process import (
     Schedule,
     noise_at,
     sample_forward,
-    semigroup_eigen_factor,
     wrap_torus,
 )
 from .solver import (
@@ -76,7 +72,6 @@ from .solver import (
     save_model,
     score_eval,
     sm_loss,
-    solve_coefficients,
 )
 from .targets import (
     AnalyticReference,
@@ -89,7 +84,6 @@ from .targets import (
     mixture_score,
     rescale_to_torus,
     sample_gaussian_mixture,
-    sample_mixture,
     toy2d,
     wrapped_mixture_pdf,
     wrapped_mixture_pdf_and_score,

@@ -9,8 +9,10 @@ Two families are supported:
   ``-|xi|^2``.
 
 Bases carry an *extended* list, a superset large enough that any product of
-two basis members expands exactly; the expansion coefficients are cached in a
-:class:`ProductTable`.
+two basis members expands exactly, ``phi_k phi_l = sum_h beta_h phi_h``.
+:func:`product_table` builds that expansion, vectorised over all pairs
+``k <= l``, as one sparse COO tensor of ``(k, l, h, beta)`` entries (a
+:class:`ProductTable`); the solver assembles every ``A_t`` from it.
 """
 
 from __future__ import annotations
@@ -126,116 +128,6 @@ def hermite_order_expansion(basis_max, extended_max):
     for l in range(basis_max + 1):
         B[:, l, :] = levels[l][: basis_max + 1]
     return B
-
-
-# ---------------------------------------------------------------------------
-# Product tables
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ProductTable:
-    """Sparse expansion of pairwise products back into the extended basis.
-
-    ``entries`` maps an index pair ``(k, l)`` with ``k <= l`` to
-    ``(h_indices, coefficients)`` such that
-    ``phi_k(x) phi_l(x) = sum_h coef_h phi_h(x)`` over the extended basis.
-    Pairs in ``gamma_zero`` act on disjoint coordinates: their carre-du-champ
-    vanishes identically and no expansion is stored.
-    """
-
-    entries: dict
-    n_basis: int
-    n_extended: int
-    gamma_zero: frozenset = frozenset()
-
-    def is_gamma_zero(self, k, l):
-        return (min(k, l), max(k, l)) in self.gamma_zero
-
-    def get(self, k, l):
-        key = (min(k, l), max(k, l))
-        try:
-            return self.entries[key]
-        except KeyError:
-            raise CapacityError(f"no product expansion stored for pair {key}") from None
-
-
-def hermite_product_table(basis_max, extended_max):
-    """ProductTable over Hermite orders 0..basis_max in one coordinate."""
-    B = hermite_order_expansion(basis_max, extended_max)
-    entries = {}
-    for k in range(basis_max + 1):
-        for l in range(k, basis_max + 1):
-            vec = B[k, l]
-            h = np.nonzero(np.abs(vec) > 1e-14 * max(1.0, np.abs(vec).max()))[0]
-            entries[(k, l)] = (h, vec[h].copy())
-    return ProductTable(entries=entries, n_basis=basis_max + 1, n_extended=extended_max + 1)
-
-
-def _canonical_freq(xi):
-    """Map a frequency vector to half-lattice canonical form.
-
-    Returns ``(canonical_tuple, sign)`` where ``sign`` is -1 when the vector
-    was negated (which flips the sign of the sine variant).
-    """
-    for c in xi:
-        if c > 0:
-            return tuple(xi), 1
-        if c < 0:
-            return tuple(-c_ for c_ in xi), -1
-    return tuple(xi), 1
-
-
-def _trig_fn(freq, kind):
-    lam = -float(sum(c * c for c in freq))
-    return EigenFunction(index=tuple(freq), kind=kind, eigenvalue=lam)
-
-
-def constant_function(dimension):
-    return EigenFunction(index=(0,) * dimension, kind=KIND_CONSTANT, eigenvalue=0.0)
-
-
-def trig_product(a, b):
-    """Expand the product of two (sqrt2-normalized) trig eigenfunctions.
-
-    Product-to-sum identities give at most two terms; frequencies are
-    canonicalized into the half lattice, with sign flips absorbed for sines.
-    """
-    for f in (a, b):
-        if f.kind not in (KIND_CONSTANT, KIND_COS, KIND_SIN):
-            raise InvalidInputError(f"trig_product got a non-trig function: {f.kind}")
-    if a.dimension != b.dimension:
-        raise InvalidInputError("trig_product requires matching dimensions")
-    if a.kind == KIND_CONSTANT:
-        return [(b, 1.0)]
-    if b.kind == KIND_CONSTANT:
-        return [(a, 1.0)]
-
-    fa = np.array(a.index, dtype=int)
-    fb = np.array(b.index, dtype=int)
-    # raw terms as (frequency, "cos"/"sin", coefficient) of the *unnormalized*
-    # expansion of 2 * trig(A) * trig(B)
-    if a.kind == KIND_COS and b.kind == KIND_COS:
-        raw = [(fa - fb, KIND_COS, 1.0), (fa + fb, KIND_COS, 1.0)]
-    elif a.kind == KIND_SIN and b.kind == KIND_SIN:
-        raw = [(fa - fb, KIND_COS, 1.0), (fa + fb, KIND_COS, -1.0)]
-    else:
-        if a.kind == KIND_SIN:
-            s, c = fa, fb
-        else:
-            s, c = fb, fa
-        raw = [(s + c, KIND_SIN, 1.0), (s - c, KIND_SIN, 1.0)]
-
-    out = []
-    for freq, kind, coef in raw:
-        if not freq.any():
-            if kind == KIND_COS:
-                out.append((constant_function(a.dimension), coef))
-            continue  # sin(0) == 0
-        canon, sign = _canonical_freq(freq)
-        if kind == KIND_SIN:
-            coef *= sign
-        out.append((_trig_fn(canon, kind), coef / SQRT2))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +349,18 @@ class EigenBasis:
         return X
 
 
-def basis_eval(basis, x):
-    """Values, per-coordinate gradients, and Laplacians at one point."""
-    vals, grads, laps = basis.eval_batch(np.atleast_2d(np.asarray(x, dtype=float)))
-    return vals[0], grads[0], laps[0]
-
-
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
+
+def _trig_fn(freq, kind):
+    lam = -float(sum(c * c for c in freq))
+    return EigenFunction(index=tuple(freq), kind=kind, eigenvalue=lam)
+
+
+def constant_function(dimension):
+    return EigenFunction(index=(0,) * dimension, kind=KIND_CONSTANT, eigenvalue=0.0)
+
 
 def _trig_1d_functions(max_frequency):
     funcs = [constant_function(1)]
@@ -560,60 +455,152 @@ def hermite_univariate_basis(d, n):
 
 
 # ---------------------------------------------------------------------------
-# Basis-level product table
+# Product table
 # ---------------------------------------------------------------------------
+
+@dataclass
+class ProductTable:
+    """The product expansion ``phi_k phi_l = sum_h beta_h phi_h`` as one tensor.
+
+    Four flat arrays hold one entry per expansion term, over the basis pairs
+    ``k <= l`` and sorted by pair: ``beta[i]`` is the coefficient of extended
+    function ``h[i]`` in the product of basis functions ``k[i]`` and ``l[i]``.
+    Pairs acting on disjoint coordinates (Hermite only) have no entries: their
+    carre-du-champ vanishes identically.
+    """
+
+    k: np.ndarray
+    l: np.ndarray
+    h: np.ndarray
+    beta: np.ndarray
+    n_basis: int
+    n_extended: int
+
+    @cached_property
+    def _pair_keys(self):
+        return self.k * self.n_basis + self.l
+
+    def get(self, k, l):
+        """Extended indices and coefficients of the expansion of phi_k phi_l."""
+        k, l = min(k, l), max(k, l)
+        key = k * self.n_basis + l
+        lo, hi = np.searchsorted(self._pair_keys, [key, key + 1])
+        if lo == hi:
+            raise CapacityError(f"no product expansion stored for pair {(k, l)}")
+        return self.h[lo:hi], self.beta[lo:hi]
+
+
+_TRIG_KINDS = (KIND_CONSTANT, KIND_COS, KIND_SIN)  # kind codes 0, 1, 2
+
+
+def _trig_codes(funcs):
+    """Integer frequencies (n, d) and kind codes (n,) of trig functions."""
+    freq = np.array([f.index for f in funcs], dtype=np.int64)
+    kind = np.array([_TRIG_KINDS.index(f.kind) for f in funcs])
+    return freq, kind
+
+
+def _trig_lookup(extended, freq, kind):
+    """Extended indices of canonical trig terms, found among sorted integer keys."""
+    ext_freq, ext_kind = _trig_codes(extended)
+    off = int(max(np.abs(ext_freq).max(), np.abs(freq).max(initial=0)))
+    radix = 2 * off + 1
+    if 3 * radix ** freq.shape[1] >= 2 ** 63:
+        raise CapacityError("frequency lattice too large for 64-bit product keys")
+
+    def keys(f, c):
+        key = np.zeros(len(f), dtype=np.int64)
+        for i in range(f.shape[1]):
+            key = key * radix + (f[:, i] + off)
+        return key * 3 + c
+
+    ext_keys = keys(ext_freq, ext_kind)
+    order = np.argsort(ext_keys)
+    sorted_keys, q = ext_keys[order], keys(freq, kind)
+    pos = np.minimum(np.searchsorted(sorted_keys, q), len(order) - 1)
+    missing = np.nonzero(sorted_keys[pos] != q)[0]
+    if len(missing):
+        j = missing[0]
+        raise CapacityError(f"extended basis does not contain "
+                            f"{_TRIG_KINDS[kind[j]]} {tuple(freq[j].tolist())}")
+    return order[pos]
+
+
+def _trig_terms(basis, k, l):
+    """Product-to-sum expansion of the pairs (k, l) of sqrt2-normalized trig functions.
+
+    ``2 trig(a) trig(b)`` has two terms, at frequencies a - b and a + b (for a
+    sine-cosine pair, s + c and s - c with s the sine's). Each frequency is
+    canonicalized into the half lattice (first nonzero coordinate positive),
+    a sine absorbing the sign flip; a zero frequency gives the constant for a
+    cosine and nothing for a sine. A product with the constant is the other
+    factor itself.
+    """
+    freq, kind = _trig_codes(basis.functions)
+    fa, fb, ka, kb = freq[k], freq[l], kind[k], kind[l]
+    sin_a, sin_b = ka == 2, kb == 2
+    mixed = sin_a != sin_b
+    diff = fa - fb
+    m = mixed[:, None]
+    # two terms per pair: frequency (P, 2, d), kind code and raw coefficient (P, 2)
+    f2 = np.stack([np.where(m, fa + fb, diff),
+                   np.where(m, np.where(sin_a[:, None], diff, -diff), fa + fb)], axis=1)
+    k2 = np.repeat(np.where(mixed, 2, 1)[:, None], 2, axis=1)
+    c2 = np.stack([np.ones(len(k)), np.where(sin_a & sin_b, -1.0, 1.0)], axis=1)
+    # with the constant (frequency zero): the other factor, then an empty sin(0)
+    const = (ka == 0) | (kb == 0)
+    f2[const, 0], k2[const, 0] = fa[const] + fb[const], ka[const] + kb[const]
+    f2[const, 1], k2[const, 1] = 0, 2
+    plain = np.stack([const, np.zeros_like(const)], axis=1).ravel()
+    f2, k2, c2 = f2.reshape(-1, freq.shape[1]), k2.ravel(), c2.ravel()
+    first = f2[np.arange(len(f2)), np.argmax(f2 != 0, axis=1)]
+    sign = np.where(first < 0, -1, 1)
+    zero = first == 0
+    keep = ~(zero & (k2 == 2))
+    beta = np.where(k2 == 2, c2 * sign, c2)
+    beta = np.where(plain | zero, beta, beta / SQRT2)[keep]
+    h = _trig_lookup(basis.extended, (f2 * sign[:, None])[keep],
+                     np.where(zero, 0, k2)[keep])
+    pair = np.repeat(np.arange(len(k)), 2)[keep]
+    return k[pair], l[pair], h, beta
+
+
+def _hermite_terms(basis, k, l):
+    """Order expansion of the pairs (k, l) of univariate Hermite functions.
+
+    Pairs on disjoint coordinates get no terms; the others expand along their
+    shared coordinate, order 0 being the constant.
+    """
+    _, dims, orders, max_order = basis._plan_functions
+    _, ext_dims, ext_orders, ext_max = basis._plan_extended
+    B = hermite_order_expansion(max_order, ext_max)
+    ok, ol = orders[k], orders[l]
+    shared = (ok == 0) | (ol == 0) | (dims[k] == dims[l])
+    k, l, ok, ol = k[shared], l[shared], ok[shared], ol[shared]
+    coord = np.where(ok > 0, dims[k], dims[l])
+    vec = B[np.minimum(ok, ol), np.maximum(ok, ol)]
+    mag = np.abs(vec)
+    pair, h_order = np.nonzero(mag > 1e-14 * np.maximum(1.0, mag.max(axis=1))[:, None])
+    ext_of = np.full((basis.dimension, ext_max + 1), -1)
+    ext_of[ext_dims, ext_orders] = np.arange(len(basis.extended))
+    ext_of[:, 0] = ext_of[0, 0]  # order 0 on any coordinate is the constant
+    h = ext_of[coord[pair], h_order]
+    if np.any(h < 0):
+        raise CapacityError("extended basis misses a Hermite product term")
+    return k[pair], l[pair], h, vec[pair, h_order]
+
 
 def product_table(basis):
     """Expansion of all pairwise basis products into the extended basis.
 
-    For Hermite univariate bases, pairs acting on different coordinates are
-    flagged gamma-zero (their carre-du-champ vanishes identically) instead of
-    being expanded; everything else is stored exactly and immutably.
+    Built vectorised over the pairs k <= l; raises CapacityError when a
+    product term is missing from the extended basis.
     """
-    n = len(basis.functions)
-    entries = {}
-    gamma_zero = set()
-    if basis.process == TRUNCATED_BM:
-        for k in range(n):
-            fk = basis.functions[k]
-            for l in range(k, n):
-                terms = trig_product(fk, basis.functions[l])
-                h = np.array([basis.extended_index(fn) for fn, _ in terms], dtype=int)
-                coefs = np.array([c for _, c in terms])
-                entries[(k, l)] = (h, coefs)
-    else:
-        max_order = max(int(max(f.index)) for f in basis.functions)
-        order_table = hermite_product_table(max_order, 2 * max_order)
-        plan = basis._plan_functions
-        _, dims, orders, _ = plan
-        # extended index of (coordinate i, order h); order 0 is the constant
-        ext_of = {}
-        for hidx, f in enumerate(basis.extended):
-            if f.kind == KIND_CONSTANT:
-                const_idx = hidx
-            else:
-                nz = [i for i, c in enumerate(f.index) if c != 0]
-                ext_of[(nz[0], f.index[nz[0]])] = hidx
-        for k in range(n):
-            for l in range(k, n):
-                ik, ok = dims[k], orders[k]
-                il, ol = dims[l], orders[l]
-                if ok > 0 and ol > 0 and ik != il:
-                    gamma_zero.add((k, l))
-                    continue
-                coord = ik if ok > 0 else il
-                h_orders, coefs = order_table.get(ok, ol)
-                h = np.array(
-                    [const_idx if ho == 0 else ext_of[(coord, ho)] for ho in h_orders],
-                    dtype=int,
-                )
-                entries[(k, l)] = (h, coefs.copy())
-    return ProductTable(
-        entries=entries,
-        n_basis=n,
-        n_extended=len(basis.extended),
-        gamma_zero=frozenset(gamma_zero),
-    )
+    k, l = np.triu_indices(len(basis.functions))
+    terms = _trig_terms if basis.process == TRUNCATED_BM else _hermite_terms
+    k, l, h, beta = terms(basis, k, l)
+    return ProductTable(k=k, l=l, h=h, beta=beta,
+                        n_basis=len(basis.functions), n_extended=len(basis.extended))
 
 
 # ---------------------------------------------------------------------------

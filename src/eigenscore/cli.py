@@ -38,15 +38,14 @@ from .errors import (
 from .generate import sample_pf_ode, sample_reverse_sde, log_density
 from .odeint import IntegratorConfig
 from .moments import analytic_moments, modulation_shrink, sample_moments
-from .process import Schedule, noise_at, wrap_torus
+from .process import Schedule, noise_at, tau_at, wrap_torus
 from .solver import (
-    QuadraticSystem,
     SystemAssembler,
     dataset_hash,
     load_model,
     presolve_grid,
     save_model,
-    solve_coefficients,
+    solve_node,
     trapezoid_grid,
     QuadratureSpec,
 )
@@ -60,6 +59,7 @@ from .targets import (
 )
 
 WORKERS_ENV = "EIGENSCORE_WORKERS"
+LOSS_STUDY_T = 0.02  # internal time of the loss study's second default tau
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -235,27 +235,11 @@ def cmd_density(args):
 # Shrinkage loss study
 # ---------------------------------------------------------------------------
 
-def tau_for_internal_time(schedule, t_target):
-    """The normalized tau whose internal time t(tau) equals t_target."""
-    if schedule.kind == "VE":
-        sigma = math.sqrt(2.0 * t_target)
-        tau = math.log(sigma / schedule.sigma_min) / math.log(
-            schedule.sigma_max / schedule.sigma_min)
-    else:
-        # t = b0 tau/2 + (b1-b0) tau^2/4: positive root of the quadratic
-        a = (schedule.beta1 - schedule.beta0) / 4.0
-        b = schedule.beta0 / 2.0
-        tau = (-b + math.sqrt(b * b + 4.0 * a * t_target)) / (2.0 * a) if a else t_target / b
-    if not (0.0 <= tau <= 1.0):
-        raise InvalidInputError(f"t={t_target} is outside the schedule's range")
-    return tau
-
-
 def _loss_at_tau(basis, table, moments, schedule, tau, reference, n_quad):
     """Fit at a single tau and return the weighted L2 score error."""
     t = noise_at(schedule, tau)[2]
     assembler = SystemAssembler(basis, table, moments)
-    alpha, _ = solve_coefficients(assembler.system(t))
+    alpha = solve_node(assembler.system(t)).alpha
     spec = QuadratureSpec(kind="trapezoid", n_nodes=n_quad)
     nodes, weights = trapezoid_grid(spec, basis.dimension)
     diff = basis.weighted_eval(nodes, alpha)[1] - reference.relative_score(nodes, tau)
@@ -292,8 +276,11 @@ def cmd_loss_study(args):
     sizes = [int(s) for s in args.basis_sizes.split(",")]
     if args.taus:
         taus = [float(s) for s in args.taus.split(",")]
+    elif noise_at(schedule, 0.0)[2] > LOSS_STUDY_T:
+        raise ConfigError(f"the schedule starts above t={LOSS_STUDY_T}; "
+                          "pass --taus or lower --sigma-min")
     else:
-        taus = [0.0, tau_for_internal_time(schedule, 0.02)]
+        taus = [0.0, tau_at(schedule, LOSS_STUDY_T)]
     payloads = [(rep, args.seed, args.n, sizes, taus, schedule.to_dict(),
                  args.n_quad) for rep in range(args.reps)]
     if args.workers > 1:
@@ -346,7 +333,6 @@ def _add_common(p, out_required=True):
     p.add_argument("--config", default=None, help="JSON file of option defaults")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=out_required)
-    p.add_argument("--workers", type=int, default=_default_workers())
 
 
 def _add_basis_flags(p):
@@ -380,7 +366,6 @@ def build_parser():
     _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--process", choices=[TRUNCATED_BM, OU], default=TRUNCATED_BM)
-    p.add_argument("--basis", choices=["trig", "hermite"], default="trig")
     _add_basis_flags(p)
     _add_schedule_flags(p)
     p.add_argument("--shrinkage", choices=["none", "modulation"], default="modulation")
@@ -419,6 +404,7 @@ def build_parser():
     p.add_argument("--taus", default=None,
                    help="comma list of tau values; default: smallest grid tau and t=0.02")
     p.add_argument("--n-quad", type=int, default=4096)
+    p.add_argument("--workers", type=int, default=_default_workers())
     _add_schedule_flags(p)
     p.set_defaults(func=cmd_loss_study)
 

@@ -143,11 +143,3 @@ def sample_forward(state, schedule, x0, tau, rng):
         x = wrap_torus(x)
     return x
 
-
-def semigroup_eigen_factor(lam, t):
-    """Action e^{lam t} of the semigroup on an eigenfunction with eigenvalue lam."""
-    if t < 0:
-        raise InvalidInputError("t must be >= 0")
-    if lam > 0:
-        raise InvalidInputError("eigenvalues are non-positive")
-    return math.exp(lam * t)

@@ -42,7 +42,7 @@ TIKHONOV_EPS = 1e-8
 # Eigenvalues of the preconditioned matrix below SPECTRAL_FLOOR times the
 # average standard error of the estimated moments are statistically
 # indistinguishable from zero; the solver floors them instead of dividing by
-# them (see solve_coefficients).
+# them (see solve_node).
 SPECTRAL_FLOOR = 3.0
 
 
@@ -73,60 +73,47 @@ def assemble_b(basis, moments, t):
     return lam * np.exp(lam * t) * theta
 
 
-def assemble_A(basis, table, moments, t):
-    """Closed-form quadratic matrix over the active basis, symmetrized."""
+def _pair_terms(basis, table, moments):
+    """Nonzero terms of A_t over the active basis, both triangles.
+
+    Returns ``(row, col, h, coef)`` with
+    ``A_t[row, col] = sum coef e^{lam_h t}`` over the terms of each entry:
+    the product table's pairs ``1 <= k <= l``, mirrored off the diagonal.
+    """
     _check_moments(basis, moments)
-    n = basis.n_active
     lam = basis.eigenvalues
     lam_ext = basis.extended_eigenvalues
-    theta = moments.theta
-    A = np.zeros((n, n))
-    for k in range(1, n + 1):
-        for l in range(k, n + 1):
-            if table.is_gamma_zero(k, l):
-                continue
-            h, beta = table.get(k, l)
-            val = float(
-                (((lam_ext[h] - lam[k] - lam[l]) / 2.0) * np.exp(lam_ext[h] * t) * beta)
-                @ theta[h]
-            )
-            A[k - 1, l - 1] = val
-            A[l - 1, k - 1] = val
-    return (A + A.T) / 2.0
+    active = table.k >= 1
+    k, l, h = table.k[active], table.l[active], table.h[active]
+    coef = ((lam_ext[h] - lam[k] - lam[l]) / 2.0) * table.beta[active] * moments.theta[h]
+    keep = coef != 0
+    k, l, h, coef = k[keep] - 1, l[keep] - 1, h[keep], coef[keep]
+    off = k != l
+    return (np.concatenate([k, l[off]]), np.concatenate([l, k[off]]),
+            np.concatenate([h, h[off]]), np.concatenate([coef, coef[off]]))
+
+
+def assemble_A(basis, table, moments, t):
+    """Dense quadratic matrix over the active basis (oracle for SystemAssembler)."""
+    row, col, h, coef = _pair_terms(basis, table, moments)
+    A = np.zeros((basis.n_active, basis.n_active))
+    np.add.at(A, (row, col), coef * np.exp(basis.extended_eigenvalues[h] * t))
+    return A
 
 
 class SystemAssembler:
     """Precomputed sparse assembly: A_t flattened = S @ exp(lam_ext * t)."""
 
     def __init__(self, basis, table, moments):
-        _check_moments(basis, moments)
+        row, col, h, coef = _pair_terms(basis, table, moments)
         self.basis = basis
-        n = basis.n_active
-        lam = basis.eigenvalues
+        self.n = n = basis.n_active
         self.lam_ext = basis.extended_eigenvalues
-        theta = moments.theta
-        rows, cols, data = [], [], []
-        for k in range(1, n + 1):
-            for l in range(k, n + 1):
-                if table.is_gamma_zero(k, l):
-                    continue
-                h, beta = table.get(k, l)
-                coef = ((self.lam_ext[h] - lam[k] - lam[l]) / 2.0) * beta * theta[h]
-                keep = np.nonzero(coef)[0]
-                for hk, ck in zip(h[keep], coef[keep]):
-                    rows.append((k - 1) * n + (l - 1))
-                    cols.append(hk)
-                    data.append(ck)
-                    if k != l:
-                        rows.append((l - 1) * n + (k - 1))
-                        cols.append(hk)
-                        data.append(ck)
         self.S = scipy.sparse.csr_matrix(
-            (data, (rows, cols)), shape=(n * n, len(self.lam_ext))
+            (coef, (row * n + col, h)), shape=(n * n, len(self.lam_ext))
         )
-        self.n = n
-        self.lam_active = lam[1:]
-        self.theta_active = theta[basis.basis_to_extended[1:]]
+        self.lam_active = basis.eigenvalues[1:]
+        self.theta_active = moments.theta[basis.basis_to_extended[1:]]
         self.noise_scale = float(np.sqrt(np.mean(moments.var_hat)))
 
     def system(self, t):
@@ -185,27 +172,17 @@ class NodeSolve:
     residual: float
 
 
-def solve_coefficients(system):
+def solve_node(system):
     """Minimizer of alpha'A alpha + 2 b'alpha via the preconditioned system.
 
-    Returns ``(alpha, condition_estimate)``. For systems assembled from
-    estimated moments (``noise_scale > 0``) the eigenvalues of the
-    preconditioned matrix are floored at ``SPECTRAL_FLOOR * noise_scale``, so
+    Returns a :class:`NodeSolve`. For systems assembled from estimated
+    moments (``noise_scale > 0``) the eigenvalues of the preconditioned
+    matrix are floored at ``SPECTRAL_FLOOR * noise_scale``, so
     directions the data cannot resolve are damped instead of amplified; exact
     (analytic-moment) systems are solved exactly. If an exact solve has a
     condition estimate above 1e12 a Tikhonov fallback ``A + eps Lambda`` is
     attempted; if that is also singular an IllConditionedError is raised.
     """
-    node = solve_node(system)
-    return node.alpha, node.condition
-
-
-def solve_coefficients_detailed(system):
-    node = solve_node(system)
-    return node.alpha, node.condition, node.regularized
-
-
-def solve_node(system):
     if not np.allclose(system.A, system.A.T, atol=1e-10):
         raise InvalidInputError("system matrix must be symmetric")
     if system.noise_scale > 0.0:

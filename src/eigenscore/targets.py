@@ -268,15 +268,6 @@ def rescale_to_torus(points, margin=0.05, identity=False):
     return Dataset(points=dm.forward(points), domain_map=dm, source="rescale")
 
 
-def sample_mixture(gm, n, rng):
-    """Independent draws from the mixture (identity domain map)."""
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    pts = sample_gaussian_mixture(gm, n, rng)
-    return Dataset(points=pts, domain_map=DomainMap.identity(gm.dimension),
-                   source="gaussian-mixture")
-
-
 # ---------------------------------------------------------------------------
 # 2D toy shapes
 # ---------------------------------------------------------------------------

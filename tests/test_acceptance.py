@@ -16,17 +16,17 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.stats import binomtest, kstest
 
 import eigenscore as es
-from eigenscore.cli import main as cli_main, tau_for_internal_time
+from eigenscore.cli import main as cli_main
 from eigenscore.odeint import IntegratorConfig
 from eigenscore.solver import (
     QuadraticSystem,
     QuadratureSpec,
     SystemAssembler,
-    solve_coefficients,
+    solve_node,
     trapezoid_grid,
 )
 from eigenscore.targets import _TOYS, AnalyticReference
-from eigenscore.process import OU, TRUNCATED_BM
+from eigenscore.process import OU, TRUNCATED_BM, tau_at
 
 from conftest import energy_distance_pvalue, fit_gaussian_ou
 
@@ -51,7 +51,7 @@ def _loss_study(sizes, n_reps, seed, n_samples=2000):
     gm = es.bart_simpson()
     sched = es.Schedule.ve(0.01, 50.0)
     ref = AnalyticReference(gm, sched, TRUNCATED_BM)
-    taus = [0.0, tau_for_internal_time(sched, 0.02)]
+    taus = [0.0, tau_at(sched, 0.02)]
     spec = QuadratureSpec(kind="trapezoid", n_nodes=4096)
     per_tau = []
     for tau in taus:
@@ -74,7 +74,7 @@ def _loss_study(sizes, n_reps, seed, n_samples=2000):
                 assembler = SystemAssembler(basis, table, mom)
                 tot = 0.0
                 for tau, t, nodes, weights, dens, tscore in per_tau:
-                    alpha, _ = solve_coefficients(assembler.system(t))
+                    alpha = solve_node(assembler.system(t)).alpha
                     tot += float(weights @ (dens * (G @ alpha - tscore) ** 2))
                 losses[name][rep] = tot / len(per_tau)
         out[size] = losses
@@ -167,7 +167,7 @@ def test_criterion_02_eigenrelation():
         v0 = basis.eval_values(x0)
         lam = basis.eigenvalues
         for t_target in (0.1, 1.0):
-            tau = tau_for_internal_time(sched, t_target)
+            tau = tau_at(sched, t_target)
             xt = es.sample_forward(state, sched, x0, tau, rng)
             vt = basis.eval_values(xt)
             expect = np.exp(lam * t_target) * v0.mean(axis=0)

@@ -10,11 +10,11 @@ from eigenscore.basis import (
     KIND_CONSTANT,
     KIND_COS,
     KIND_SIN,
+    _trig_1d_functions,
     hermite_eval,
     hermite_grad,
     hermite_laplacian_1d,
     hermite_order_expansion,
-    hermite_product_table,
 )
 from conftest import torus_quad_1d
 
@@ -77,13 +77,20 @@ def test_hermite_orthonormality_gauss_hermite():
 # Product expansions
 # ---------------------------------------------------------------------------
 
+def _disjoint(fk, fl):
+    """Both functions non-constant and acting on no common coordinate."""
+    return (any(fk.index) and any(fl.index)
+            and not any(a and b for a, b in zip(fk.index, fl.index)))
+
+
 def _pointwise_product_identity(basis, table, X, atol):
     vals_b = basis.eval_values(X)
     vals_e = basis.eval_values(X, extended=True)
-    n = len(basis.functions)
-    for k in range(n):
-        for l in range(k, n):
-            if table.is_gamma_zero(k, l):
+    funcs = basis.functions
+    for k in range(len(funcs)):
+        for l in range(k, len(funcs)):
+            # a Hermite product on two coordinates leaves the univariate span
+            if basis.process == es.OU and _disjoint(funcs[k], funcs[l]):
                 continue
             h, coefs = table.get(k, l)
             lhs = vals_b[:, k] * vals_b[:, l]
@@ -102,6 +109,14 @@ def test_trig_product_identity_2d():
     basis = es.trig_basis_nd(2, -8.0)
     table = es.product_table(basis)
     X = np.random.default_rng(1).uniform(-math.pi, math.pi, (50, 2))
+    _pointwise_product_identity(basis, table, X, 1e-12)
+
+
+def test_trig_product_identity_3d():
+    # sign canonicalization on a later coordinate, e.g. (0, 1, -1)
+    basis = es.trig_basis_nd(3, -6.0)
+    table = es.product_table(basis)
+    X = np.random.default_rng(7).uniform(-math.pi, math.pi, (50, 3))
     _pointwise_product_identity(basis, table, X, 1e-12)
 
 
@@ -129,17 +144,24 @@ def test_hermite_cross_coordinate_pairs_are_gamma_zero():
     basis = es.hermite_univariate_basis(2, 2)
     table = es.product_table(basis)
     funcs = basis.functions
+    stored = set(zip(table.k.tolist(), table.l.tolist()))
     for k in range(len(funcs)):
         for l in range(k, len(funcs)):
-            fk, fl = funcs[k], funcs[l]
-            disjoint = (fk.kind != KIND_CONSTANT and fl.kind != KIND_CONSTANT
-                        and np.argmax(fk.index) != np.argmax(fl.index))
-            assert table.is_gamma_zero(k, l) == disjoint
+            assert ((k, l) in stored) == (not _disjoint(funcs[k], funcs[l]))
 
 
 def test_product_table_capacity_error():
     with pytest.raises(es.CapacityError):
-        hermite_product_table(4, 6)
+        hermite_order_expansion(4, 6)
+
+
+def test_trig_product_table_capacity_error():
+    # cos(4x)^2 needs frequency 8, beyond the extended set's 6
+    basis = es.EigenBasis(process=es.TRUNCATED_BM, dimension=1,
+                          functions=_trig_1d_functions(4),
+                          extended=_trig_1d_functions(6))
+    with pytest.raises(es.CapacityError):
+        es.product_table(basis)
 
 
 # ---------------------------------------------------------------------------

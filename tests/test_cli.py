@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import eigenscore as es
-from eigenscore.cli import main, tau_for_internal_time
+from eigenscore.cli import main
 
 
 def run(*argv):
@@ -183,7 +183,18 @@ def test_bad_flag_exits_2(tmp_path):
                "--out", str(tmp_path / "x.csv"), "--not-a-flag") == 2
 
 
-def test_tau_for_internal_time_roundtrip():
-    for sched in (es.Schedule.ve(0.01, 50.0), es.Schedule.vp(0.1, 20.0)):
-        tau = tau_for_internal_time(sched, 0.02)
-        assert es.noise_at(sched, tau)[2] == pytest.approx(0.02, rel=1e-12)
+def test_loss_study_rejects_schedule_starting_after_default_time(tmp_path):
+    # sigma_min = 0.5 starts the VE schedule at t = 0.125 > 0.02
+    assert run("loss-study", "--reps", "2", "--n", "50", "--basis-sizes", "4",
+               "--n-quad", "64", "--sigma-min", "0.5",
+               "--out", str(tmp_path / "x.csv")) == 2
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("fit", ["--max-freq", "4", "--grid-size", "10", "--basis", "trig"]),
+    ("sample", ["--n", "10", "--workers", "2"]),
+])
+def test_removed_flags_exit_2(fitted, tmp_path, command, flags):
+    root, data, model = fitted
+    src = ["--data", data] if command == "fit" else ["--model", model]
+    assert run(command, *src, "--out", str(tmp_path / "x.out"), *flags) == 2

@@ -33,6 +33,7 @@ def test_tau_at_inverts_noise_at(sched):
     for tau in np.linspace(0, 1, 17):
         t = es.noise_at(sched, tau)[2]
         assert tau_at(sched, t) == pytest.approx(tau, abs=1e-12)
+    assert es.noise_at(sched, tau_at(sched, 0.02))[2] == pytest.approx(0.02, rel=1e-12)
 
 
 def test_tau_at_out_of_range():
@@ -92,15 +93,6 @@ def test_sample_forward_rejects_out_of_domain():
     sched = es.Schedule.ve(0.01, 50.0)
     with pytest.raises(es.DomainError):
         es.sample_forward(state, sched, np.array([[4.0]]), 0.5, np.random.default_rng(0))
-
-
-def test_semigroup_eigen_factor():
-    assert es.semigroup_eigen_factor(-2.0, 0.5) == pytest.approx(math.exp(-1.0))
-    assert es.semigroup_eigen_factor(0.0, 3.0) == 1.0
-    with pytest.raises(es.InvalidInputError):
-        es.semigroup_eigen_factor(1.0, 0.5)
-    with pytest.raises(es.InvalidInputError):
-        es.semigroup_eigen_factor(-1.0, -0.5)
 
 
 @pytest.mark.parametrize("process", [es.OU, es.TRUNCATED_BM])

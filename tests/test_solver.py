@@ -9,7 +9,6 @@ import eigenscore as es
 from eigenscore.solver import (
     QuadratureSpec,
     dataset_hash,
-    solve_coefficients_detailed,
     solve_node,
     system_residual,
     trapezoid_grid,
@@ -130,11 +129,11 @@ def test_solve_matches_numpy_solve_for_exact_moments():
     m = es.analytic_moments(gm, basis)
     system = es.SystemAssembler(basis, table, m).system(0.1)
     assert system.noise_scale == 0.0
-    alpha, cond = es.solve_coefficients(system)
+    node = solve_node(system)
     oracle = np.linalg.solve(system.A, -system.b)
-    np.testing.assert_allclose(alpha, oracle, rtol=1e-9, atol=1e-12)
-    assert cond >= 1.0
-    assert system_residual(system, alpha) < 1e-10
+    np.testing.assert_allclose(node.alpha, oracle, rtol=1e-9, atol=1e-12)
+    assert node.condition >= 1.0
+    assert system_residual(system, node.alpha) < 1e-10
 
 
 def test_noise_floor_inactive_when_spectrum_is_healthy():
@@ -177,7 +176,7 @@ def test_solve_rejects_asymmetric_matrix():
     system = es.QuadraticSystem(A=np.array([[1.0, 2.0], [0.0, 1.0]]),
                                 b=np.zeros(2), lambdas=-np.ones(2), t=0.0)
     with pytest.raises(es.InvalidInputError):
-        es.solve_coefficients(system)
+        solve_node(system)
 
 
 def test_singular_system_raises_ill_conditioned():
@@ -185,14 +184,14 @@ def test_singular_system_raises_ill_conditioned():
     system = es.QuadraticSystem(A=np.diag([1e20, 0.0]), b=np.ones(2),
                                 lambdas=-np.ones(2), t=0.0)
     with pytest.raises(es.IllConditionedError):
-        es.solve_coefficients(system)
+        solve_node(system)
 
 
 def test_zero_matrix_recovered_by_tikhonov():
     system = es.QuadraticSystem(A=np.zeros((2, 2)), b=np.ones(2),
                                 lambdas=-np.ones(2), t=0.0)
-    alpha, cond, regularized = solve_coefficients_detailed(system)
-    assert regularized and np.all(np.isfinite(alpha))
+    node = solve_node(system)
+    assert node.regularized and np.all(np.isfinite(node.alpha))
 
 
 def test_tikhonov_fallback_flags_regularization():
@@ -200,9 +199,9 @@ def test_tikhonov_fallback_flags_regularization():
     A = np.outer(np.ones(2), np.ones(2))
     system = es.QuadraticSystem(A=A, b=np.array([1.0, 1.0]),
                                 lambdas=-np.ones(2), t=0.0)
-    alpha, cond, regularized = solve_coefficients_detailed(system)
-    assert regularized
-    assert np.all(np.isfinite(alpha))
+    node = solve_node(system)
+    assert node.regularized
+    assert np.all(np.isfinite(node.alpha))
 
 
 # ---------------------------------------------------------------------------
