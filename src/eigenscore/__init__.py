@@ -13,7 +13,6 @@ from .basis import (
     basis_from_dict,
     basis_to_dict,
     hermite_eval,
-    hermite_grad,
     hermite_order_expansion,
     hermite_univariate_basis,
     product_table,
@@ -32,8 +31,7 @@ from .errors import (
     UnsupportedTargetError,
 )
 from .generate import (
-    FlowField,
-    integrate,
+    flow_rate,
     log_density,
     sample_pf_ode,
     sample_reverse_sde,
@@ -62,15 +60,12 @@ from .solver import (
     alpha_at,
     assemble_A,
     assemble_b,
-    energy_eval,
-    laplacian_eval,
     load_model,
     model_eval_batch,
     model_from_dict,
     model_to_dict,
     presolve_grid,
     save_model,
-    score_eval,
     sm_loss,
 )
 from .targets import (

@@ -75,26 +75,6 @@ def hermite_eval(max_order, x):
     return out
 
 
-def hermite_grad(max_order, x):
-    """Derivatives phi_n'(x) = sqrt(n) phi_{n-1}(x) for n = 0..max_order."""
-    vals = hermite_eval(max_order, x)
-    out = np.zeros_like(vals)
-    if max_order >= 1:
-        n = np.arange(1, max_order + 1, dtype=float)
-        out[..., 1:] = np.sqrt(n) * vals[..., :-1]
-    return out
-
-
-def hermite_laplacian_1d(max_order, x):
-    """Second derivatives phi_n''(x) = sqrt(n(n-1)) phi_{n-2}(x)."""
-    vals = hermite_eval(max_order, x)
-    out = np.zeros_like(vals)
-    if max_order >= 2:
-        n = np.arange(2, max_order + 1, dtype=float)
-        out[..., 2:] = np.sqrt(n * (n - 1)) * vals[..., :-2]
-    return out
-
-
 def hermite_order_expansion(basis_max, extended_max):
     """Expansion coefficients of phi_k * phi_l over orders 0..extended_max.
 
@@ -131,6 +111,101 @@ def hermite_order_expansion(basis_max, extended_max):
 
 
 # ---------------------------------------------------------------------------
+# Evaluators, one per family
+# ---------------------------------------------------------------------------
+#
+# Each evaluator holds one ordered function list whose entry 0 is the constant
+# and evaluates it at checked points X (N, d): ``values`` (N, n),
+# ``derivatives`` (values, gradients (N, d, n), Laplacians (N, n)), and
+# ``weighted``, the energy, score and Laplacian of f = sum_k alpha_k phi_k
+# over entries 1.. without forming the gradient tensor (trig runs it in
+# ``dtype``, Hermite always in float64).
+
+class _TrigFamily:
+    """sqrt2 cos / sqrt2 sin functions over the unique frequency rows ``U``."""
+
+    def __init__(self, funcs, dimension):
+        rows, row_of = [], {}
+        self.urow = np.zeros(len(funcs), dtype=int)  # frequency row of each function
+        for j, f in enumerate(funcs[1:], start=1):
+            if f.index not in row_of:
+                row_of[f.index] = len(rows)
+                rows.append(f.index)
+            self.urow[j] = row_of[f.index]
+        self.is_sin = np.array([f.kind == KIND_SIN for f in funcs])
+        self.U = np.array(rows, dtype=float).reshape(len(rows), dimension)
+        self.lam = np.array([f.eigenvalue for f in funcs])
+
+    def _values_cos_sin(self, X):
+        P = X @ self.U.T
+        C, S = np.cos(P)[:, self.urow], np.sin(P)[:, self.urow]
+        vals = SQRT2 * np.where(self.is_sin, S, C)
+        vals[:, 0] = 1.0
+        return vals, C, S
+
+    def values(self, X):
+        return self._values_cos_sin(X)[0]
+
+    def derivatives(self, X):
+        vals, C, S = self._values_cos_sin(X)
+        grads = SQRT2 * np.where(self.is_sin, C, -S)[:, None, :] * self.U.T[None, :, self.urow]
+        grads[:, :, 0] = 0.0
+        return vals, grads, self.lam * vals
+
+    def weighted(self, X, alpha, dtype):
+        dtype = np.float64 if dtype is None else dtype
+        n = len(self.U)
+        # per-row coefficients, cosines in slots 0..n-1 and sines in n..2n-1
+        slot = self.urow[1:] + n * self.is_sin[1:]
+        coef = [np.bincount(slot, weights=w, minlength=2 * n)
+                for w in (alpha, alpha * self.lam[1:])]
+        a_cos, a_sin, l_cos, l_sin = np.concatenate(coef).astype(dtype).reshape(4, n)
+        P = (X @ self.U.T).astype(dtype, copy=False)
+        C, S = np.cos(P), np.sin(P)
+        energy = SQRT2 * (C @ a_cos + S @ a_sin)
+        score = SQRT2 * ((C * a_sin - S * a_cos) @ self.U.astype(dtype, copy=False))
+        lap = SQRT2 * (C @ l_cos + S @ l_sin)
+        return energy.astype(float), score.astype(float), lap.astype(float)
+
+
+class _HermiteFamily:
+    """Univariate Hermite functions, each of one coordinate and one order.
+
+    The constant is order 0 (on coordinate 0), so it needs no special case:
+    ``phi_n' = sqrt(n) phi_{n-1}`` and ``phi_n'' = sqrt(n(n-1)) phi_{n-2}``
+    vanish there.
+    """
+
+    def __init__(self, funcs, dimension):
+        index = np.array([f.index for f in funcs])
+        n = len(funcs)
+        self.dims = np.argmax(index != 0, axis=1)
+        self.orders = index[np.arange(n), self.dims]
+        self.max_order = int(self.orders.max())
+        self.axis = np.zeros((n, dimension))  # one-hot coordinate of each function
+        self.axis[np.arange(n), self.dims] = self.orders > 0
+
+    def values(self, X):
+        return hermite_eval(self.max_order, X)[:, self.dims, self.orders]
+
+    def _terms(self, X):
+        """Values and first and second derivatives along each function's coordinate."""
+        H = hermite_eval(self.max_order, X)  # (N, d, max_order + 1)
+        k = self.orders
+        return (H[:, self.dims, k],
+                np.sqrt(k) * H[:, self.dims, np.maximum(k - 1, 0)],
+                np.sqrt(k * (k - 1)) * H[:, self.dims, np.maximum(k - 2, 0)])
+
+    def derivatives(self, X):
+        vals, d1, d2 = self._terms(X)
+        return vals, d1[:, None, :] * self.axis.T, d2
+
+    def weighted(self, X, alpha, dtype):
+        vals, d1, d2 = self._terms(X)
+        return vals[:, 1:] @ alpha, (d1[:, 1:] * alpha) @ self.axis[1:], d2[:, 1:] @ alpha
+
+
+# ---------------------------------------------------------------------------
 # EigenBasis
 # ---------------------------------------------------------------------------
 
@@ -148,6 +223,9 @@ class EigenBasis:
         keys = [(f.kind, f.index) for f in self.functions]
         if len(set(keys)) != len(keys):
             raise InvalidInputError("duplicate eigenfunctions in basis")
+        for funcs in (self.functions, self.extended):
+            if not funcs or funcs[0].kind != KIND_CONSTANT:
+                raise InvalidInputError("function 0 of a basis must be the constant")
 
     @property
     def n_active(self):
@@ -178,49 +256,19 @@ class EigenBasis:
     def basis_to_extended(self):
         return np.array([self.extended_index(f) for f in self.functions])
 
-    # -- evaluation plans ---------------------------------------------------
-
-    def _trig_plan(self, funcs):
-        # Unique frequency rows; each function points at one row + sin flag.
-        rows, row_of = [], {}
-        urow = np.zeros(len(funcs), dtype=int)
-        is_sin = np.zeros(len(funcs), dtype=bool)
-        is_const = np.zeros(len(funcs), dtype=bool)
-        for j, f in enumerate(funcs):
-            if f.kind == KIND_CONSTANT:
-                is_const[j] = True
-                continue
-            if f.index not in row_of:
-                row_of[f.index] = len(rows)
-                rows.append(f.index)
-            urow[j] = row_of[f.index]
-            is_sin[j] = f.kind == KIND_SIN
-        U = np.array(rows, dtype=float).reshape(len(rows), self.dimension)
-        lam = np.array([f.eigenvalue for f in funcs])
-        return U, urow, is_sin, is_const, lam
-
-    @cached_property
-    def _plan_functions(self):
-        return self._build_plan(self.functions)
-
-    @cached_property
-    def _plan_extended(self):
-        return self._build_plan(self.extended)
-
-    def _build_plan(self, funcs):
-        if self.process == TRUNCATED_BM:
-            return ("trig",) + self._trig_plan(funcs)
-        dims = np.zeros(len(funcs), dtype=int)
-        orders = np.zeros(len(funcs), dtype=int)
-        for j, f in enumerate(funcs):
-            if f.kind == KIND_CONSTANT:
-                continue
-            nz = [i for i, c in enumerate(f.index) if c != 0]
-            dims[j] = nz[0]
-            orders[j] = f.index[nz[0]]
-        return ("hermite", dims, orders, int(orders.max(initial=0)))
-
     # -- evaluation ---------------------------------------------------------
+
+    def _evaluator(self, funcs):
+        family = _TrigFamily if self.process == TRUNCATED_BM else _HermiteFamily
+        return family(funcs, self.dimension)
+
+    @cached_property
+    def _family(self):
+        return self._evaluator(self.functions)
+
+    @cached_property
+    def _extended_family(self):
+        return self._evaluator(self.extended)
 
     def eval_batch(self, X, extended=False):
         """Values, gradients and Laplacians at points X (N x d).
@@ -228,54 +276,13 @@ class EigenBasis:
         Returns ``(values (N,n), gradients (N,d,n), laplacians (N,n))`` over
         ``functions`` (or ``extended``).
         """
-        X = self._check_points(X)
-        funcs = self.extended if extended else self.functions
-        plan = self._plan_extended if extended else self._plan_functions
-        N, n = X.shape[0], len(funcs)
-        if plan[0] == "trig":
-            _, U, urow, is_sin, is_const, lam = plan
-            P = X @ U.T
-            C, S = np.cos(P), np.sin(P)
-            vals = SQRT2 * np.where(is_sin, S[:, urow], C[:, urow])
-            dfac = SQRT2 * np.where(is_sin, C[:, urow], -S[:, urow])
-            grads = dfac[:, None, :] * U.T[None, :, urow]
-            vals[:, is_const] = 1.0
-            grads[:, :, is_const] = 0.0
-            laps = lam * vals
-            return vals, grads, laps
-        _, dims, orders, max_order = plan
-        H = hermite_eval(max_order, X)  # (N, d, max_order+1)
-        vals = np.ones((N, n))
-        grads = np.zeros((N, self.dimension, n))
-        laps = np.zeros((N, n))
-        for j, f in enumerate(funcs):
-            if f.kind == KIND_CONSTANT:
-                continue
-            i, k = dims[j], orders[j]
-            vals[:, j] = H[:, i, k]
-            grads[:, i, j] = math.sqrt(k) * H[:, i, k - 1]
-            if k >= 2:
-                laps[:, j] = math.sqrt(k * (k - 1)) * H[:, i, k - 2]
-        return vals, grads, laps
+        family = self._extended_family if extended else self._family
+        return family.derivatives(self._check_points(X))
 
     def eval_values(self, X, extended=False):
         """Values only (used for moment estimation over the extended set)."""
-        X = self._check_points(X)
-        funcs = self.extended if extended else self.functions
-        plan = self._plan_extended if extended else self._plan_functions
-        if plan[0] == "trig":
-            _, U, urow, is_sin, is_const, _ = plan
-            P = X @ U.T
-            C, S = np.cos(P), np.sin(P)
-            vals = SQRT2 * np.where(is_sin, S[:, urow], C[:, urow])
-            vals[:, is_const] = 1.0
-            return vals
-        _, dims, orders, max_order = plan
-        H = hermite_eval(max_order, X)
-        vals = np.ones((X.shape[0], len(funcs)))
-        active = np.nonzero(orders > 0)[0]
-        vals[:, active] = H[:, dims[active], orders[active]]
-        return vals
+        family = self._extended_family if extended else self._family
+        return family.values(self._check_points(X))
 
     def weighted_eval(self, X, alpha, dtype=None):
         """Energy, score and Laplacian of ``f = sum_k alpha_k phi_k``.
@@ -293,48 +300,7 @@ class EigenBasis:
             raise InvalidInputError(
                 f"alpha has length {alpha.shape}, expected ({self.n_active},)"
             )
-        plan = self._plan_functions
-        if plan[0] == "trig":
-            _, U, urow, is_sin, _, lam = plan
-            a_cos = np.zeros(U.shape[0])
-            a_sin = np.zeros(U.shape[0])
-            l_cos = np.zeros(U.shape[0])
-            l_sin = np.zeros(U.shape[0])
-            for j in range(1, len(self.functions)):
-                a, lj, r = alpha[j - 1], lam[j], urow[j]
-                if is_sin[j]:
-                    a_sin[r] += a
-                    l_sin[r] += a * lj
-                else:
-                    a_cos[r] += a
-                    l_cos[r] += a * lj
-            if dtype is not None and np.dtype(dtype) == np.float32:
-                P = (X @ U.T).astype(np.float32)
-                C, S = np.cos(P), np.sin(P)
-                a_cos, a_sin = a_cos.astype(np.float32), a_sin.astype(np.float32)
-                l_cos, l_sin = l_cos.astype(np.float32), l_sin.astype(np.float32)
-                Uw = U.astype(np.float32)
-            else:
-                P = X @ U.T
-                C, S = np.cos(P), np.sin(P)
-                Uw = U
-            energy = SQRT2 * (C @ a_cos + S @ a_sin)
-            score = SQRT2 * ((C * a_sin - S * a_cos) @ Uw)
-            lap = SQRT2 * (C @ l_cos + S @ l_sin)
-            return (energy.astype(float), score.astype(float), lap.astype(float))
-        _, dims, orders, max_order = plan
-        H = hermite_eval(max_order, X)
-        N = X.shape[0]
-        energy = np.zeros(N)
-        score = np.zeros((N, self.dimension))
-        lap = np.zeros(N)
-        for j in range(1, len(self.functions)):
-            a, i, k = alpha[j - 1], dims[j], orders[j]
-            energy += a * H[:, i, k]
-            score[:, i] += a * math.sqrt(k) * H[:, i, k - 1]
-            if k >= 2:
-                lap += a * math.sqrt(k * (k - 1)) * H[:, i, k - 2]
-        return energy, score, lap
+        return self._family.weighted(X, alpha, dtype)
 
     def _check_points(self, X):
         X = np.asarray(X, dtype=float)
@@ -571,9 +537,9 @@ def _hermite_terms(basis, k, l):
     Pairs on disjoint coordinates get no terms; the others expand along their
     shared coordinate, order 0 being the constant.
     """
-    _, dims, orders, max_order = basis._plan_functions
-    _, ext_dims, ext_orders, ext_max = basis._plan_extended
-    B = hermite_order_expansion(max_order, ext_max)
+    fam, ext = basis._family, basis._extended_family
+    dims, orders = fam.dims, fam.orders
+    B = hermite_order_expansion(fam.max_order, ext.max_order)
     ok, ol = orders[k], orders[l]
     shared = (ok == 0) | (ol == 0) | (dims[k] == dims[l])
     k, l, ok, ol = k[shared], l[shared], ok[shared], ol[shared]
@@ -581,8 +547,8 @@ def _hermite_terms(basis, k, l):
     vec = B[np.minimum(ok, ol), np.maximum(ok, ol)]
     mag = np.abs(vec)
     pair, h_order = np.nonzero(mag > 1e-14 * np.maximum(1.0, mag.max(axis=1))[:, None])
-    ext_of = np.full((basis.dimension, ext_max + 1), -1)
-    ext_of[ext_dims, ext_orders] = np.arange(len(basis.extended))
+    ext_of = np.full((basis.dimension, ext.max_order + 1), -1)
+    ext_of[ext.dims, ext.orders] = np.arange(len(basis.extended))
     ext_of[:, 0] = ext_of[0, 0]  # order 0 on any coordinate is the constant
     h = ext_of[coord[pair], h_order]
     if np.any(h < 0):

@@ -235,20 +235,17 @@ def cmd_density(args):
 # Shrinkage loss study
 # ---------------------------------------------------------------------------
 
-def _loss_at_tau(basis, table, moments, schedule, tau, reference, n_quad):
+def _loss_at_tau(basis, assembler, schedule, tau, reference, nodes, weights):
     """Fit at a single tau and return the weighted L2 score error."""
     t = noise_at(schedule, tau)[2]
-    assembler = SystemAssembler(basis, table, moments)
     alpha = solve_node(assembler.system(t)).alpha
-    spec = QuadratureSpec(kind="trapezoid", n_nodes=n_quad)
-    nodes, weights = trapezoid_grid(spec, basis.dimension)
     diff = basis.weighted_eval(nodes, alpha)[1] - reference.relative_score(nodes, tau)
     dens = reference.pdf(nodes, tau)
     return float(weights @ (dens * (diff * diff).sum(axis=1)))
 
 
 def _loss_study_rep(payload):
-    (rep, seed, n, sizes, taus, sched_dict, n_quad) = payload
+    (rep, seed, n, sizes, taus, sched_dict, nodes, weights) = payload
     schedule = Schedule.from_dict(sched_dict)
     gm = bart_simpson()
     reference = AnalyticReference(gm, schedule, TRUNCATED_BM)
@@ -259,12 +256,13 @@ def _loss_study_rep(payload):
         basis = trig_basis_1d(size)
         table = product_table(basis)
         raw = sample_moments(basis, data)
-        shrunk = modulation_shrink(raw)
+        fits = [(name, SystemAssembler(basis, table, m))
+                for name, m in (("sample-mean", raw), ("shrinkage", modulation_shrink(raw)))]
         for tau in taus:
-            for name, m in (("sample-mean", raw), ("shrinkage", shrunk)):
+            for name, assembler in fits:
                 out.append((rep, size, tau, name,
-                            _loss_at_tau(basis, table, m, schedule, tau,
-                                         reference, n_quad)))
+                            _loss_at_tau(basis, assembler, schedule, tau,
+                                         reference, nodes, weights)))
     return out
 
 
@@ -281,8 +279,9 @@ def cmd_loss_study(args):
                           "pass --taus or lower --sigma-min")
     else:
         taus = [0.0, tau_at(schedule, LOSS_STUDY_T)]
+    nodes, weights = trapezoid_grid(QuadratureSpec(n_nodes=args.n_quad), 1)
     payloads = [(rep, args.seed, args.n, sizes, taus, schedule.to_dict(),
-                 args.n_quad) for rep in range(args.reps)]
+                 nodes, weights) for rep in range(args.reps)]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_loss_study_rep, payloads))
@@ -429,9 +428,11 @@ _KNOWN_ERRORS = (
 
 def _apply_config_file(parser, argv):
     """Seed parser defaults from --config JSON; explicit flags still win."""
-    if "--config" not in argv:
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return
-    path = argv[argv.index("--config") + 1]
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -455,8 +456,8 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
         try:
+            _apply_config_file(parser, argv)
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return EXIT_CONFIG if exc.code not in (0, None) else 0

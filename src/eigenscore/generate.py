@@ -1,27 +1,32 @@
 """Sampling and exact log-densities through the probability-flow ODE.
 
-The fitted model gives the relative score s~ = grad log(rho_t / pi). In
-normalized time tau the probability-flow field is
+The fitted model gives the relative score s~ = grad log(rho_t / pi) of
+f = sum_k alpha_k phi_k. The probability flow runs in the forward process's
+internal time t, where it is the same for both processes:
 
-    f(x, tau) = mu(x, tau) - (g_tau^2 / 2) * (s~ + grad log pi),
+    dx/dt = -s~(x, t),    d(log rho)/dt = -lap f(x, t).
 
-with mu = 0, g^2 = d(sigma^2)/dtau for VE and mu = -(beta_tau/2) x,
-g^2 = beta_tau for VP. Its divergence is available in closed form from the
+On the torus pi is uniform and the drift vanishes; for OU the drift -x cancels
+the prior score -x. The divergence comes in closed form from the
 eigenfunction Laplacians, so log-densities are exact up to ODE tolerance.
+:func:`flow_rate` gives both rates; :func:`sample_pf_ode` and
+:func:`log_density` integrate them between the internal times of tau = 1 and
+tau = 0. The reverse SDE steps in normalized time tau with the forward drift
+mu and g_tau^2: mu = 0, g^2 = d(sigma^2)/dtau for VE and mu = -(beta_tau/2) x,
+g^2 = beta_tau for VP.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import OU, TRUNCATED_BM
-from .errors import DomainError, InvalidInputError
+from .errors import InvalidInputError
 from .odeint import IntegratorConfig, integrate_batch
-from .process import VE, VP, noise_at, tau_at, wrap_torus
-from .solver import model_eval_batch
+from .process import VE, noise_at, tau_at, wrap_torus
+from .solver import _check_domain, model_eval_batch
 
 PRIOR_UNIFORM = "uniform"
 PRIOR_WRAPPED_NORMAL = "wrapped-normal"
@@ -37,74 +42,20 @@ def _drift_terms(schedule, tau):
     return -beta / 2.0, beta / 2.0
 
 
-@dataclass
-class FlowField:
-    """Probability-flow velocity field of a fitted model, in normalized time."""
+def flow_rate(model, t, X):
+    """Velocity and divergence of the probability flow at internal time t.
 
-    model: object
-    direction: str = "forward"
-    # single-precision trig inside the flow: ~1e-6 eval error, far below
-    # the integrator tolerances, at a large throughput gain
-    eval_dtype: object = np.float32
-
-    def __post_init__(self):
-        if self.direction not in ("forward", "backward"):
-            raise InvalidInputError(f"unknown direction {self.direction!r}")
-
-    def _score_terms(self, tau, X):
-        _, score, lap = model_eval_batch(self.model, X, tau, check_domain=False,
-                                         dtype=self.eval_dtype)
-        d = self.model.basis.dimension
-        if self.model.process == OU:
-            # full score = s~ + grad log pi = s~ - x; its divergence drops d
-            score = score - X
-            lap = lap - d
-        return score, lap
-
-    def __call__(self, tau, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        mu_coef, half_g2 = _drift_terms(self.model.schedule, tau)
-        score, _ = self._score_terms(tau, X)
-        return mu_coef * X - half_g2 * score
-
-    def divergence(self, tau, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        mu_coef, half_g2 = _drift_terms(self.model.schedule, tau)
-        _, lap = self._score_terms(tau, X)
-        return mu_coef * self.model.basis.dimension - half_g2 * lap
-
-    def rate(self, tau, X):
-        """Velocity and divergence together, from a single model evaluation."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        mu_coef, half_g2 = _drift_terms(self.model.schedule, tau)
-        score, lap = self._score_terms(tau, X)
-        return (mu_coef * X - half_g2 * score,
-                mu_coef * self.model.basis.dimension - half_g2 * lap)
-
-    def rate_internal(self, t, X):
-        """Velocity and divergence in internal time: dx/dt = -s~, dl/dt = -lap.
-
-        In internal process time the schedule factor dt/dtau cancels for both
-        VE and VP, leaving a process-independent, well-scaled system; the
-        integrator then adapts to the score dynamics instead of fighting the
-        exponential time reparameterization.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        tau = tau_at(self.model.schedule, t)
-        _, score, lap = model_eval_batch(self.model, X, tau, check_domain=False,
-                                         dtype=self.eval_dtype)
-        return -score, -lap
-
-
-def integrate(field, x, tau_from, tau_to, cfg=IntegratorConfig()):
-    """Flow a point (or batch) of states along the field between tau values."""
-    if not (0.0 <= tau_from <= 1.0 and 0.0 <= tau_to <= 1.0):
-        raise InvalidInputError("tau_from and tau_to must lie in [0, 1]")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    y = integrate_batch(lambda t, Y: field(t, Y), np.atleast_2d(x),
-                        tau_from, tau_to, cfg)
-    return y[0] if single else y
+    Returns ``(-score, -laplacian)`` of the model at ``tau_at(schedule, t)``.
+    In internal time the schedule factor dt/dtau cancels for both VE and VP,
+    leaving a process-independent, well-scaled system; the integrator then
+    adapts to the score dynamics instead of the exponential time
+    reparameterization.
+    """
+    # single-precision trig: ~1e-6 evaluation error, far below the integrator
+    # tolerances, at a large throughput gain
+    _, score, lap = model_eval_batch(model, X, tau_at(model.schedule, t),
+                                     check_domain=False, dtype=np.float32)
+    return -score, -lap
 
 
 def _prior_draw(model, n, rng, prior):
@@ -125,11 +76,9 @@ def sample_pf_ode(model, n, cfg=IntegratorConfig(), rng=None, prior=PRIOR_UNIFOR
         raise InvalidInputError("n must be >= 1")
     rng = rng if rng is not None else np.random.default_rng()
     x1 = _prior_draw(model, n, rng, prior)
-    field = FlowField(model, direction="backward")
     t1 = noise_at(model.schedule, 1.0)[2]
     t0 = noise_at(model.schedule, 0.0)[2]
-    x0 = integrate_batch(lambda t, Y: field.rate_internal(t, Y)[0],
-                         x1, t1, t0, cfg)
+    x0 = integrate_batch(lambda t, Y: flow_rate(model, t, Y)[0], x1, t1, t0, cfg)
     if model.process == TRUNCATED_BM:
         x0 = wrap_torus(x0)
     return x0
@@ -138,20 +87,19 @@ def sample_pf_ode(model, n, cfg=IntegratorConfig(), rng=None, prior=PRIOR_UNIFOR
 def log_density(model, x0, cfg=IntegratorConfig()):
     """Exact model log-density at x0 via the augmented flow (tau: 0 -> 1).
 
-    Along the flow, log rho_0(x_0) = log pi(x_1) + integral of div f dtau;
-    the prior is uniform on the torus (log pi = -d log 2pi) or standard
-    normal for OU. ``x0`` may be (d,) or (N, d).
+    Along the flow, log rho_0(x_0) = log pi(x_1) + the integral of the flow
+    divergence over internal time; the prior is uniform on the torus
+    (log pi = -d log 2pi) or standard normal for OU. ``x0`` may be (d,) or
+    (N, d).
     """
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
     X = np.atleast_2d(x0)
     d = model.basis.dimension
-    if model.process == TRUNCATED_BM and np.any(np.abs(X) > math.pi + 1e-9):
-        raise DomainError("x0 outside the torus [-pi, pi]^d")
-    field = FlowField(model, direction="forward")
+    _check_domain(model, X)
 
     def f_aug(t, Y):
-        dX, div = field.rate_internal(t, Y[:, :d])
+        dX, div = flow_rate(model, t, Y[:, :d])
         return np.concatenate([dX, div[:, None]], axis=1)
 
     # the log-accumulator needs a much tighter relative tolerance than the

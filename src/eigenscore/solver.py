@@ -312,18 +312,6 @@ def model_eval_batch(model, X, tau, check_domain=True, dtype=None):
     return model.basis.weighted_eval(X, alpha, dtype=dtype)
 
 
-def score_eval(model, x, tau):
-    return model_eval_batch(model, x, tau)[1][0]
-
-
-def energy_eval(model, x, tau):
-    return float(model_eval_batch(model, x, tau)[0][0])
-
-
-def laplacian_eval(model, x, tau):
-    return float(model_eval_batch(model, x, tau)[2][0])
-
-
 # ---------------------------------------------------------------------------
 # Score-matching loss against a ground-truth reference
 # ---------------------------------------------------------------------------

@@ -388,9 +388,8 @@ def test_criterion_09_transport_consistency():
     # forward transport of 1e5 data points onto the uniform prior
     rng = np.random.default_rng(7)
     x0 = es.wrap_torus(es.sample_gaussian_mixture(gm, 100_000, rng))
-    field = es.FlowField(model)
     t0, t1 = model.internal_time(0.0), model.internal_time(1.0)
-    x1 = es.integrate_batch(lambda t, Y: field.rate_internal(t, Y)[0],
+    x1 = es.integrate_batch(lambda t, Y: es.flow_rate(model, t, Y)[0],
                             x0, t0, t1, IntegratorConfig(rtol=1e-6, atol=1e-8))
     x1 = es.wrap_torus(x1)
     ks = kstest(x1[:, 0], "uniform", args=(-math.pi, 2 * math.pi))

@@ -12,8 +12,6 @@ from eigenscore.basis import (
     KIND_SIN,
     _trig_1d_functions,
     hermite_eval,
-    hermite_grad,
-    hermite_laplacian_1d,
     hermite_order_expansion,
 )
 from conftest import torus_quad_1d
@@ -31,18 +29,6 @@ def test_hermite_matches_numpy_hermite_e():
         he = np.polynomial.hermite_e.HermiteE.basis(n)(x)
         np.testing.assert_allclose(vals[:, n], he / math.sqrt(math.factorial(n)),
                                    rtol=1e-12, atol=1e-12)
-
-
-def test_hermite_grad_and_laplacian_finite_difference():
-    x = np.linspace(-3, 3, 25)
-    h = 1e-6
-    g = hermite_grad(8, x)
-    g_fd = (hermite_eval(8, x + h) - hermite_eval(8, x - h)) / (2 * h)
-    np.testing.assert_allclose(g, g_fd, rtol=2e-5, atol=2e-5)
-    h = 1e-4  # second differences need a larger step to beat roundoff
-    lap = hermite_laplacian_1d(8, x)
-    l_fd = (hermite_eval(8, x + h) - 2 * hermite_eval(8, x) + hermite_eval(8, x - h)) / h**2
-    np.testing.assert_allclose(lap, l_fd, rtol=1e-5, atol=1e-4)
 
 
 def test_hermite_eval_rejects_bad_input():
@@ -171,6 +157,7 @@ def test_trig_product_table_capacity_error():
 @pytest.mark.parametrize("make", [
     lambda: es.trig_basis_1d(6),
     lambda: es.trig_basis_nd(2, -10.0),
+    lambda: es.trig_basis_nd(3, -6.0),
     lambda: es.hermite_univariate_basis(2, 4),
 ])
 def test_eval_batch_finite_difference(make):
@@ -201,6 +188,7 @@ def test_trig_laplacian_is_eigenvalue_times_value():
 @pytest.mark.parametrize("make", [
     lambda: es.trig_basis_1d(6),
     lambda: es.trig_basis_nd(2, -10.0),
+    lambda: es.trig_basis_nd(3, -6.0),
     lambda: es.hermite_univariate_basis(2, 4),
 ])
 def test_weighted_eval_matches_eval_batch(make):
@@ -266,6 +254,13 @@ def test_basis_serialization_roundtrip(make):
     assert again.functions == basis.functions
     assert again.extended == basis.extended
     assert again.process == basis.process
+
+
+def test_constant_must_come_first():
+    funcs = _trig_1d_functions(3)
+    with pytest.raises(es.InvalidInputError):
+        es.EigenBasis(process=es.TRUNCATED_BM, dimension=1,
+                      functions=funcs[1:] + funcs[:1], extended=_trig_1d_functions(6))
 
 
 def test_dimension_mismatch_rejected():

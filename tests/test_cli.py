@@ -178,6 +178,19 @@ def test_config_file_unknown_key(tmp_path):
                "--out", str(tmp_path / "x.csv")) == 2
 
 
+@pytest.mark.parametrize("spelling", ["--config={}", "--config"])
+def test_config_flag_spellings(tmp_path, spelling):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 5}))
+    out = tmp_path / "x.csv"
+    code = run("gen-data", "--target", "bart-simpson", "--out", str(out),
+               spelling.format(cfg))
+    if spelling == "--config":  # a trailing flag without its value
+        assert code == 2
+    else:
+        assert code == 0 and read_csv(out).shape == (5, 1)
+
+
 def test_bad_flag_exits_2(tmp_path):
     assert run("gen-data", "--target", "bart-simpson",
                "--out", str(tmp_path / "x.csv"), "--not-a-flag") == 2

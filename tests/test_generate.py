@@ -9,6 +9,7 @@ from scipy.stats import kstest
 import eigenscore as es
 from eigenscore.generate import PRIOR_WRAPPED_NORMAL
 from eigenscore.odeint import IntegratorConfig
+from eigenscore.process import tau_at
 from conftest import fit_gaussian_ou, torus_quad_1d
 
 
@@ -34,43 +35,25 @@ def torus_model():
 
 
 # ---------------------------------------------------------------------------
-# FlowField
+# Flow rate
 # ---------------------------------------------------------------------------
 
-def test_flow_field_direction_validation(gaussian_model):
-    model, _, _ = gaussian_model
-    with pytest.raises(es.InvalidInputError):
-        es.FlowField(model, direction="sideways")
-
-
-def test_flow_field_divergence_finite_difference(torus_model):
+def test_flow_rate_divergence_finite_difference(torus_model):
     model, _, _ = torus_model
-    field = es.FlowField(model, eval_dtype=None)
     X = np.linspace(-2, 2, 9)[:, None]
     tau = 0.4
     h = 1e-5
-    fd = (field(tau, X + h)[:, 0] - field(tau, X - h)[:, 0]) / (2 * h)
-    np.testing.assert_allclose(field.divergence(tau, X), fd, rtol=1e-4, atol=1e-5)
-
-
-def test_flow_field_rate_consistency(torus_model):
-    model, _, _ = torus_model
-    field = es.FlowField(model)
-    X = np.linspace(-3, 3, 7)[:, None]
-    vel, div = field.rate(0.3, X)
-    np.testing.assert_allclose(vel, field(0.3, X), atol=1e-12)
-    np.testing.assert_allclose(div, field.divergence(0.3, X), atol=1e-12)
-
-
-def test_integrate_wrapper_single_and_batch(gaussian_model):
-    model, _, _ = gaussian_model
-    field = es.FlowField(model)
-    x = np.array([0.2])
-    y_single = es.integrate(field, x, 0.0, 0.5)
-    y_batch = es.integrate(field, x[None, :], 0.0, 0.5)
-    np.testing.assert_allclose(y_single, y_batch[0], atol=1e-12)
-    with pytest.raises(es.InvalidInputError):
-        es.integrate(field, x, -0.1, 0.5)
+    # the flow's divergence is minus the Laplacian: the derivative of the score
+    _, _, lap = es.model_eval_batch(model, X, tau)
+    fd = (es.model_eval_batch(model, X + h, tau)[1][:, 0]
+          - es.model_eval_batch(model, X - h, tau)[1][:, 0]) / (2 * h)
+    np.testing.assert_allclose(lap, fd, rtol=1e-4, atol=1e-5)
+    # flow_rate is (-score, -laplacian) of the float32 kernel at the same tau
+    t = model.internal_time(tau)
+    vel, div = es.flow_rate(model, t, X)
+    _, score, lap = es.model_eval_batch(model, X, tau_at(model.schedule, t),
+                                        dtype=np.float32)
+    assert np.array_equal(vel, -score) and np.array_equal(div, -lap)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +164,9 @@ def test_transport_pushes_data_to_prior(gaussian_model):
     model, gm, _ = gaussian_model
     rng = np.random.default_rng(5)
     x0 = es.sample_gaussian_mixture(gm, 20_000, rng)
-    field = es.FlowField(model)
     t0 = model.internal_time(0.0)
     t1 = model.internal_time(1.0)
-    x1 = es.integrate_batch(lambda t, Y: field.rate_internal(t, Y)[0],
+    x1 = es.integrate_batch(lambda t, Y: es.flow_rate(model, t, Y)[0],
                             x0, t0, t1, IntegratorConfig(rtol=1e-6, atol=1e-8))
     stat = kstest(x1[:, 0], "norm")
     assert stat.pvalue > 0.005

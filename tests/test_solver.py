@@ -284,12 +284,6 @@ def test_model_eval_domain_check():
     model = _small_torus_model()
     with pytest.raises(es.DomainError):
         es.model_eval_batch(model, np.array([[4.0]]), 0.0)
-    # score/energy/laplacian single-point wrappers agree with the batch path
-    x = np.array([0.37])
-    e, s, l = es.model_eval_batch(model, x[None, :], 0.2)
-    assert es.energy_eval(model, x, 0.2) == pytest.approx(e[0])
-    assert es.score_eval(model, x, 0.2)[0] == pytest.approx(s[0, 0])
-    assert es.laplacian_eval(model, x, 0.2) == pytest.approx(l[0])
 
 
 def test_model_serialization_roundtrip(tmp_path):
