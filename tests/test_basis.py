@@ -31,6 +31,21 @@ def test_hermite_matches_numpy_hermite_e():
                                    rtol=1e-12, atol=1e-12)
 
 
+def test_hermite_grad_and_laplacian_finite_difference():
+    # the Hermite evaluator's closed-form derivatives against finite
+    # differences of the independent recurrence, orders 0..8
+    basis = es.hermite_univariate_basis(1, 8)
+    orders = [f.index[0] for f in basis.functions]
+    x = np.linspace(-3, 3, 25)
+    _, grads, laps = basis.eval_batch(x[:, None])
+    h = 1e-6
+    g_fd = (hermite_eval(8, x + h) - hermite_eval(8, x - h)) / (2 * h)
+    np.testing.assert_allclose(grads[:, 0, :], g_fd[:, orders], rtol=2e-5, atol=2e-5)
+    h = 1e-4  # second differences need a larger step to beat roundoff
+    l_fd = (hermite_eval(8, x + h) - 2 * hermite_eval(8, x) + hermite_eval(8, x - h)) / h**2
+    np.testing.assert_allclose(laps, l_fd[:, orders], rtol=1e-5, atol=1e-4)
+
+
 def test_hermite_eval_rejects_bad_input():
     with pytest.raises(es.InvalidInputError):
         hermite_eval(-1, 0.0)

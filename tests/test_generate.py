@@ -38,7 +38,7 @@ def torus_model():
 # Flow rate
 # ---------------------------------------------------------------------------
 
-def test_flow_rate_divergence_finite_difference(torus_model):
+def test_flow_field_divergence_finite_difference(torus_model):
     model, _, _ = torus_model
     X = np.linspace(-2, 2, 9)[:, None]
     tau = 0.4
@@ -48,8 +48,13 @@ def test_flow_rate_divergence_finite_difference(torus_model):
     fd = (es.model_eval_batch(model, X + h, tau)[1][:, 0]
           - es.model_eval_batch(model, X - h, tau)[1][:, 0]) / (2 * h)
     np.testing.assert_allclose(lap, fd, rtol=1e-4, atol=1e-5)
-    # flow_rate is (-score, -laplacian) of the float32 kernel at the same tau
-    t = model.internal_time(tau)
+
+
+def test_flow_field_rate_consistency(torus_model):
+    # flow_rate is (-score, -laplacian) of the float32 kernel at tau_at(t)
+    model, _, _ = torus_model
+    X = np.linspace(-3, 3, 7)[:, None]
+    t = model.internal_time(0.3)
     vel, div = es.flow_rate(model, t, X)
     _, score, lap = es.model_eval_batch(model, X, tau_at(model.schedule, t),
                                         dtype=np.float32)
