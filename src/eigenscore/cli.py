@@ -176,7 +176,6 @@ def cmd_fit(args):
     conds = model.diagnostics["condition"]
     print(f"fit complete: {len(model.grid)} grid nodes, "
           f"max condition {conds.max():.3e}, "
-          f"max residual {model.diagnostics['residual'].max():.3e}, "
           f"{int(model.diagnostics['regularized'].sum())} regularized")
     _write_provenance(args.out, {
         "command": "fit",
@@ -245,16 +244,14 @@ def _loss_at_tau(basis, assembler, schedule, tau, reference, nodes, weights):
 
 
 def _loss_study_rep(payload):
-    (rep, seed, n, sizes, taus, sched_dict, nodes, weights) = payload
+    (rep, seed, n, bases, taus, sched_dict, nodes, weights) = payload
     schedule = Schedule.from_dict(sched_dict)
     gm = bart_simpson()
     reference = AnalyticReference(gm, schedule, TRUNCATED_BM)
     rng = np.random.default_rng([seed, rep])
     data = wrap_torus(sample_gaussian_mixture(gm, n, rng))
     out = []
-    for size in sizes:
-        basis = trig_basis_1d(size)
-        table = product_table(basis)
+    for size, basis, table in bases:
         raw = sample_moments(basis, data)
         fits = [(name, SystemAssembler(basis, table, m))
                 for name, m in (("sample-mean", raw), ("shrinkage", modulation_shrink(raw)))]
@@ -279,8 +276,12 @@ def cmd_loss_study(args):
                           "pass --taus or lower --sigma-min")
     else:
         taus = [0.0, tau_at(schedule, LOSS_STUDY_T)]
+    bases = []
+    for size in sizes:
+        basis = trig_basis_1d(size)
+        bases.append((size, basis, product_table(basis)))
     nodes, weights = trapezoid_grid(QuadratureSpec(n_nodes=args.n_quad), 1)
-    payloads = [(rep, args.seed, args.n, sizes, taus, schedule.to_dict(),
+    payloads = [(rep, args.seed, args.n, bases, taus, schedule.to_dict(),
                  nodes, weights) for rep in range(args.reps)]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

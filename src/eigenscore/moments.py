@@ -15,6 +15,8 @@ import numpy as np
 from .basis import KIND_CONSTANT, KIND_COS, KIND_SIN, OU, TRUNCATED_BM
 from .errors import DomainError, InvalidInputError, UnsupportedTargetError
 
+GH_NODES = 200  # Gauss-Hermite nodes per mixture component for analytic Hermite moments
+
 
 @dataclass(frozen=True)
 class MomentVector:
@@ -104,7 +106,7 @@ def modulation_shrink(m, shrink_extended=True):
     return replace(m, gamma=gamma)
 
 
-def analytic_moments(target, basis, gh_nodes=200):
+def analytic_moments(target, basis):
     """Closed-form eigenfunction expectations of a Gaussian mixture.
 
     Trig moments come from the Gaussian characteristic function (valid on the
@@ -127,7 +129,7 @@ def analytic_moments(target, basis, gh_nodes=200):
     elif basis.process == OU:
         from .basis import hermite_eval
 
-        nodes, weights = np.polynomial.hermite_e.hermegauss(gh_nodes)
+        nodes, weights = np.polynomial.hermite_e.hermegauss(GH_NODES)
         weights = weights / math.sqrt(2.0 * math.pi)
         for h, f in enumerate(funcs):
             if f.kind == KIND_CONSTANT:

@@ -7,8 +7,12 @@ score-matching objective at internal time t is (up to a constant)
     A_t[k,l] = sum_h ((lam_h - lam_k - lam_l)/2) e^{lam_h t} beta_h^{(k,l)} theta_h,
     b_t[k]   = lam_k e^{lam_k t} theta_k,
 
-whose stationary point alpha = -A_t^{-1} b_t is solved with the diagonal
-preconditioner Lambda = diag(-lam_k), A_t -> Lambda as t grows.
+whose stationary point alpha = -A_t^{-1} b_t is solved at each time node in
+the symmetric preconditioning Lambda^{-1/2} A_t Lambda^{-1/2}, Lambda =
+diag(-lam_k), which tends to the identity as t grows (A_t -> Lambda).
+Eigenvalues of the preconditioned matrix below a noise floor are raised to
+it (see solve_node); the per-node diagnostics are the condition estimate
+and whether the floor acted.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,44 +127,6 @@ class SystemAssembler:
                                noise_scale=self.noise_scale)
 
 
-def _preconditioned_solve(A, b, lambdas):
-    scale = -lambdas  # Lambda diagonal, positive
-    P = A / scale[:, None]
-    rhs = -b / scale
-    with warnings.catch_warnings():
-        # singular factors are expected here and handled by the caller's
-        # condition-number check and Tikhonov fallback
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(P, check_finite=False)
-    anorm = np.linalg.norm(P, 1)
-    rcond, _ = lapack.dgecon(lu, anorm, norm="1")
-    cond = np.inf if rcond == 0 else 1.0 / rcond
-    alpha = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-    return alpha, cond
-
-
-def _spectral_solve(A, b, lambdas, delta):
-    """Solve via the symmetric preconditioning Lambda^{-1/2} A Lambda^{-1/2}.
-
-    Eigenvalues of the preconditioned matrix with magnitude below ``delta``
-    carry no statistically significant signal: dividing by them amplifies
-    moment noise without bound. They are floored at ``delta`` (negative ones
-    are first reflected to their magnitude), which leaves well-determined
-    directions untouched and suppresses the noise-dominated ones.
-    """
-    scale = np.sqrt(-lambdas)
-    P = A / np.outer(scale, scale)
-    P = (P + P.T) / 2.0
-    w, V = scipy.linalg.eigh(P, check_finite=False)
-    w_eff = np.maximum(np.abs(w), delta)
-    floored = bool(np.any(w < delta))
-    rhs = V.T @ (-b / scale)
-    alpha = (V @ (rhs / w_eff)) / scale
-    cond = float(w_eff.max() / w_eff.min())
-    A_eff = (V * w_eff) @ V.T * np.outer(scale, scale)
-    return alpha, cond, floored, A_eff
-
-
 @dataclass(frozen=True)
 class NodeSolve:
     """Result of solving one node: coefficients plus solve diagnostics."""
@@ -169,49 +134,55 @@ class NodeSolve:
     alpha: np.ndarray
     condition: float
     regularized: bool
-    residual: float
 
 
 def solve_node(system):
-    """Minimizer of alpha'A alpha + 2 b'alpha via the preconditioned system.
+    """Minimizer of alpha'A alpha + 2 b'alpha via the symmetric preconditioning.
 
-    Returns a :class:`NodeSolve`. For systems assembled from estimated
-    moments (``noise_scale > 0``) the eigenvalues of the preconditioned
-    matrix are floored at ``SPECTRAL_FLOOR * noise_scale``, so
-    directions the data cannot resolve are damped instead of amplified; exact
-    (analytic-moment) systems are solved exactly. If an exact solve has a
-    condition estimate above 1e12 a Tikhonov fallback ``A + eps Lambda`` is
-    attempted; if that is also singular an IllConditionedError is raised.
+    With Lambda = diag(-lambdas), the system is solved as P u = y with
+    P = Lambda^{-1/2} A Lambda^{-1/2}, y = -Lambda^{-1/2} b and
+    alpha = Lambda^{-1/2} u. Eigenvalues of P below the floor
+    delta = ``SPECTRAL_FLOOR * noise_scale`` (0 for exact moments) carry no
+    statistically significant signal, so they are raised to delta, negative
+    ones reflected to their magnitude first; directions the data cannot
+    resolve are damped instead of amplified.
+
+    If P - delta I has a Cholesky factor and P's condition estimate is within
+    ``CONDITION_LIMIT``, the floor acts nowhere and alpha comes from a
+    Cholesky solve with P. Otherwise alpha comes from the eigendecomposition
+    of P with its spectrum floored at max(delta, ``TIKHONOV_EPS``), and the
+    result is flagged ``regularized``. If the floored spectrum is still
+    ill-conditioned, or alpha is not finite, an IllConditionedError is
+    raised. Returns a :class:`NodeSolve`.
     """
     if not np.allclose(system.A, system.A.T, atol=1e-10):
         raise InvalidInputError("system matrix must be symmetric")
-    if system.noise_scale > 0.0:
-        delta = SPECTRAL_FLOOR * system.noise_scale
-        alpha, cond, floored, A_eff = _spectral_solve(
-            system.A, system.b, system.lambdas, delta
+    scale = np.sqrt(-system.lambdas)
+    P = system.A / np.outer(scale, scale)
+    y = -system.b / scale
+    delta = SPECTRAL_FLOOR * system.noise_scale
+    try:
+        if delta > 0.0:
+            scipy.linalg.cho_factor(P - delta * np.eye(len(P)), check_finite=False)
+        factor = scipy.linalg.cho_factor(P, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        cond = np.inf
+    else:
+        rcond, _ = lapack.dpocon(factor[0], np.linalg.norm(P, 1))
+        cond = np.inf if rcond == 0 else 1.0 / rcond
+    regularized = not cond <= CONDITION_LIMIT
+    if regularized:
+        w, V = scipy.linalg.eigh(P, check_finite=False)
+        w_eff = np.maximum(np.abs(w), max(delta, TIKHONOV_EPS))
+        cond = float(w_eff.max() / w_eff.min())
+        alpha = (V @ ((V.T @ y) / w_eff)) / scale
+    else:
+        alpha = scipy.linalg.cho_solve(factor, y, check_finite=False) / scale
+    if not (cond <= CONDITION_LIMIT and np.all(np.isfinite(alpha))):
+        raise IllConditionedError(
+            f"preconditioned system is singular (condition ~ {cond:.3e})", cond
         )
-        residual = float(np.max(np.abs(
-            (A_eff @ alpha + system.b) / (-system.lambdas))))
-        return NodeSolve(alpha, cond, floored, residual)
-    alpha, cond = _preconditioned_solve(system.A, system.b, system.lambdas)
-    regularized = False
-    A_solved = system.A
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT or not np.all(np.isfinite(alpha)):
-        A_solved = system.A + TIKHONOV_EPS * np.diag(-system.lambdas)
-        alpha, cond = _preconditioned_solve(A_solved, system.b, system.lambdas)
-        regularized = True
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT or not np.all(np.isfinite(alpha)):
-            raise IllConditionedError(
-                f"preconditioned system is singular (condition ~ {cond:.3e})", cond
-            )
-    residual = float(np.max(np.abs(
-        (A_solved @ alpha + system.b) / (-system.lambdas))))
-    return NodeSolve(alpha, cond, regularized, residual)
-
-
-def system_residual(system, alpha):
-    """Preconditioned residual max-norm |Lambda^{-1}(A alpha + b)|_inf."""
-    return float(np.max(np.abs((system.A @ alpha + system.b) / (-system.lambdas))))
+    return NodeSolve(alpha, cond, regularized)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +213,8 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
                   domain_map=None, provenance=None):
     """Solve the system on an even tau grid covering [0, 1].
 
-    Stores per-node condition estimates, preconditioned residuals and
-    Tikhonov flags in the model diagnostics.
+    Stores per-node condition estimates and the flags of the nodes where the
+    spectral floor acted (see :func:`solve_node`) in the model diagnostics.
     """
     if n_times < 2:
         raise InvalidInputError("n_times must be >= 2")
@@ -251,7 +222,6 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
     grid = np.linspace(0.0, 1.0, n_times)
     alphas = np.empty((n_times, basis.n_active))
     conds = np.empty(n_times)
-    residuals = np.empty(n_times)
     regs = np.zeros(n_times, dtype=bool)
     for g, tau in enumerate(grid):
         t = noise_at(schedule, tau)[2]
@@ -264,7 +234,6 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
             ) from exc
         alphas[g] = node.alpha
         conds[g] = node.condition
-        residuals[g] = node.residual
         regs[g] = node.regularized
     if domain_map is None:
         domain_map = DomainMap.identity(basis.dimension)
@@ -276,7 +245,6 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
         domain_map=domain_map,
         diagnostics={
             "condition": conds,
-            "residual": residuals,
             "regularized": regs,
         },
         provenance=dict(provenance or {}),
@@ -384,7 +352,6 @@ def model_to_dict(model):
         "alphas": model.alphas.tolist(),
         "diagnostics": {
             "condition": model.diagnostics["condition"].tolist(),
-            "residual": model.diagnostics["residual"].tolist(),
             "regularized": model.diagnostics["regularized"].astype(int).tolist(),
         },
         "provenance": model.provenance,
@@ -392,21 +359,47 @@ def model_to_dict(model):
 
 
 def model_from_dict(d):
+    """Rebuild a model written by :func:`model_to_dict`.
+
+    Raises InvalidInputError for missing keys, ``alphas`` that are non-finite
+    or not (len(grid), n_active), a grid that does not increase strictly from
+    0 to 1, and diagnostics whose lengths differ from the grid's. Diagnostics
+    other than ``condition`` and ``regularized``, which older files carry,
+    are ignored.
+    """
+    if not isinstance(d, dict):
+        raise InvalidInputError("a model must be a JSON object")
     if d.get("version") != MODEL_FORMAT_VERSION:
         raise InvalidInputError(f"unsupported model version {d.get('version')!r}")
-    return ScoreModel(
-        basis=basis_from_dict(d["basis"]),
-        schedule=Schedule.from_dict(d["schedule"]),
-        grid=np.asarray(d["grid"], dtype=float),
-        alphas=np.asarray(d["alphas"], dtype=float),
-        domain_map=DomainMap.from_dict(d["domain_map"]),
-        diagnostics={
-            "condition": np.asarray(d["diagnostics"]["condition"], dtype=float),
-            "residual": np.asarray(d["diagnostics"]["residual"], dtype=float),
-            "regularized": np.asarray(d["diagnostics"]["regularized"], dtype=bool),
-        },
-        provenance=dict(d.get("provenance", {})),
-    )
+    try:
+        model = ScoreModel(
+            basis=basis_from_dict(d["basis"]),
+            schedule=Schedule.from_dict(d["schedule"]),
+            grid=np.asarray(d["grid"], dtype=float),
+            alphas=np.asarray(d["alphas"], dtype=float),
+            domain_map=DomainMap.from_dict(d["domain_map"]),
+            diagnostics={
+                "condition": np.asarray(d["diagnostics"]["condition"], dtype=float),
+                "regularized": np.asarray(d["diagnostics"]["regularized"], dtype=bool),
+            },
+            provenance=dict(d.get("provenance", {})),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed model: {type(exc).__name__}: {exc}") from exc
+    grid = model.grid
+    if not (grid.ndim == 1 and len(grid) >= 2 and grid[0] == 0.0 and grid[-1] == 1.0
+            and np.all(np.diff(grid) > 0)):
+        raise InvalidInputError("model grid must increase strictly from 0 to 1")
+    if model.alphas.shape != (len(grid), model.basis.n_active):
+        raise InvalidInputError(
+            f"alphas have shape {model.alphas.shape}, expected "
+            f"({len(grid)}, {model.basis.n_active})")
+    if not np.all(np.isfinite(model.alphas)):
+        raise InvalidInputError("alphas must be finite")
+    for name, values in model.diagnostics.items():
+        if values.shape != grid.shape:
+            raise InvalidInputError(f"diagnostic {name!r} does not match the grid")
+    return model
 
 
 def save_model(model, path):
@@ -416,7 +409,11 @@ def save_model(model, path):
 
 def load_model(path):
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise InvalidInputError(f"{path} is not a JSON model: {exc}") from exc
+    return model_from_dict(d)
 
 
 def dataset_hash(points):

@@ -240,23 +240,13 @@ class Dataset:
         return self.points.shape[1]
 
 
-def rescale_to_torus(points, margin=0.05, identity=False):
-    """Affine map sending each coordinate range onto [-pi(1-margin), pi(1-margin)].
-
-    With ``identity=True`` the points are validated to already lie in range
-    and the identity map is returned.
-    """
+def rescale_to_torus(points, margin=0.05):
+    """Affine map sending each coordinate range onto [-pi(1-margin), pi(1-margin)]."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(points)):
         raise InvalidInputError("points must be finite")
     if not (0.0 <= margin < 1.0):
         raise InvalidInputError("margin must lie in [0, 1)")
-    d = points.shape[1]
-    if identity:
-        if np.any(np.abs(points) > math.pi):
-            raise InvalidInputError("identity map requested but points leave [-pi, pi]")
-        dm = DomainMap.identity(d)
-        return Dataset(points=points, domain_map=dm, source="rescale-identity")
     lo, hi = points.min(axis=0), points.max(axis=0)
     if np.any(hi == lo):
         bad = int(np.nonzero(hi == lo)[0][0])

@@ -59,7 +59,6 @@ def test_fit_writes_model_and_provenance(fitted):
     m = es.load_model(model)
     assert m.basis.n_active == 16
     assert len(m.grid) == 60
-    assert np.all(m.diagnostics["residual"] <= 1e-6)
     prov = json.load(open(model + ".provenance.json"))
     assert prov["command"] == "fit"
     assert m.provenance["n_samples"] == 400

@@ -1,5 +1,6 @@
 """Quadratic system assembly, preconditioned solves, and the presolved model."""
 
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from eigenscore.solver import (
     QuadratureSpec,
     dataset_hash,
     solve_node,
-    system_residual,
     trapezoid_grid,
 )
 from conftest import fit_gaussian_ou
@@ -133,7 +133,7 @@ def test_solve_matches_numpy_solve_for_exact_moments():
     oracle = np.linalg.solve(system.A, -system.b)
     np.testing.assert_allclose(node.alpha, oracle, rtol=1e-9, atol=1e-12)
     assert node.condition >= 1.0
-    assert system_residual(system, node.alpha) < 1e-10
+    assert np.max(np.abs((system.A @ node.alpha + system.b) / (-system.lambdas))) < 1e-10
 
 
 def test_noise_floor_inactive_when_spectrum_is_healthy():
@@ -151,7 +151,7 @@ def test_noise_floor_inactive_when_spectrum_is_healthy():
     assert not node.regularized
     oracle = np.linalg.solve(system.A, -system.b)
     np.testing.assert_allclose(node.alpha, oracle, rtol=1e-8, atol=1e-12)
-    assert node.residual < 1e-10
+    assert np.max(np.abs((system.A @ node.alpha + system.b) / (-system.lambdas))) < 1e-10
 
 
 def test_noise_floor_damps_unresolved_directions():
@@ -167,9 +167,62 @@ def test_noise_floor_damps_unresolved_directions():
     system = es.SystemAssembler(basis, table, m).system(5e-5)
     node = solve_node(system)
     assert node.regularized
-    assert node.residual < 1e-10
     exact = np.linalg.solve(system.A, -system.b)
     assert np.linalg.norm(node.alpha) < np.linalg.norm(exact)
+
+
+def _spectral_oracle(system, delta):
+    """Floored spectral solve: eigenvalues of Lambda^{-1/2} A Lambda^{-1/2}
+    below delta are raised to delta, negative ones reflected first."""
+    scale = np.sqrt(-system.lambdas)
+    P = system.A / np.outer(scale, scale)
+    P = (P + P.T) / 2.0
+    w, V = np.linalg.eigh(P)
+    w_eff = np.maximum(np.abs(w), delta)
+    return (V @ ((V.T @ (-system.b / scale)) / w_eff)) / scale
+
+
+def _sampled_system(max_freq, data, t):
+    basis = es.trig_basis_1d(max_freq)
+    m = es.modulation_shrink(es.sample_moments(basis, es.wrap_torus(data)))
+    return es.SystemAssembler(basis, es.product_table(basis), m).system(t)
+
+
+def _system_with_spectrum(w, noise_scale):
+    """System whose preconditioned matrix has eigenvalues w."""
+    rng = np.random.default_rng(22)
+    Q, _ = np.linalg.qr(rng.standard_normal((len(w), len(w))))
+    lambdas = -np.arange(1.0, len(w) + 1.0)
+    scale = np.sqrt(-lambdas)
+    A = (Q * w) @ Q.T * np.outer(scale, scale)
+    return es.QuadraticSystem(A=(A + A.T) / 2.0, b=rng.standard_normal(len(w)),
+                              lambdas=lambdas, t=0.0, noise_scale=noise_scale)
+
+
+@pytest.mark.parametrize("make_system, regularized", [
+    pytest.param(lambda: _sampled_system(
+        4, 0.3 + 0.5 * np.random.default_rng(14).standard_normal((500, 1)), 1.5),
+        False, id="healthy-estimated"),
+    pytest.param(lambda: _sampled_system(8, es.sample_gaussian_mixture(
+        es.bart_simpson(), 400, np.random.default_rng(21)), 5e-5),
+        True, id="inside-noise-band"),
+    pytest.param(lambda: _system_with_spectrum([-0.5, 0.2, 1.0, 2.0, 3.0], 0.01), True,
+                 id="negative-eigenvalue"),
+    pytest.param(lambda: _system_with_spectrum([1e-13, 0.5, 1.0, 2.0, 4.0], 0.0), True,
+                 id="exact-condition-above-limit"),
+])
+def test_solve_node_matches_floored_spectral_solve(make_system, regularized):
+    system = make_system()
+    scale = np.sqrt(-system.lambdas)
+    w = np.linalg.eigvalsh(system.A / np.outer(scale, scale))
+    if system.noise_scale == 0.0:
+        # positive definite, yet too ill-conditioned for the exact solve
+        assert w.min() > 0.0 and w.max() / w.min() > es.solver.CONDITION_LIMIT
+    delta = max(es.solver.SPECTRAL_FLOOR * system.noise_scale, es.solver.TIKHONOV_EPS)
+    node = solve_node(system)
+    assert node.regularized is regularized
+    oracle = _spectral_oracle(system, delta)
+    assert np.linalg.norm(node.alpha - oracle) <= 1e-9 * np.linalg.norm(oracle)
 
 
 def test_solve_rejects_asymmetric_matrix():
@@ -180,9 +233,17 @@ def test_solve_rejects_asymmetric_matrix():
 
 
 def test_singular_system_raises_ill_conditioned():
-    # so badly scaled that even the Tikhonov fallback stays singular
+    # so badly scaled that the spectrum stays ill-conditioned once floored
     system = es.QuadraticSystem(A=np.diag([1e20, 0.0]), b=np.ones(2),
                                 lambdas=-np.ones(2), t=0.0)
+    with pytest.raises(es.IllConditionedError):
+        solve_node(system)
+
+
+@pytest.mark.parametrize("noise_scale", [0.0, 0.01])
+def test_non_finite_linear_term_raises(noise_scale):
+    system = es.QuadraticSystem(A=np.eye(2), b=np.array([np.nan, 1.0]),
+                                lambdas=-np.ones(2), t=0.0, noise_scale=noise_scale)
     with pytest.raises(es.IllConditionedError):
         solve_node(system)
 
@@ -251,7 +312,6 @@ def test_presolve_grid_diagnostics():
     model = _small_torus_model()
     assert model.grid[0] == 0.0 and model.grid[-1] == 1.0
     assert model.alphas.shape == (50, model.basis.n_active)
-    assert np.all(model.diagnostics["residual"] < 1e-8)
     assert np.all(model.diagnostics["condition"] >= 1.0)
     # the noise floor may engage at small tau where the system is stiff, but
     # never once the forward process has smoothed the marginal
@@ -297,6 +357,33 @@ def test_model_serialization_roundtrip(tmp_path):
     assert again.schedule == model.schedule
     np.testing.assert_allclose(again.diagnostics["condition"],
                                model.diagnostics["condition"])
+    # older files also carry a per-node "residual" diagnostic
+    d = es.model_to_dict(model)
+    d["diagnostics"]["residual"] = [0.0] * len(model.grid)
+    assert set(es.model_from_dict(d).diagnostics) == {"condition", "regularized"}
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(None, id="not-json"),
+    pytest.param(lambda d: d.pop("basis"), id="missing-basis"),
+    pytest.param(lambda d: d["diagnostics"].pop("condition"), id="missing-diagnostic"),
+    pytest.param(lambda d: d.update(alphas=[a[:-1] for a in d["alphas"]]), id="alphas-width"),
+    pytest.param(lambda d: d.update(grid=d["grid"][::-1]), id="grid-reversed"),
+    pytest.param(lambda d: d.update(grid=[0.5 * g for g in d["grid"]]), id="grid-short-of-1"),
+    pytest.param(lambda d: d["alphas"][3].__setitem__(0, float("nan")), id="alphas-nan"),
+    pytest.param(lambda d: d["diagnostics"].update(
+        regularized=d["diagnostics"]["regularized"][1:]), id="diagnostic-length"),
+])
+def test_malformed_model_file_rejected(tmp_path, corrupt):
+    path = tmp_path / "model.json"
+    if corrupt is None:
+        path.write_text("not a model {")
+    else:
+        d = es.model_to_dict(_small_torus_model(n_times=5))
+        corrupt(d)
+        path.write_text(json.dumps(d))
+    with pytest.raises(es.InvalidInputError):
+        es.load_model(path)
 
 
 def test_model_version_check(tmp_path):
