@@ -119,7 +119,10 @@ def hermite_order_expansion(basis_max, extended_max):
 # ``derivatives`` (values, gradients (N, d, n), Laplacians (N, n)), and
 # ``weighted``, the energy, score and Laplacian of f = sum_k alpha_k phi_k
 # over entries 1.. without forming the gradient tensor (trig runs it in
-# ``dtype``, Hermite always in float64).
+# ``dtype``, Hermite always in float64). Trig ``values`` and ``derivatives``
+# get cos/sin of the integer frequencies by angle addition (``_cos_sin``);
+# ``weighted`` keeps np.cos/np.sin, whose float32 SIMD kernels beat the
+# complex products there.
 
 class _TrigFamily:
     """sqrt2 cos / sqrt2 sin functions over the unique frequency rows ``U``."""
@@ -135,20 +138,44 @@ class _TrigFamily:
         self.is_sin = np.array([f.kind == KIND_SIN for f in funcs])
         self.U = np.array(rows, dtype=float).reshape(len(rows), dimension)
         self.lam = np.array([f.eigenvalue for f in funcs])
+        self.kmax = int(np.abs(self.U).max(initial=0))
+        # column of z_j^{U[r, j]} among the powers z_j^-kmax .. z_j^kmax
+        self.power_col = self.U.astype(int) + self.kmax
+        # columns of each function's value and phase derivative in _cos_sin
+        self.value_col = 2 * self.urow + self.is_sin
+        self.slope_col = 2 * self.urow + ~self.is_sin
+        self.slope_sign = np.where(self.is_sin, SQRT2, -SQRT2)
 
-    def _values_cos_sin(self, X):
-        P = X @ self.U.T
-        C, S = np.cos(P)[:, self.urow], np.sin(P)[:, self.urow]
-        vals = SQRT2 * np.where(self.is_sin, S, C)
+    def _cos_sin(self, X):
+        """cos and sin of X @ U.T in float64, interleaved: (N, 2 len(U)) with
+        the cos of row r in column 2r and its sin in column 2r + 1.
+
+        The frequencies are integer, so e^{i u.x} = prod_j z_j^{u_j} with
+        z_j = e^{i x_j}: d complex exponentials per point, the powers up to
+        ``kmax`` by repeated multiplication, negative ones as conjugates.
+        """
+        n, d = X.shape
+        z = np.exp(1j * X)[:, :, None]
+        pos = np.cumprod(np.broadcast_to(z, (n, d, self.kmax)), axis=2)
+        powers = np.concatenate([np.conj(pos[:, :, ::-1]), np.ones((n, d, 1)), pos], axis=2)
+        E = np.take(powers[:, 0], self.power_col[:, 0], axis=1)  # C-contiguous, unlike [:, 0, cols]
+        for j in range(1, d):
+            E *= np.take(powers[:, j], self.power_col[:, j], axis=1)
+        return E.view(np.float64)
+
+    def _values(self, CS):
+        vals = SQRT2 * CS[:, self.value_col]
         vals[:, 0] = 1.0
-        return vals, C, S
+        return vals
 
     def values(self, X):
-        return self._values_cos_sin(X)[0]
+        return self._values(self._cos_sin(X))
 
     def derivatives(self, X):
-        vals, C, S = self._values_cos_sin(X)
-        grads = SQRT2 * np.where(self.is_sin, C, -S)[:, None, :] * self.U.T[None, :, self.urow]
+        CS = self._cos_sin(X)
+        vals = self._values(CS)
+        slope = self.slope_sign * CS[:, self.slope_col]  # d/d(phase) of each function
+        grads = slope[:, None, :] * self.U.T[None, :, self.urow]
         grads[:, :, 0] = 0.0
         return vals, grads, self.lam * vals
 

@@ -173,17 +173,36 @@ def cmd_fit(args):
         },
     )
     save_model(model, args.out)
-    conds = model.diagnostics["condition"]
+    health = _solve_health(model.diagnostics)
     print(f"fit complete: {len(model.grid)} grid nodes, "
-          f"max condition {conds.max():.3e}, "
-          f"{int(model.diagnostics['regularized'].sum())} regularized")
+          f"{int(model.diagnostics['regularized'].sum())} regularized; max condition "
+          f"{_fmt(health['max_condition_cholesky'])} (1-norm estimate, Cholesky nodes), "
+          f"{_fmt(health['max_condition_regularized'])} (spectral ratio, regularized nodes); "
+          f"{health['clamped_total']} clamped eigenvalues")
     _write_provenance(args.out, {
         "command": "fit",
         "seed": args.seed,
         "cfg": _cfg_dict(args),
         "model_hash": _file_hash(args.out),
+        "solve_health": health,
     })
     return EXIT_OK
+
+
+def _solve_health(diag):
+    """Condition maxima by solve kind, which report different norms, and the clamped total."""
+    regs = diag["regularized"]
+
+    def top(cond):
+        return float(cond.max()) if cond.size else None
+
+    return {"max_condition_cholesky": top(diag["condition"][~regs]),
+            "max_condition_regularized": top(diag["condition"][regs]),
+            "clamped_total": int(diag["clamped"].sum())}
+
+
+def _fmt(value):
+    return "n/a" if value is None else f"{value:.3e}"
 
 
 def cmd_sample(args):

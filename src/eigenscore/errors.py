@@ -30,7 +30,7 @@ class IllConditionedError(EigenScoreError):
 
 
 class NonConvergenceError(EigenScoreError):
-    """The ODE integrator exhausted its step budget."""
+    """The ODE integrator exhausted its step budget or met a non-finite field."""
 
     def __init__(self, message, state=None):
         super().__init__(message)

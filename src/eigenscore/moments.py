@@ -2,7 +2,9 @@
 
 Moments are always carried over the *extended* basis (products of basis
 members land there), in the basis enumeration order. The first entry is the
-constant function, pinned to (1, variance 0, gamma 1).
+constant function, pinned to (1, variance 0, gamma 1). Sample moments are
+streamed over fixed blocks of ``BLOCK_ROWS`` data rows, so their memory does
+not grow with the number of points times the extended basis size.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .basis import KIND_CONSTANT, KIND_COS, KIND_SIN, OU, TRUNCATED_BM
 from .errors import DomainError, InvalidInputError, UnsupportedTargetError
 
 GH_NODES = 200  # Gauss-Hermite nodes per mixture component for analytic Hermite moments
+BLOCK_ROWS = 1024  # data rows evaluated at once by sample_moments
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,16 @@ def sample_moments(basis, data):
     """Sample means and their variances over the extended basis.
 
     theta_hat_k = mean phi_k(x_m); var_hat_k = (1/N^2) sum (phi_k(x_m) - theta_hat_k)^2.
+
+    ``data`` is (N, d). The values are evaluated ``BLOCK_ROWS`` rows at a
+    time; each block's means and centred sums of squares are merged into the
+    running ones by Chan's pairwise update, so the (N, m) value matrix is
+    never formed.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[1] != basis.dimension:
+        raise InvalidInputError(
+            f"data has shape {data.shape}, expected (N, {basis.dimension})")
     n = data.shape[0]
     if n < 2:
         raise InvalidInputError("need at least 2 data points")
@@ -76,9 +87,18 @@ def sample_moments(basis, data):
         bad = np.nonzero(np.any(np.abs(data) > np.pi + 1e-12, axis=1))[0]
         if bad.size:
             raise DomainError(f"data row {int(bad[0])} lies outside [-pi, pi]^d")
-    vals = basis.eval_values(data, extended=True)  # (N, m)
-    theta_hat = vals.mean(axis=0)
-    var_hat = ((vals - theta_hat) ** 2).sum(axis=0) / (n * n)
+    theta_hat = np.zeros(len(basis.extended))
+    sq_dev = np.zeros(len(basis.extended))  # sum of squared deviations from theta_hat
+    seen = 0
+    for start in range(0, n, BLOCK_ROWS):
+        vals = basis.eval_values(data[start:start + BLOCK_ROWS], extended=True)
+        rows = len(vals)
+        mean = vals.mean(axis=0)
+        delta = mean - theta_hat
+        seen += rows
+        theta_hat += delta * (rows / seen)
+        sq_dev += ((vals - mean) ** 2).sum(axis=0) + delta**2 * ((seen - rows) * rows / seen)
+    var_hat = sq_dev / (n * n)
     theta_hat[0], var_hat[0] = 1.0, 0.0  # constant function has no noise
     return MomentVector(
         theta_hat=theta_hat,

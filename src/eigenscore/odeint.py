@@ -7,6 +7,7 @@ so the controller is deterministic for a fixed batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +62,18 @@ def _error_norm(err, y_old, y_new, cfg):
     return float(np.sqrt(r.mean()))
 
 
+def _non_finite(where, y):
+    return NonConvergenceError(f"non-finite right-hand side {where}", state=y)
+
+
 def integrate_batch(f, y0, t_from, t_to, cfg=IntegratorConfig()):
     """Integrate dy/dt = f(t, y) from t_from to t_to (either direction).
 
     ``y0`` is an arbitrary-shape array; ``f`` must return an array of the
-    same shape. Raises :class:`NonConvergenceError` with the final state
-    attached when the step budget is exhausted.
+    same shape. Raises :class:`NonConvergenceError` with the last accepted
+    state attached when the step budget is exhausted, or as soon as ``f``
+    returns a non-finite value (at the start, or as a non-finite error
+    estimate of a step).
     """
     y = np.array(y0, dtype=float)
     t = float(t_from)
@@ -78,6 +85,8 @@ def integrate_batch(f, y0, t_from, t_to, cfg=IntegratorConfig()):
 
     # initial step from the field magnitude at the start
     f0 = f(t, y)
+    if not np.all(np.isfinite(f0)):
+        raise _non_finite(f"at t={t}", y)
     scale = cfg.atol + cfg.rtol * np.abs(y)
     d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
@@ -101,6 +110,8 @@ def integrate_batch(f, y0, t_from, t_to, cfg=IntegratorConfig()):
         y_new = y + h * sum(b * k[j] for j, b in enumerate(_B5) if b != 0.0)
         err = h * sum(e * k[j] for j, e in enumerate(_E) if e != 0.0)
         norm = _error_norm(err, y, y_new, cfg)
+        if not math.isfinite(norm):
+            raise _non_finite(f"in the step from t={t}", y)
         if norm <= 1.0:
             t += h
             y = y_new

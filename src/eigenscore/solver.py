@@ -11,8 +11,8 @@ whose stationary point alpha = -A_t^{-1} b_t is solved at each time node in
 the symmetric preconditioning Lambda^{-1/2} A_t Lambda^{-1/2}, Lambda =
 diag(-lam_k), which tends to the identity as t grows (A_t -> Lambda).
 Eigenvalues of the preconditioned matrix below a noise floor are raised to
-it (see solve_node); the per-node diagnostics are the condition estimate
-and whether the floor acted.
+it (see solve_node); the per-node diagnostics are the condition estimate,
+whether the floor acted, and how many eigenvalues it raised.
 """
 
 from __future__ import annotations
@@ -132,8 +132,9 @@ class NodeSolve:
     """Result of solving one node: coefficients plus solve diagnostics."""
 
     alpha: np.ndarray
-    condition: float
+    condition: float  # 1-norm estimate on Cholesky nodes, spectral ratio if regularized
     regularized: bool
+    clamped: int  # eigenvalues raised to the floor (0 on Cholesky nodes)
 
 
 def solve_node(system):
@@ -151,7 +152,10 @@ def solve_node(system):
     ``CONDITION_LIMIT``, the floor acts nowhere and alpha comes from a
     Cholesky solve with P. Otherwise alpha comes from the eigendecomposition
     of P with its spectrum floored at max(delta, ``TIKHONOV_EPS``), and the
-    result is flagged ``regularized``. If the floored spectrum is still
+    result is flagged ``regularized``, with ``clamped`` counting the
+    eigenvalues of magnitude below that floor. The reported ``condition`` is
+    P's LAPACK 1-norm estimate on Cholesky nodes and the 2-norm ratio of the
+    floored spectrum on regularized ones. If the floored spectrum is still
     ill-conditioned, or alpha is not finite, an IllConditionedError is
     raised. Returns a :class:`NodeSolve`.
     """
@@ -171,9 +175,12 @@ def solve_node(system):
         rcond, _ = lapack.dpocon(factor[0], np.linalg.norm(P, 1))
         cond = np.inf if rcond == 0 else 1.0 / rcond
     regularized = not cond <= CONDITION_LIMIT
+    clamped = 0
     if regularized:
         w, V = scipy.linalg.eigh(P, check_finite=False)
-        w_eff = np.maximum(np.abs(w), max(delta, TIKHONOV_EPS))
+        floor = max(delta, TIKHONOV_EPS)
+        clamped = int(np.count_nonzero(np.abs(w) < floor))
+        w_eff = np.maximum(np.abs(w), floor)
         cond = float(w_eff.max() / w_eff.min())
         alpha = (V @ ((V.T @ y) / w_eff)) / scale
     else:
@@ -182,7 +189,7 @@ def solve_node(system):
         raise IllConditionedError(
             f"preconditioned system is singular (condition ~ {cond:.3e})", cond
         )
-    return NodeSolve(alpha, cond, regularized)
+    return NodeSolve(alpha, cond, regularized, clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +220,9 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
                   domain_map=None, provenance=None):
     """Solve the system on an even tau grid covering [0, 1].
 
-    Stores per-node condition estimates and the flags of the nodes where the
-    spectral floor acted (see :func:`solve_node`) in the model diagnostics.
+    Stores per-node condition estimates, the flags of the nodes where the
+    spectral floor acted and the number of eigenvalues it raised (see
+    :func:`solve_node`) in the model diagnostics.
     """
     if n_times < 2:
         raise InvalidInputError("n_times must be >= 2")
@@ -223,6 +231,7 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
     alphas = np.empty((n_times, basis.n_active))
     conds = np.empty(n_times)
     regs = np.zeros(n_times, dtype=bool)
+    clamped = np.zeros(n_times, dtype=int)
     for g, tau in enumerate(grid):
         t = noise_at(schedule, tau)[2]
         system = assembler.system(t)
@@ -235,6 +244,7 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
         alphas[g] = node.alpha
         conds[g] = node.condition
         regs[g] = node.regularized
+        clamped[g] = node.clamped
     if domain_map is None:
         domain_map = DomainMap.identity(basis.dimension)
     return ScoreModel(
@@ -246,6 +256,7 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
         diagnostics={
             "condition": conds,
             "regularized": regs,
+            "clamped": clamped,
         },
         provenance=dict(provenance or {}),
     )
@@ -350,12 +361,25 @@ def model_to_dict(model):
         "domain_map": model.domain_map.to_dict(),
         "grid": model.grid.tolist(),
         "alphas": model.alphas.tolist(),
-        "diagnostics": {
-            "condition": model.diagnostics["condition"].tolist(),
-            "regularized": model.diagnostics["regularized"].astype(int).tolist(),
-        },
+        "diagnostics": _diagnostics_to_dict(model.diagnostics),
         "provenance": model.provenance,
     }
+
+
+def _diagnostics_to_dict(diag):
+    out = {"condition": diag["condition"].tolist(),
+           "regularized": diag["regularized"].astype(int).tolist()}
+    if "clamped" in diag:
+        out["clamped"] = diag["clamped"].tolist()
+    return out
+
+
+def _diagnostics_from_dict(d):
+    diag = {"condition": np.asarray(d["condition"], dtype=float),
+            "regularized": np.asarray(d["regularized"], dtype=bool)}
+    if "clamped" in d:  # absent from files written before the count existed
+        diag["clamped"] = np.asarray(d["clamped"], dtype=int)
+    return diag
 
 
 def model_from_dict(d):
@@ -363,9 +387,9 @@ def model_from_dict(d):
 
     Raises InvalidInputError for missing keys, ``alphas`` that are non-finite
     or not (len(grid), n_active), a grid that does not increase strictly from
-    0 to 1, and diagnostics whose lengths differ from the grid's. Diagnostics
-    other than ``condition`` and ``regularized``, which older files carry,
-    are ignored.
+    0 to 1, and diagnostics whose lengths differ from the grid's. The
+    ``clamped`` diagnostic is optional, since older files lack it; other
+    diagnostics, which older files carry, are ignored.
     """
     if not isinstance(d, dict):
         raise InvalidInputError("a model must be a JSON object")
@@ -378,10 +402,7 @@ def model_from_dict(d):
             grid=np.asarray(d["grid"], dtype=float),
             alphas=np.asarray(d["alphas"], dtype=float),
             domain_map=DomainMap.from_dict(d["domain_map"]),
-            diagnostics={
-                "condition": np.asarray(d["diagnostics"]["condition"], dtype=float),
-                "regularized": np.asarray(d["diagnostics"]["regularized"], dtype=bool),
-            },
+            diagnostics=_diagnostics_from_dict(d["diagnostics"]),
             provenance=dict(d.get("provenance", {})),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -192,6 +192,39 @@ def test_eval_batch_finite_difference(make):
     np.testing.assert_allclose(laps, lap_fd, rtol=1e-3, atol=1e-3)
 
 
+@pytest.mark.parametrize("basis", [
+    pytest.param(es.trig_basis_1d(50), id="trig-1d-50"),
+    pytest.param(es.trig_basis_nd(2, -125.0), id="trig-2d-125"),
+    pytest.param(es.trig_basis_nd(3, -6.0), id="trig-3d-6"),
+])
+@pytest.mark.parametrize("extended", [False, True])
+def test_trig_lattice_evaluation_matches_direct_cos_sin(basis, extended):
+    """Angle-addition values and derivatives against np.cos/np.sin of the phases.
+
+    The extended trig_basis_1d(50) reaches frequency 100; half the points
+    lie outside [-pi, pi]. Gradients and Laplacians are compared per unit of
+    frequency and of eigenvalue, so the bound is on the cos/sin themselves.
+    """
+    funcs = basis.extended if extended else basis.functions
+    rng = np.random.default_rng(23)
+    X = rng.uniform(-2 * math.pi, 2 * math.pi, (300, basis.dimension))
+    freq = np.array([f.index for f in funcs], dtype=float)
+    lam = np.array([f.eigenvalue for f in funcs])
+    P = X @ freq.T
+    is_sin = np.array([f.kind == KIND_SIN for f in funcs])
+    vals = math.sqrt(2) * np.where(is_sin, np.sin(P), np.cos(P))
+    vals[:, 0] = 1.0
+    slope = math.sqrt(2) * np.where(is_sin, np.cos(P), -np.sin(P))  # d/d(phase)
+    slope[:, 0] = 0.0
+    np.testing.assert_allclose(basis.eval_values(X, extended=extended), vals, rtol=0, atol=1e-12)
+    v, g, lap = basis.eval_batch(X, extended=extended)
+    np.testing.assert_allclose(v, vals, rtol=0, atol=1e-12)
+    unit = np.maximum(np.abs(freq).max(axis=1), 1.0)
+    np.testing.assert_allclose(g / unit, slope[:, None, :] * freq.T / unit, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lap / np.maximum(-lam, 1.0), lam * vals / np.maximum(-lam, 1.0),
+                               rtol=0, atol=1e-12)
+
+
 def test_trig_laplacian_is_eigenvalue_times_value():
     basis = es.trig_basis_nd(2, -5.0)
     X = np.random.default_rng(4).uniform(-math.pi, math.pi, (20, 2))

@@ -64,6 +64,28 @@ def test_fit_writes_model_and_provenance(fitted):
     assert m.provenance["n_samples"] == 400
 
 
+def test_fit_summary_separates_condition_by_solve_kind(fitted, tmp_path, capsys):
+    root, data, _ = fitted
+    out = str(tmp_path / "model.json")
+    assert run("fit", "--data", data, "--out", out, "--max-freq", "8",
+               "--grid-size", "60", "--seed", "3") == 0
+    line = capsys.readouterr().out
+    diag = es.load_model(out).diagnostics
+    regs = diag["regularized"]
+    assert 0 < regs.sum() < len(regs)  # both solve kinds occur in this fit
+    health = json.load(open(out + ".provenance.json"))["solve_health"]
+    assert health == {
+        "max_condition_cholesky": float(diag["condition"][~regs].max()),
+        "max_condition_regularized": float(diag["condition"][regs].max()),
+        "clamped_total": int(diag["clamped"].sum()),
+    }
+    assert health["clamped_total"] > 0
+    assert (f"{regs.sum()} regularized; max condition "
+            f"{health['max_condition_cholesky']:.3e} (1-norm estimate, Cholesky nodes), "
+            f"{health['max_condition_regularized']:.3e} (spectral ratio, regularized nodes); "
+            f"{health['clamped_total']} clamped eigenvalues") in line
+
+
 def test_fit_shrinkage_changes_model(fitted, tmp_path):
     root, data, model = fitted
     raw = str(tmp_path / "raw.json")

@@ -42,6 +42,45 @@ def test_sample_moments_domain_check():
         es.sample_moments(basis, np.array([[0.0]]))
 
 
+def _two_pass_moments(basis, data):
+    """Oracle: the two-pass formula over the full (N, m) value matrix."""
+    vals = basis.eval_values(data, extended=True)
+    theta = vals.mean(axis=0)
+    return theta, ((vals - theta) ** 2).sum(axis=0) / len(data) ** 2
+
+
+BLOCK = es.moments.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [2, BLOCK // 2, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+@pytest.mark.parametrize("make_basis", [
+    pytest.param(lambda: es.trig_basis_1d(25), id="trig-1d-25"),
+    pytest.param(lambda: es.trig_basis_nd(2, -125.0), id="trig-2d-125"),
+    pytest.param(lambda: es.trig_basis_nd(3, -6.0), id="trig-3d-6"),
+    pytest.param(lambda: es.hermite_univariate_basis(2, 4), id="hermite-2d-4"),
+])
+def test_streamed_moments_match_two_pass(make_basis, n):
+    basis = make_basis()
+    rng = np.random.default_rng(n)
+    data = 0.4 + 0.7 * rng.standard_normal((n, basis.dimension))
+    if basis.process == es.TRUNCATED_BM:
+        data = es.wrap_torus(data)
+    m = es.sample_moments(basis, data)
+    theta, var = _two_pass_moments(basis, data)
+    np.testing.assert_allclose(m.theta_hat[1:], theta[1:], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(m.var_hat[1:], var[1:], rtol=1e-12, atol=0)
+    assert m.theta_hat[0] == 1.0 and m.var_hat[0] == 0.0
+    assert m.n_samples == n
+
+
+@pytest.mark.parametrize("shape", [(50,), (10, 5, 1), (50, 2)])
+def test_sample_moments_rejects_data_shape(shape):
+    basis = es.trig_basis_1d(3)
+    with pytest.raises(es.InvalidInputError, match=r"expected \(N, 1\)") as exc:
+        es.sample_moments(basis, np.zeros(shape))
+    assert str(shape) in str(exc.value)
+
+
 def test_modulation_shrink_closed_form():
     basis = es.trig_basis_1d(4)
     rng = np.random.default_rng(2)

@@ -1,5 +1,7 @@
 """Adaptive Runge-Kutta integrator: accuracy, batching, tolerances."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,27 @@ def test_tolerance_controls_error():
     tight = integrate_batch(f, y0, 0.0, 10.0, IntegratorConfig(rtol=1e-10, atol=1e-12))
     assert np.max(np.abs(tight[0] - exact)) < 1e-8
     assert np.max(np.abs(tight[0] - exact)) < np.max(np.abs(loose[0] - exact))
+
+
+@pytest.mark.parametrize("bad, t_bad", [
+    pytest.param(np.nan, 0.0, id="nan"),
+    pytest.param(np.inf, 0.0, id="inf"),
+    pytest.param(np.nan, 0.5, id="nan-from-t-0.5"),
+])
+def test_non_finite_field_fails_fast(bad, t_bad):
+    """A non-finite field raises at once, not after max_steps rejected steps."""
+    times = []
+
+    def f(t, y):
+        times.append(t)
+        return -y if t < t_bad else np.full_like(y, bad)
+
+    y0 = np.array([[1.0, 2.0]])
+    with pytest.raises(es.NonConvergenceError, match="non-finite right-hand side") as exc:
+        integrate_batch(f, y0, 0.0, 1.0, IntegratorConfig(max_steps=100_000))
+    first_bad = next(i for i, t in enumerate(times) if t >= t_bad)
+    assert len(times) - first_bad <= 7
+    t_last = float(re.search(r"t=(\S+)", str(exc.value)).group(1))
+    assert t_last <= t_bad
+    # the attached state is the last accepted one
+    np.testing.assert_allclose(exc.value.state, y0 * np.exp(-t_last), rtol=1e-5)

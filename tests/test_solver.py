@@ -221,6 +221,7 @@ def test_solve_node_matches_floored_spectral_solve(make_system, regularized):
     delta = max(es.solver.SPECTRAL_FLOOR * system.noise_scale, es.solver.TIKHONOV_EPS)
     node = solve_node(system)
     assert node.regularized is regularized
+    assert node.clamped == (np.count_nonzero(np.abs(w) < delta) if regularized else 0)
     oracle = _spectral_oracle(system, delta)
     assert np.linalg.norm(node.alpha - oracle) <= 1e-9 * np.linalg.norm(oracle)
 
@@ -318,6 +319,10 @@ def test_presolve_grid_diagnostics():
     regs = model.diagnostics["regularized"]
     assert regs.dtype == bool
     assert not np.any(regs[3 * len(regs) // 4:])
+    # the floor raises eigenvalues only on regularized nodes
+    clamped = model.diagnostics["clamped"]
+    assert clamped.shape == regs.shape and clamped.dtype.kind == "i"
+    assert np.all(clamped[~regs] == 0) and np.all(clamped >= 0)
 
 
 def test_alpha_at_interpolates_linearly():
@@ -357,10 +362,15 @@ def test_model_serialization_roundtrip(tmp_path):
     assert again.schedule == model.schedule
     np.testing.assert_allclose(again.diagnostics["condition"],
                                model.diagnostics["condition"])
-    # older files also carry a per-node "residual" diagnostic
+    np.testing.assert_array_equal(again.diagnostics["clamped"], model.diagnostics["clamped"])
+    assert again.diagnostics["clamped"].dtype.kind == "i"
+    # older files carry a per-node "residual" diagnostic and no "clamped" count
     d = es.model_to_dict(model)
     d["diagnostics"]["residual"] = [0.0] * len(model.grid)
-    assert set(es.model_from_dict(d).diagnostics) == {"condition", "regularized"}
+    del d["diagnostics"]["clamped"]
+    old = es.model_from_dict(d)
+    assert set(old.diagnostics) == {"condition", "regularized"}
+    assert "clamped" not in es.model_to_dict(old)["diagnostics"]
 
 
 @pytest.mark.parametrize("corrupt", [
