@@ -119,10 +119,25 @@ def hermite_order_expansion(basis_max, extended_max):
 # ``derivatives`` (values, gradients (N, d, n), Laplacians (N, n)), and
 # ``weighted``, the energy, score and Laplacian of f = sum_k alpha_k phi_k
 # over entries 1.. without forming the gradient tensor (trig runs it in
-# ``dtype``, Hermite always in float64). Trig ``values`` and ``derivatives``
-# get cos/sin of the integer frequencies by angle addition (``_cos_sin``);
-# ``weighted`` keeps np.cos/np.sin, whose float32 SIMD kernels beat the
-# complex products there.
+# ``dtype``, Hermite always in float64). Trig gets cos/sin of the integer
+# frequencies by angle addition (``_cos_sin``), except the float32 flow
+# kernel, whose SIMD np.cos/np.sin beat the complex products. The trig
+# ``weighted`` walks the rows in blocks whose cos/sin values take
+# ``KERNEL_BLOCK_BYTES`` and gets all d + 2 outputs of a block from one
+# product with a weight matrix built once per alpha, so no (N, n_freq)
+# temporary is formed. The budget comes from a sweep on a 2-vCPU Xeon
+# (CHANGES.md): smaller blocks pay per-block overhead, and at twice the
+# budget a block's temporaries leave the cache and the 400-function kernel
+# slows by a quarter or more.
+
+KERNEL_BLOCK_BYTES = 256 * 1024
+
+
+def block_rows(row_bytes, budget):
+    """Rows per block of a row-blocked walk: as many as fit in ``budget``
+    bytes at ``row_bytes`` per row, and at least one."""
+    return max(1, budget // row_bytes)
+
 
 class _TrigFamily:
     """sqrt2 cos / sqrt2 sin functions over the unique frequency rows ``U``."""
@@ -179,20 +194,58 @@ class _TrigFamily:
         grads[:, :, 0] = 0.0
         return vals, grads, self.lam * vals
 
-    def weighted(self, X, alpha, dtype):
-        dtype = np.float64 if dtype is None else dtype
-        n = len(self.U)
-        # per-row coefficients, cosines in slots 0..n-1 and sines in n..2n-1
+    def block_rows(self, dtype):
+        """Rows per block of ``weighted``: 2 len(U) cos/sin values of dtype a row."""
+        return block_rows(2 * len(self.U) * np.dtype(dtype).itemsize, KERNEL_BLOCK_BYTES)
+
+    def _weights(self, alpha, interleaved):
+        """(2 len(U), d + 2) weights taking cos/sin of the frequency rows to
+        energy, score and Laplacian: sqrt2 times the coefficients of alpha,
+        of (a_sin U, -a_cos U), and of lam alpha. Rows are every cosine then
+        every sine, or interleaved as in ``_cos_sin``."""
+        n, d = self.U.shape
         slot = self.urow[1:] + n * self.is_sin[1:]
-        coef = [np.bincount(slot, weights=w, minlength=2 * n)
-                for w in (alpha, alpha * self.lam[1:])]
-        a_cos, a_sin, l_cos, l_sin = np.concatenate(coef).astype(dtype).reshape(4, n)
-        P = (X @ self.U.T).astype(dtype, copy=False)
-        C, S = np.cos(P), np.sin(P)
-        energy = SQRT2 * (C @ a_cos + S @ a_sin)
-        score = SQRT2 * ((C * a_sin - S * a_cos) @ self.U.astype(dtype, copy=False))
-        lap = SQRT2 * (C @ l_cos + S @ l_sin)
-        return energy.astype(float), score.astype(float), lap.astype(float)
+        a_cos, a_sin = np.bincount(slot, weights=alpha, minlength=2 * n).reshape(2, n)
+        W = np.empty((2, n, d + 2))
+        W[:, :, 0] = a_cos, a_sin
+        W[0, :, 1:-1] = a_sin[:, None] * self.U
+        W[1, :, 1:-1] = -a_cos[:, None] * self.U
+        W[:, :, -1] = np.bincount(slot, weights=alpha * self.lam[1:],
+                                  minlength=2 * n).reshape(2, n)
+        if interleaved:
+            W = W.transpose(1, 0, 2)
+        return SQRT2 * W.reshape(2 * n, d + 2)
+
+    def weighted(self, X, alpha, dtype):
+        dtype = np.dtype(np.float64 if dtype is None else dtype)
+        exact = dtype == np.float64
+        N, d = X.shape
+        n = len(self.U)
+        W = self._weights(alpha, interleaved=exact).astype(dtype, copy=False)
+        # At large tau alpha decays below dtype's normal range, and subnormal
+        # operands put the product on the FPU's slow path (5x at 2000 rows).
+        # A weight of at least tiny/eps keeps its product normal for every
+        # cos/sin of at least eps; the smaller ones move no output by more
+        # than 2 len(U) tiny/eps.
+        info = np.finfo(dtype)
+        W[np.abs(W) < info.tiny / info.eps] = 0.0
+        out = np.empty((N, d + 2), dtype)
+        b = self.block_rows(dtype)
+        if not exact:
+            phase = np.empty((min(b, N), n), dtype)
+            CS = np.empty((min(b, N), 2 * n), dtype)
+        for s in range(0, N, b):
+            rows = X[s:s + b]
+            if exact:
+                cs = self._cos_sin(rows)
+            else:
+                r = len(rows)
+                p, cs = phase[:r], CS[:r]
+                np.matmul(rows, self.U.T, out=p)
+                np.cos(p, out=cs[:, :n])
+                np.sin(p, out=cs[:, n:])
+            np.matmul(cs, W, out=out[s:s + b])
+        return out[:, 0].astype(float), out[:, 1:-1].astype(float), out[:, -1].astype(float)
 
 
 class _HermiteFamily:
@@ -317,9 +370,11 @@ class EigenBasis:
         ``alpha`` runs over the active (non-constant) basis functions.
         Returns ``(energy (N,), score (N,d), laplacian (N,))`` without
         materializing the full gradient tensor. With ``dtype=np.float32``
-        the trig transcendentals run in single precision (SIMD, roughly an
-        order of magnitude faster) — appropriate inside ODE integration
-        where tolerances dwarf the ~1e-6 evaluation error.
+        the trig cos/sin and the weight product run in single precision
+        (SIMD np.cos/np.sin, two to three times as fast as the float64 path
+        at 400 functions) — appropriate inside ODE integration where tolerances
+        dwarf the ~1e-6 evaluation error. One call evaluates every row,
+        block by block.
         """
         X = self._check_points(X)
         alpha = np.asarray(alpha, dtype=float)

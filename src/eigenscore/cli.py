@@ -228,6 +228,8 @@ def cmd_sample(args):
 
 
 def cmd_density(args):
+    if args.chunk < 1:
+        raise ConfigError(f"--chunk must be >= 1, got {args.chunk}")
     model = load_model(args.model)
     d = model.basis.dimension
     cfg = IntegratorConfig(rtol=args.rtol, atol=args.atol)
@@ -235,9 +237,8 @@ def cmd_density(args):
                           lower=args.lower, upper=args.upper)
     nodes, _ = trapezoid_grid(spec, d)
     ld = np.empty(nodes.shape[0])
-    chunk = max(1, args.chunk)
-    for s in range(0, nodes.shape[0], chunk):
-        ld[s:s + chunk] = log_density(model, nodes[s:s + chunk], cfg)
+    for s in range(0, nodes.shape[0], args.chunk):
+        ld[s:s + args.chunk] = log_density(model, nodes[s:s + args.chunk], cfg)
     _save_csv(args.out, np.column_stack([nodes, ld]),
               _coord_header(d) + ",log_density")
     _write_provenance(args.out, {

@@ -3,8 +3,9 @@
 Moments are always carried over the *extended* basis (products of basis
 members land there), in the basis enumeration order. The first entry is the
 constant function, pinned to (1, variance 0, gamma 1). Sample moments are
-streamed over fixed blocks of ``BLOCK_ROWS`` data rows, so their memory does
-not grow with the number of points times the extended basis size.
+streamed over blocks of data rows whose values take ``BLOCK_BYTES`` (see
+:func:`sample_block_rows`), so their memory does not grow with the number of
+points times the extended basis size.
 """
 
 from __future__ import annotations
@@ -14,11 +15,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import KIND_CONSTANT, KIND_COS, KIND_SIN, OU, TRUNCATED_BM
+from .basis import KIND_CONSTANT, KIND_COS, KIND_SIN, OU, TRUNCATED_BM, block_rows
 from .errors import DomainError, InvalidInputError, UnsupportedTargetError
 
 GH_NODES = 200  # Gauss-Hermite nodes per mixture component for analytic Hermite moments
-BLOCK_ROWS = 1024  # data rows evaluated at once by sample_moments
+# Bytes of float64 values in one sample_moments block (82 rows of the 1581
+# extended pinwheel functions). Not the flow kernel's budget: a row here also
+# carries its phases and complex powers, and in a sweep on a 2-vCPU Xeon the
+# 20k-point pinwheel moments ran 40% slower at basis.KERNEL_BLOCK_BYTES,
+# while the kernel runs a quarter or more slower at this budget.
+BLOCK_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -66,15 +72,21 @@ class MomentVector:
         )
 
 
+def sample_block_rows(basis):
+    """Data rows per block of :func:`sample_moments`: ``BLOCK_BYTES`` of float64
+    values over the extended basis."""
+    return block_rows(8 * len(basis.extended), BLOCK_BYTES)
+
+
 def sample_moments(basis, data):
     """Sample means and their variances over the extended basis.
 
     theta_hat_k = mean phi_k(x_m); var_hat_k = (1/N^2) sum (phi_k(x_m) - theta_hat_k)^2.
 
-    ``data`` is (N, d). The values are evaluated ``BLOCK_ROWS`` rows at a
-    time; each block's means and centred sums of squares are merged into the
-    running ones by Chan's pairwise update, so the (N, m) value matrix is
-    never formed.
+    ``data`` is (N, d). The values are evaluated ``sample_block_rows(basis)``
+    rows at a time; each block's means and centred sums of squares are merged
+    into the running ones by Chan's pairwise update, so the (N, m) value
+    matrix is never formed.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] != basis.dimension:
@@ -90,8 +102,9 @@ def sample_moments(basis, data):
     theta_hat = np.zeros(len(basis.extended))
     sq_dev = np.zeros(len(basis.extended))  # sum of squared deviations from theta_hat
     seen = 0
-    for start in range(0, n, BLOCK_ROWS):
-        vals = basis.eval_values(data[start:start + BLOCK_ROWS], extended=True)
+    b = sample_block_rows(basis)
+    for start in range(0, n, b):
+        vals = basis.eval_values(data[start:start + b], extended=True)
         rows = len(vals)
         mean = vals.mean(axis=0)
         delta = mean - theta_hat

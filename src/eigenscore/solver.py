@@ -309,6 +309,9 @@ class QuadratureSpec:
 
 def trapezoid_grid(spec, dimension):
     """Nodes (N, d) and weights (N,) of the tensor trapezoid rule."""
+    if spec.n_nodes < 2:
+        raise InvalidInputError(
+            f"a trapezoid grid needs at least 2 nodes per dimension, got {spec.n_nodes}")
     x = np.linspace(spec.lower, spec.upper, spec.n_nodes)
     w = np.full(spec.n_nodes, x[1] - x[0])
     w[0] *= 0.5

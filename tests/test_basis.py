@@ -264,6 +264,53 @@ def test_weighted_eval_float32_path_close_to_float64():
     assert np.max(np.abs(l64 - l32)) < 1e-2 * scale
 
 
+def test_weighted_eval_float32_with_coefficients_below_its_normal_range():
+    """Coefficients decayed as at large tau, down to 1e-60: the float32 kernel
+    drops weights under tiny/eps, which must not move the outputs."""
+    basis = es.trig_basis_nd(2, -125.0)
+    rng = np.random.default_rng(8)
+    X = rng.uniform(-math.pi, math.pi, (500, 2))
+    alpha = rng.normal(size=basis.n_active) * np.exp(1.1 * basis.eigenvalues[1:])
+    vals, grads, laps = basis.eval_batch(X)
+    exact = vals[:, 1:] @ alpha, grads[:, :, 1:] @ alpha, laps[:, 1:] @ alpha
+    single = basis.weighted_eval(X, alpha, dtype=np.float32)
+    for got, want in zip(single, exact):
+        assert np.max(np.abs(got - want)) < 1e-5 * np.max(np.abs(want))
+
+
+# row counts around a block size b
+BLOCK_EDGES = {"1": lambda b: 1, "b-1": lambda b: b - 1, "b": lambda b: b,
+               "b+1": lambda b: b + 1, "3b+5": lambda b: 3 * b + 5}
+
+
+@pytest.mark.parametrize("edge", list(BLOCK_EDGES))
+@pytest.mark.parametrize("basis", [
+    pytest.param(es.trig_basis_1d(25), id="trig-1d-25"),
+    pytest.param(es.trig_basis_nd(2, -125.0), id="trig-2d-125"),
+    pytest.param(es.trig_basis_nd(3, -6.0), id="trig-3d-6"),
+])
+def test_weighted_eval_at_block_edges(basis, edge):
+    """The row-blocked kernel at row counts around each dtype's block size:
+    float64 against eval_batch, float32 against float64."""
+    rng = np.random.default_rng(7)
+    alpha = rng.normal(size=basis.n_active)
+    n = BLOCK_EDGES[edge](basis._family.block_rows(np.float64))
+    X = rng.uniform(-math.pi, math.pi, (n, basis.dimension))
+    energy, score, lap = basis.weighted_eval(X, alpha)
+    vals, grads, laps = basis.eval_batch(X)
+    np.testing.assert_allclose(energy, vals[:, 1:] @ alpha, atol=1e-12)
+    np.testing.assert_allclose(score, grads[:, :, 1:] @ alpha, atol=1e-12)
+    np.testing.assert_allclose(lap, laps[:, 1:] @ alpha, atol=1e-12)
+    n = BLOCK_EDGES[edge](basis._family.block_rows(np.float32))
+    X = rng.uniform(-math.pi, math.pi, (n, basis.dimension))
+    e64, s64, l64 = basis.weighted_eval(X, alpha)
+    e32, s32, l32 = basis.weighted_eval(X, alpha, dtype=np.float32)
+    scale = np.abs(alpha).sum()
+    assert np.max(np.abs(e64 - e32)) < 1e-4 * scale
+    assert np.max(np.abs(s64 - s32)) < 1e-3 * scale
+    assert np.max(np.abs(l64 - l32)) < 1e-2 * scale
+
+
 # ---------------------------------------------------------------------------
 # Builders and serialization
 # ---------------------------------------------------------------------------

@@ -145,6 +145,18 @@ def test_density_integrates_to_one(fitted, tmp_path):
     assert w @ np.exp(ld) == pytest.approx(1.0, abs=0.02)
 
 
+@pytest.mark.parametrize("flags", [("--grid-n", "1"), ("--chunk", "0"), ("--chunk", "-3")])
+def test_density_rejects_degenerate_sizes(fitted, tmp_path, flags):
+    _, _, model = fitted
+    assert run("density", "--model", model, "--grid-n", "21", *flags,
+               "--out", str(tmp_path / "dens.csv")) == 2
+
+
+def test_loss_study_rejects_single_quadrature_node(tmp_path):
+    assert run("loss-study", "--reps", "2", "--n", "100", "--basis-sizes", "4",
+               "--n-quad", "1", "--out", str(tmp_path / "study.csv")) == 2
+
+
 def test_loss_study_small(tmp_path):
     out = str(tmp_path / "study.csv")
     assert run("loss-study", "--reps", "3", "--n", "200",

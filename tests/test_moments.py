@@ -49,18 +49,15 @@ def _two_pass_moments(basis, data):
     return theta, ((vals - theta) ** 2).sum(axis=0) / len(data) ** 2
 
 
-BLOCK = es.moments.BLOCK_ROWS
-
-
-@pytest.mark.parametrize("n", [2, BLOCK // 2, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
-@pytest.mark.parametrize("make_basis", [
+MOMENT_BASES = [
     pytest.param(lambda: es.trig_basis_1d(25), id="trig-1d-25"),
     pytest.param(lambda: es.trig_basis_nd(2, -125.0), id="trig-2d-125"),
     pytest.param(lambda: es.trig_basis_nd(3, -6.0), id="trig-3d-6"),
     pytest.param(lambda: es.hermite_univariate_basis(2, 4), id="hermite-2d-4"),
-])
-def test_streamed_moments_match_two_pass(make_basis, n):
-    basis = make_basis()
+]
+
+
+def _check_streamed_moments(basis, n):
     rng = np.random.default_rng(n)
     data = 0.4 + 0.7 * rng.standard_normal((n, basis.dimension))
     if basis.process == es.TRUNCATED_BM:
@@ -71,6 +68,24 @@ def test_streamed_moments_match_two_pass(make_basis, n):
     np.testing.assert_allclose(m.var_hat[1:], var[1:], rtol=1e-12, atol=0)
     assert m.theta_hat[0] == 1.0 and m.var_hat[0] == 0.0
     assert m.n_samples == n
+
+
+@pytest.mark.parametrize("n", [2, 512, 1024, 1025, 2055])
+@pytest.mark.parametrize("make_basis", MOMENT_BASES)
+def test_streamed_moments_match_two_pass(make_basis, n):
+    _check_streamed_moments(make_basis(), n)
+
+
+# row counts around the block size b (2 is the fewest sample_moments accepts)
+BLOCK_EDGES = {"2": lambda b: 2, "b-1": lambda b: b - 1, "b": lambda b: b,
+               "b+1": lambda b: b + 1, "2b+7": lambda b: 2 * b + 7}
+
+
+@pytest.mark.parametrize("edge", list(BLOCK_EDGES))
+@pytest.mark.parametrize("make_basis", MOMENT_BASES)
+def test_streamed_moments_match_two_pass_at_block_edges(make_basis, edge):
+    basis = make_basis()
+    _check_streamed_moments(basis, BLOCK_EDGES[edge](es.moments.sample_block_rows(basis)))
 
 
 @pytest.mark.parametrize("shape", [(50,), (10, 5, 1), (50, 2)])
