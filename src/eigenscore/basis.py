@@ -291,7 +291,11 @@ class _HermiteFamily:
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Ordered eigenfunctions plus the extended superset closing products."""
+    """Ordered eigenfunctions plus the extended superset closing products.
+
+    ``extended`` starts with ``functions`` in their order, so index k of the
+    basis is index k of the extended basis.
+    """
 
     process: str
     dimension: int
@@ -306,6 +310,8 @@ class EigenBasis:
         for funcs in (self.functions, self.extended):
             if not funcs or funcs[0].kind != KIND_CONSTANT:
                 raise InvalidInputError("function 0 of a basis must be the constant")
+        if [(f.kind, f.index) for f in self.extended[:len(keys)]] != keys:
+            raise InvalidInputError("the extended basis must start with the basis functions")
 
     @property
     def n_active(self):
@@ -319,22 +325,6 @@ class EigenBasis:
     @cached_property
     def extended_eigenvalues(self):
         return np.array([f.eigenvalue for f in self.extended])
-
-    @cached_property
-    def _ext_lookup(self):
-        return {(f.kind, f.index): h for h, f in enumerate(self.extended)}
-
-    def extended_index(self, fn):
-        try:
-            return self._ext_lookup[(fn.kind, fn.index)]
-        except KeyError:
-            raise CapacityError(
-                f"extended basis does not contain {fn.kind} {fn.index}"
-            ) from None
-
-    @cached_property
-    def basis_to_extended(self):
-        return np.array([self.extended_index(f) for f in self.functions])
 
     # -- evaluation ---------------------------------------------------------
 

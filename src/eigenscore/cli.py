@@ -37,17 +37,17 @@ from .errors import (
 )
 from .generate import sample_pf_ode, sample_reverse_sde, log_density
 from .odeint import IntegratorConfig
-from .moments import analytic_moments, modulation_shrink, sample_moments
+from .moments import modulation_shrink, sample_moments
 from .process import Schedule, noise_at, tau_at, wrap_torus
 from .solver import (
-    SystemAssembler,
+    QuadratureSpec,
     dataset_hash,
     load_model,
+    loss_grid,
     presolve_grid,
     save_model,
-    solve_node,
+    shrinkage_losses,
     trapezoid_grid,
-    QuadratureSpec,
 )
 from .targets import (
     AnalyticReference,
@@ -60,6 +60,7 @@ from .targets import (
 
 WORKERS_ENV = "EIGENSCORE_WORKERS"
 LOSS_STUDY_T = 0.02  # internal time of the loss study's second default tau
+ESTIMATORS = ("sample-mean", "shrinkage")  # last axis of solver.shrinkage_losses, sorted
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -233,8 +234,7 @@ def cmd_density(args):
     model = load_model(args.model)
     d = model.basis.dimension
     cfg = IntegratorConfig(rtol=args.rtol, atol=args.atol)
-    spec = QuadratureSpec(kind="trapezoid", n_nodes=args.grid_n,
-                          lower=args.lower, upper=args.upper)
+    spec = QuadratureSpec(n_nodes=args.grid_n, lower=args.lower, upper=args.upper)
     nodes, _ = trapezoid_grid(spec, d)
     ld = np.empty(nodes.shape[0])
     for s in range(0, nodes.shape[0], args.chunk):
@@ -254,70 +254,60 @@ def cmd_density(args):
 # Shrinkage loss study
 # ---------------------------------------------------------------------------
 
-def _loss_at_tau(basis, assembler, schedule, tau, reference, nodes, weights):
-    """Fit at a single tau and return the weighted L2 score error."""
-    t = noise_at(schedule, tau)[2]
-    alpha = solve_node(assembler.system(t)).alpha
-    diff = basis.weighted_eval(nodes, alpha)[1] - reference.relative_score(nodes, tau)
-    dens = reference.pdf(nodes, tau)
-    return float(weights @ (dens * (diff * diff).sum(axis=1)))
-
-
 def _loss_study_rep(payload):
-    (rep, seed, n, bases, taus, sched_dict, nodes, weights) = payload
-    schedule = Schedule.from_dict(sched_dict)
-    gm = bart_simpson()
-    reference = AnalyticReference(gm, schedule, TRUNCATED_BM)
+    rep, seed, n, bases, sched_dict, grids = payload
     rng = np.random.default_rng([seed, rep])
-    data = wrap_torus(sample_gaussian_mixture(gm, n, rng))
-    out = []
-    for size, basis, table in bases:
-        raw = sample_moments(basis, data)
-        fits = [(name, SystemAssembler(basis, table, m))
-                for name, m in (("sample-mean", raw), ("shrinkage", modulation_shrink(raw)))]
-        for tau in taus:
-            for name, assembler in fits:
-                out.append((rep, size, tau, name,
-                            _loss_at_tau(basis, assembler, schedule, tau,
-                                         reference, nodes, weights)))
-    return out
+    data = wrap_torus(sample_gaussian_mixture(bart_simpson(), n, rng))
+    return shrinkage_losses(data, bases, Schedule.from_dict(sched_dict), grids)
+
+
+def _csv_list(text, kind, flag):
+    """The distinct values of a comma-list flag, sorted."""
+    try:
+        values = [kind(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} takes a comma list of {kind.__name__} values, "
+                          f"got {text!r}") from None
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{flag} repeats a value: {text!r}")
+    return sorted(values)
 
 
 def cmd_loss_study(args):
     if args.target != "bart-simpson":
         raise UnsupportedTargetError(
             f"loss study needs an analytic reference; {args.target!r} has none")
+    for flag, value in (("--reps", args.reps), ("--workers", args.workers)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     schedule = _build_schedule(args)
-    sizes = [int(s) for s in args.basis_sizes.split(",")]
+    sizes = _csv_list(args.basis_sizes, int, "--basis-sizes")
     if args.taus:
-        taus = [float(s) for s in args.taus.split(",")]
+        taus = _csv_list(args.taus, float, "--taus")
     elif noise_at(schedule, 0.0)[2] > LOSS_STUDY_T:
         raise ConfigError(f"the schedule starts above t={LOSS_STUDY_T}; "
                           "pass --taus or lower --sigma-min")
     else:
         taus = [0.0, tau_at(schedule, LOSS_STUDY_T)]
-    bases = []
-    for size in sizes:
-        basis = trig_basis_1d(size)
-        bases.append((size, basis, product_table(basis)))
-    nodes, weights = trapezoid_grid(QuadratureSpec(n_nodes=args.n_quad), 1)
-    payloads = [(rep, args.seed, args.n, bases, taus, schedule.to_dict(),
-                 nodes, weights) for rep in range(args.reps)]
+    bases = [(basis, product_table(basis)) for basis in map(trig_basis_1d, sizes)]
+    reference = AnalyticReference(bart_simpson(), schedule, TRUNCATED_BM)
+    quadrature = QuadratureSpec(n_nodes=args.n_quad)
+    grids = [loss_grid(reference, tau, quadrature, 1) for tau in taus]
+    payloads = [(rep, args.seed, args.n, bases, schedule.to_dict(), grids)
+                for rep in range(args.reps)]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_loss_study_rep, payloads))
     else:
         results = [_loss_study_rep(p) for p in payloads]
-    rows = [r for rep_rows in results for r in rep_rows]
-    # aggregate per (size, tau, estimator) cell, canonical ordering
-    cells = {}
-    for rep, size, tau, name, loss in rows:
-        cells.setdefault((size, tau, name), []).append(loss)
+    # one row per (size, tau, estimator) cell, in sorted order as sizes and taus are
+    cells = np.ascontiguousarray(np.moveaxis(np.stack(results), 0, -1))
     lines = ["basis_size,tau,estimator,mean,se,replications"]
-    for (size, tau, name) in sorted(cells):
-        v = np.asarray(cells[(size, tau, name)])
+    for i, g, j in np.ndindex(cells.shape[:-1]):
+        v = cells[i, g, j]
         se = v.std(ddof=1) / math.sqrt(len(v)) if len(v) > 1 else 0.0
-        lines.append(f"{size},{tau:.10g},{name},{v.mean():.17g},{se:.17g},{len(v)}")
+        lines.append(f"{sizes[i]},{taus[g]:.10g},{ESTIMATORS[j]},{v.mean():.17g},"
+                     f"{se:.17g},{len(v)}")
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     _write_provenance(args.out, {

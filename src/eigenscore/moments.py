@@ -1,11 +1,12 @@
 """Eigenfunction moments of the data distribution, with modulation shrinkage.
 
 Moments are always carried over the *extended* basis (products of basis
-members land there), in the basis enumeration order. The first entry is the
-constant function, pinned to (1, variance 0, gamma 1). Sample moments are
-streamed over blocks of data rows whose values take ``BLOCK_BYTES`` (see
-:func:`sample_block_rows`), so their memory does not grow with the number of
-points times the extended basis size.
+members land there), in its enumeration order, whose leading entries are the
+basis functions themselves. The first entry is the constant function, pinned
+to (1, variance 0, gamma 1). Sample moments are streamed over blocks of data
+rows whose values take ``BLOCK_BYTES`` (see :func:`sample_block_rows`), so
+their memory does not grow with the number of points times the extended
+basis size.
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ class MomentVector:
 
     ``theta_hat`` are sample means, ``var_hat`` the variances of those means,
     ``gamma`` the shrinkage weights in [0, 1]; the working values are
-    ``theta = gamma * theta_hat``.
+    ``theta = gamma * theta_hat``. Entries follow the extended basis, so the
+    first ``len(basis.functions)`` belong to the basis functions.
     """
 
     theta_hat: np.ndarray
     var_hat: np.ndarray
     gamma: np.ndarray
     n_samples: int
-    n_basis: int = 0  # leading entries that belong to the primary basis
 
     def __post_init__(self):
         if np.any(self.var_hat < 0):
@@ -58,7 +59,6 @@ class MomentVector:
             "var_hat": self.var_hat.tolist(),
             "gamma": self.gamma.tolist(),
             "n_samples": self.n_samples,
-            "n_basis": self.n_basis,
         }
 
     @staticmethod
@@ -68,7 +68,6 @@ class MomentVector:
             var_hat=np.asarray(d["var_hat"], dtype=float),
             gamma=np.asarray(d["gamma"], dtype=float),
             n_samples=int(d["n_samples"]),
-            n_basis=int(d.get("n_basis", 0)),
         )
 
 
@@ -118,24 +117,20 @@ def sample_moments(basis, data):
         var_hat=var_hat,
         gamma=np.ones_like(theta_hat),
         n_samples=n,
-        n_basis=len(basis.functions),
     )
 
 
-def modulation_shrink(m, shrink_extended=True):
+def modulation_shrink(m):
     """Per-coordinate minimizer of the empirical modulation risk.
 
     With c_k = max(theta_hat_k^2 - var_hat_k, 0) the risk
     gamma^2 var + (1-gamma)^2 c is minimized at gamma = c / (var + c)
-    (zero when both vanish). The constant entry is untouched; with
-    ``shrink_extended=False`` only primary-basis entries are shrunk.
+    (zero when both vanish). The constant entry is untouched.
     """
     c = np.maximum(m.theta_hat**2 - m.var_hat, 0.0)
     denom = m.var_hat + c
     gamma = np.divide(c, denom, out=np.zeros_like(c), where=denom > 0)
     gamma[0] = 1.0
-    if not shrink_extended and m.n_basis > 0:
-        gamma[m.n_basis:] = 1.0
     return replace(m, gamma=gamma)
 
 
@@ -183,5 +178,4 @@ def analytic_moments(target, basis):
         var_hat=np.zeros_like(theta),
         gamma=np.ones_like(theta),
         n_samples=0,
-        n_basis=len(basis.functions),
     )

@@ -35,7 +35,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedTargetError,
 )
-from .moments import MomentVector
+from .moments import modulation_shrink, sample_moments
 from .process import Schedule, noise_at
 from .targets import DomainMap
 
@@ -72,7 +72,7 @@ def assemble_b(basis, moments, t):
     """Linear term b_t[k] = lam_k e^{lam_k t} theta_k over the active basis."""
     _check_moments(basis, moments)
     lam = basis.eigenvalues[1:]
-    theta = moments.theta[basis.basis_to_extended[1:]]
+    theta = moments.theta[1:len(basis.functions)]
     return lam * np.exp(lam * t) * theta
 
 
@@ -116,7 +116,7 @@ class SystemAssembler:
             (coef, (row * n + col, h)), shape=(n * n, len(self.lam_ext))
         )
         self.lam_active = basis.eigenvalues[1:]
-        self.theta_active = moments.theta[basis.basis_to_extended[1:]]
+        self.theta_active = moments.theta[1:len(basis.functions)]
         self.noise_scale = float(np.sqrt(np.mean(moments.var_hat)))
 
     def system(self, t):
@@ -297,14 +297,11 @@ def model_eval_batch(model, X, tau, check_domain=True, dtype=None):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to evaluate the weighted L2 loss: tensor trapezoid or Monte Carlo."""
+    """Tensor trapezoid rule for the weighted L2 loss: nodes per dimension and bounds."""
 
-    kind: str = "trapezoid"
     n_nodes: int = 4096  # per dimension
     lower: float = -math.pi
     upper: float = math.pi
-    n_samples: int = 1_000_000
-    seed: int = 0
 
 
 def trapezoid_grid(spec, dimension):
@@ -326,30 +323,58 @@ def trapezoid_grid(spec, dimension):
     return nodes, W.ravel()
 
 
-def sm_loss(model, tau, reference, quadrature=QuadratureSpec()):
-    """Weighted L2 distance between the model score and the true relative score.
+@dataclass(frozen=True)
+class LossGrid:
+    """Quadrature at one tau with the reference's density and relative score there."""
 
-    Computes integral of |s_model - grad log(rho_t/pi)|^2 rho_t, either on a
-    trapezoid grid or by Monte Carlo against rho_t.
-    """
+    tau: float
+    nodes: np.ndarray
+    weights: np.ndarray
+    density: np.ndarray  # rho_tau at the nodes
+    target: np.ndarray  # grad log(rho_tau / pi) at the nodes
+
+
+def loss_grid(reference, tau, quadrature, dimension):
+    """Trapezoid nodes and weights with the reference evaluated on them once."""
     if reference is None or not hasattr(reference, "relative_score"):
         raise UnsupportedTargetError("no ground-truth score reference available")
-    d = model.basis.dimension
-    if quadrature.kind == "trapezoid":
-        nodes, weights = trapezoid_grid(quadrature, d)
-        diff = model_eval_batch(model, nodes, tau, check_domain=False)[1]
-        diff = diff - reference.relative_score(nodes, tau)
-        dens = reference.pdf(nodes, tau)
-        return float(weights @ (dens * (diff * diff).sum(axis=1)))
-    if quadrature.kind == "mc":
-        if not hasattr(reference, "sample_marginal"):
-            raise UnsupportedTargetError("reference cannot sample its marginal")
-        rng = np.random.default_rng(quadrature.seed)
-        X = reference.sample_marginal(quadrature.n_samples, tau, rng)
-        diff = model_eval_batch(model, X, tau, check_domain=False)[1]
-        diff = diff - reference.relative_score(X, tau)
-        return float(np.mean((diff * diff).sum(axis=1)))
-    raise InvalidInputError(f"unknown quadrature kind {quadrature.kind!r}")
+    nodes, weights = trapezoid_grid(quadrature, dimension)
+    return LossGrid(float(tau), nodes, weights, reference.pdf(nodes, tau),
+                    reference.relative_score(nodes, tau))
+
+
+def score_error(basis, alpha, grid):
+    """Integral of |s_alpha - grad log(rho_tau/pi)|^2 rho_tau by the grid's rule,
+    where s_alpha is the score of the energy sum_k alpha_k phi_k."""
+    diff = basis.weighted_eval(grid.nodes, alpha)[1] - grid.target
+    return float(grid.weights @ (grid.density * (diff * diff).sum(axis=1)))
+
+
+def sm_loss(model, tau, reference, quadrature=QuadratureSpec()):
+    """Weighted L2 distance between the model score at tau and the true relative
+    score, by the trapezoid rule of ``quadrature`` (see :func:`score_error`)."""
+    grid = loss_grid(reference, tau, quadrature, model.basis.dimension)
+    return score_error(model.basis, alpha_at(model, tau), grid)
+
+
+def shrinkage_losses(data, bases, schedule, grids):
+    """Score errors of fits from sample-mean and modulation-shrunk moments.
+
+    Each ``(basis, table)`` of ``bases`` is fit to ``data`` twice, from its
+    sample moments and from their :func:`modulation_shrink`, by one node solve
+    at each grid's internal time. Returns the :func:`score_error` values as an
+    array (len(bases), len(grids), 2), sample-mean first.
+    """
+    times = [noise_at(schedule, grid.tau)[2] for grid in grids]
+    out = np.empty((len(bases), len(grids), 2))
+    for i, (basis, table) in enumerate(bases):
+        raw = sample_moments(basis, data)
+        for j, moments in enumerate((raw, modulation_shrink(raw))):
+            assembler = SystemAssembler(basis, table, moments)
+            for g, (grid, t) in enumerate(zip(grids, times)):
+                alpha = solve_node(assembler.system(t)).alpha
+                out[i, g, j] = score_error(basis, alpha, grid)
+    return out
 
 
 # ---------------------------------------------------------------------------

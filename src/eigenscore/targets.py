@@ -16,7 +16,7 @@ from scipy.special import logsumexp
 
 from .basis import OU, TRUNCATED_BM
 from .errors import DegenerateInputError, InvalidInputError
-from .process import VE, VP, noise_at, wrap_torus
+from .process import VE, VP, noise_at
 
 TWO_PI = 2.0 * math.pi
 
@@ -189,10 +189,6 @@ class AnalyticReference:
             return wrapped_mixture_pdf_and_score(gm_t, x)[1]
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return mixture_score(gm_t, x) + x
-
-    def sample_marginal(self, n, tau, rng):
-        pts = sample_gaussian_mixture(self.marginal(tau), n, rng)
-        return wrap_torus(pts) if self.process == TRUNCATED_BM else pts
 
 
 # ---------------------------------------------------------------------------

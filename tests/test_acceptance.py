@@ -18,13 +18,7 @@ from scipy.stats import binomtest, kstest
 import eigenscore as es
 from eigenscore.cli import main as cli_main
 from eigenscore.odeint import IntegratorConfig
-from eigenscore.solver import (
-    QuadraticSystem,
-    QuadratureSpec,
-    SystemAssembler,
-    solve_node,
-    trapezoid_grid,
-)
+from eigenscore.solver import QuadratureSpec, loss_grid, shrinkage_losses
 from eigenscore.targets import _TOYS, AnalyticReference
 from eigenscore.process import OU, TRUNCATED_BM, tau_at
 
@@ -44,41 +38,24 @@ def _report(criterion, ok, detail):
 def _loss_study(sizes, n_reps, seed, n_samples=2000):
     """Per-replication weighted L2 score losses, sample-mean vs shrinkage.
 
-    Losses are averaged over the default pair of study times (smallest grid
-    tau and the tau with internal time 0.02); returns arrays of shape
-    (n_reps,) per size and estimator.
+    Replication ``rep`` fits the data drawn by ``default_rng([seed, rep])``,
+    as the loss-study CLI does, through ``solver.shrinkage_losses``. Losses
+    are averaged over the default pair of study times (smallest grid tau and
+    the tau with internal time 0.02); returns arrays of shape (n_reps,) per
+    size and estimator.
     """
     gm = es.bart_simpson()
     sched = es.Schedule.ve(0.01, 50.0)
     ref = AnalyticReference(gm, sched, TRUNCATED_BM)
-    taus = [0.0, tau_at(sched, 0.02)]
-    spec = QuadratureSpec(kind="trapezoid", n_nodes=4096)
-    per_tau = []
-    for tau in taus:
-        nodes, weights = trapezoid_grid(spec, 1)
-        per_tau.append((tau, es.noise_at(sched, tau)[2], nodes, weights,
-                        ref.pdf(nodes, tau), ref.relative_score(nodes, tau)[:, 0]))
-    out = {}
-    for size in sizes:
-        basis = es.trig_basis_1d(size)
-        table = es.product_table(basis)
-        _, grads, _ = basis.eval_batch(per_tau[0][2])
-        G = grads[:, 0, 1:]
-        losses = {"raw": np.empty(n_reps), "shr": np.empty(n_reps)}
-        for rep in range(n_reps):
-            rng = np.random.default_rng([seed, rep])
-            data = es.wrap_torus(es.sample_gaussian_mixture(gm, n_samples, rng))
-            raw = es.sample_moments(basis, data)
-            shr = es.modulation_shrink(raw)
-            for name, mom in (("raw", raw), ("shr", shr)):
-                assembler = SystemAssembler(basis, table, mom)
-                tot = 0.0
-                for tau, t, nodes, weights, dens, tscore in per_tau:
-                    alpha = solve_node(assembler.system(t)).alpha
-                    tot += float(weights @ (dens * (G @ alpha - tscore) ** 2))
-                losses[name][rep] = tot / len(per_tau)
-        out[size] = losses
-    return out
+    spec = QuadratureSpec(n_nodes=4096)
+    grids = [loss_grid(ref, tau, spec, 1) for tau in (0.0, tau_at(sched, 0.02))]
+    bases = [(basis, es.product_table(basis)) for basis in map(es.trig_basis_1d, sizes)]
+    losses = np.stack([
+        shrinkage_losses(es.wrap_torus(es.sample_gaussian_mixture(
+            gm, n_samples, np.random.default_rng([seed, rep]))), bases, sched, grids)
+        for rep in range(n_reps)]).mean(axis=2)  # (n_reps, sizes, estimators)
+    return {size: {"raw": losses[:, i, 0], "shr": losses[:, i, 1]}
+            for i, size in enumerate(sizes)}
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +195,7 @@ def test_criterion_03_system_oracle():
     theta_u = np.zeros(len(basis.extended))
     theta_u[0] = 1.0
     uniform = es.MomentVector(theta_hat=theta_u, var_hat=np.zeros_like(theta_u),
-                              gamma=np.ones_like(theta_u), n_samples=0,
-                              n_basis=len(basis.functions))
+                              gamma=np.ones_like(theta_u), n_samples=0)
     err_inv = 0.0
     for t_chk in (0.0, 0.5, 3.0):
         err_inv = max(err_inv,
@@ -247,7 +223,7 @@ def test_criterion_04_gaussian_exactness():
         err = max(err, abs(alpha[0] - m_t / v_t),
                   abs(alpha[1] - (v_t - 1) / (math.sqrt(2) * v_t)))
     ref = AnalyticReference(gm, sched, OU)
-    spec = QuadratureSpec(kind="trapezoid", n_nodes=4096, lower=-10.0, upper=10.0)
+    spec = QuadratureSpec(n_nodes=4096, lower=-10.0, upper=10.0)
     loss = max(es.sm_loss(model, tau, ref, spec)
                for tau in model.grid[[0, len(model.grid) // 2, -1]])
     ok = err < 1e-10 and loss < 1e-12
@@ -264,8 +240,7 @@ def test_criterion_05_modulation_grid_search():
     n = 1000
     theta = rng.normal(0.0, 0.5, n) * rng.choice([0.05, 0.3, 1.0], n)
     var = rng.uniform(1e-6, 0.3, n)
-    m = es.MomentVector(theta_hat=theta, var_hat=var, gamma=np.ones(n),
-                        n_samples=100, n_basis=n)
+    m = es.MomentVector(theta_hat=theta, var_hat=var, gamma=np.ones(n), n_samples=100)
     gamma_closed = es.modulation_shrink(m).gamma
     # two-stage grid search of the per-coordinate risk
     # R(g) = g^2 sigma^2 + (1-g)^2 max(theta^2 - sigma^2, 0)

@@ -233,6 +233,15 @@ def test_trig_laplacian_is_eigenvalue_times_value():
     np.testing.assert_allclose(laps, lam * vals, atol=1e-12)
 
 
+def _assert_float64_matches_eval_batch(basis, X, alpha):
+    """Each float64 weighted_eval output within 1e-14 of the largest magnitude
+    of its eval_batch oracle."""
+    vals, grads, laps = basis.eval_batch(X)
+    oracle = vals[:, 1:] @ alpha, grads[:, :, 1:] @ alpha, laps[:, 1:] @ alpha
+    for got, want in zip(basis.weighted_eval(X, alpha), oracle):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("make", [
     lambda: es.trig_basis_1d(6),
     lambda: es.trig_basis_nd(2, -10.0),
@@ -243,12 +252,7 @@ def test_weighted_eval_matches_eval_batch(make):
     basis = make()
     rng = np.random.default_rng(5)
     X = rng.uniform(-2, 2, (15, basis.dimension))
-    alpha = rng.normal(size=basis.n_active)
-    energy, score, lap = basis.weighted_eval(X, alpha)
-    vals, grads, laps = basis.eval_batch(X)
-    np.testing.assert_allclose(energy, vals[:, 1:] @ alpha, atol=1e-12)
-    np.testing.assert_allclose(score, grads[:, :, 1:] @ alpha, atol=1e-12)
-    np.testing.assert_allclose(lap, laps[:, 1:] @ alpha, atol=1e-12)
+    _assert_float64_matches_eval_batch(basis, X, rng.normal(size=basis.n_active))
 
 
 def test_weighted_eval_float32_path_close_to_float64():
@@ -295,12 +299,8 @@ def test_weighted_eval_at_block_edges(basis, edge):
     rng = np.random.default_rng(7)
     alpha = rng.normal(size=basis.n_active)
     n = BLOCK_EDGES[edge](basis._family.block_rows(np.float64))
-    X = rng.uniform(-math.pi, math.pi, (n, basis.dimension))
-    energy, score, lap = basis.weighted_eval(X, alpha)
-    vals, grads, laps = basis.eval_batch(X)
-    np.testing.assert_allclose(energy, vals[:, 1:] @ alpha, atol=1e-12)
-    np.testing.assert_allclose(score, grads[:, :, 1:] @ alpha, atol=1e-12)
-    np.testing.assert_allclose(lap, laps[:, 1:] @ alpha, atol=1e-12)
+    _assert_float64_matches_eval_batch(
+        basis, rng.uniform(-math.pi, math.pi, (n, basis.dimension)), alpha)
     n = BLOCK_EDGES[edge](basis._family.block_rows(np.float32))
     X = rng.uniform(-math.pi, math.pi, (n, basis.dimension))
     e64, s64, l64 = basis.weighted_eval(X, alpha)
@@ -356,6 +356,14 @@ def test_constant_must_come_first():
     with pytest.raises(es.InvalidInputError):
         es.EigenBasis(process=es.TRUNCATED_BM, dimension=1,
                       functions=funcs[1:] + funcs[:1], extended=_trig_1d_functions(6))
+
+
+def test_extended_must_start_with_the_basis_functions():
+    funcs = _trig_1d_functions(3)
+    ext = _trig_1d_functions(6)
+    with pytest.raises(es.InvalidInputError):
+        es.EigenBasis(process=es.TRUNCATED_BM, dimension=1,
+                      functions=funcs, extended=ext[:1] + ext[2:] + ext[1:2])
 
 
 def test_dimension_mismatch_rejected():

@@ -157,6 +157,17 @@ def test_loss_study_rejects_single_quadrature_node(tmp_path):
                "--n-quad", "1", "--out", str(tmp_path / "study.csv")) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ("--basis-sizes", "5,x"), ("--taus", "0.1,abc"), ("--reps", "0"), ("--workers", "0"),
+    ("--basis-sizes", "4,4"), ("--taus", "0.1,0.1"),
+])
+def test_loss_study_bad_flags_exit_2(tmp_path, flags):
+    out = tmp_path / "study.csv"
+    assert run("loss-study", "--reps", "2", "--n", "100", "--basis-sizes", "4",
+               "--n-quad", "64", *flags, "--out", str(out)) == 2
+    assert not out.exists()
+
+
 def test_loss_study_small(tmp_path):
     out = str(tmp_path / "study.csv")
     assert run("loss-study", "--reps", "3", "--n", "200",

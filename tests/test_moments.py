@@ -20,7 +20,6 @@ def test_sample_moments_match_direct_means():
         atol=1e-12)
     assert m.theta_hat[0] == 1.0 and m.var_hat[0] == 0.0
     assert m.n_samples == 500
-    assert m.n_basis == len(basis.functions)
 
 
 def test_sample_moments_uniform_data_near_zero():
@@ -122,19 +121,6 @@ def test_modulation_shrink_matches_grid_search():
         assert abs(best - closed) < 1e-6
 
 
-def test_modulation_shrink_extended_flag():
-    basis = es.trig_basis_1d(3)
-    rng = np.random.default_rng(4)
-    data = es.wrap_torus(rng.standard_normal((100, 1)))
-    m = es.sample_moments(basis, data)
-    full = es.modulation_shrink(m)
-    primary_only = es.modulation_shrink(m, shrink_extended=False)
-    nb = m.n_basis
-    np.testing.assert_allclose(full.gamma[:nb], primary_only.gamma[:nb])
-    assert np.all(primary_only.gamma[nb:] == 1.0)
-    assert np.any(full.gamma[nb:] < 1.0)
-
-
 def test_modulation_never_increases_magnitude():
     basis = es.trig_basis_1d(8)
     rng = np.random.default_rng(5)
@@ -180,7 +166,7 @@ def test_moment_vector_serialization_roundtrip():
     again = es.MomentVector.from_dict(m.to_dict())
     np.testing.assert_array_equal(again.theta_hat, m.theta_hat)
     np.testing.assert_array_equal(again.gamma, m.gamma)
-    assert again.n_samples == m.n_samples and again.n_basis == m.n_basis
+    assert again.n_samples == m.n_samples
 
 
 def test_moment_vector_validation():

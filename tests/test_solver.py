@@ -21,8 +21,7 @@ def _uniform_moments(basis):
     theta = np.zeros(len(basis.extended))
     theta[0] = 1.0
     return es.MomentVector(theta_hat=theta, var_hat=np.zeros_like(theta),
-                           gamma=np.ones_like(theta), n_samples=0,
-                           n_basis=len(basis.functions))
+                           gamma=np.ones_like(theta), n_samples=0)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +436,11 @@ def test_sm_loss_monte_carlo_close_to_quadrature():
     model = es.presolve_grid(basis, table, m, sched, n_times=100)
     ref = es.AnalyticReference(gm, sched, es.TRUNCATED_BM)
     lq = es.sm_loss(model, 0.5, ref, QuadratureSpec(n_nodes=4096))
-    lmc = es.sm_loss(model, 0.5, ref,
-                     QuadratureSpec(kind="mc", n_samples=400_000, seed=3))
+    # oracle: the same weighted error as a Monte-Carlo mean over draws from rho_tau
+    X = es.wrap_torus(es.sample_gaussian_mixture(ref.marginal(0.5), 400_000,
+                                                 np.random.default_rng(3)))
+    diff = es.model_eval_batch(model, X, 0.5)[1] - ref.relative_score(X, 0.5)
+    lmc = float(np.mean((diff * diff).sum(axis=1)))
     assert lmc == pytest.approx(lq, rel=0.1, abs=1e-4)
 
 
