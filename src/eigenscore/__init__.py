@@ -58,8 +58,6 @@ from .solver import (
     ScoreModel,
     SystemAssembler,
     alpha_at,
-    assemble_A,
-    assemble_b,
     load_model,
     model_eval_batch,
     model_from_dict,

@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -58,7 +57,6 @@ from .targets import (
     _TOYS,
 )
 
-WORKERS_ENV = "EIGENSCORE_WORKERS"
 LOSS_STUDY_T = 0.02  # internal time of the loss study's second default tau
 ESTIMATORS = ("sample-mean", "shrinkage")  # last axis of solver.shrinkage_losses, sorted
 
@@ -67,13 +65,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_DOMAIN = 4
 EXIT_UNSUPPORTED = 5
-
-
-def _default_workers():
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def _write_provenance(out_path, payload):
@@ -414,7 +405,7 @@ def build_parser():
     p.add_argument("--taus", default=None,
                    help="comma list of tau values; default: smallest grid tau and t=0.02")
     p.add_argument("--n-quad", type=int, default=4096)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     _add_schedule_flags(p)
     p.set_defaults(func=cmd_loss_study)
 

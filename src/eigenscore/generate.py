@@ -26,7 +26,7 @@ from .basis import OU, TRUNCATED_BM
 from .errors import InvalidInputError
 from .odeint import IntegratorConfig, integrate_batch
 from .process import VE, noise_at, tau_at, wrap_torus
-from .solver import _check_domain, model_eval_batch
+from .solver import _check_domain, alpha_at
 
 PRIOR_UNIFORM = "uniform"
 PRIOR_WRAPPED_NORMAL = "wrapped-normal"
@@ -53,21 +53,25 @@ def flow_rate(model, t, X):
     """
     # single-precision trig: ~1e-6 evaluation error, far below the integrator
     # tolerances, at a large throughput gain
-    _, score, lap = model_eval_batch(model, X, tau_at(model.schedule, t),
-                                     check_domain=False, dtype=np.float32)
+    alpha = alpha_at(model, tau_at(model.schedule, t))
+    _, score, lap = model.basis.weighted_eval(X, alpha, dtype=np.float32)
     return -score, -lap
 
 
 def _prior_draw(model, n, rng, prior):
+    """Draws from the invariant measure (``uniform``: N(0, I) for OU) or, on the
+    torus only, from the wrapped normal of the terminal noise level."""
     d = model.basis.dimension
-    if model.process == TRUNCATED_BM:
-        if prior == PRIOR_UNIFORM:
-            return rng.uniform(-math.pi, math.pi, size=(n, d))
-        if prior == PRIOR_WRAPPED_NORMAL:
-            sigma = model.schedule.sigma_max if model.schedule.kind == VE else 1.0
-            return wrap_torus(sigma * rng.standard_normal((n, d)))
+    if prior not in (PRIOR_UNIFORM, PRIOR_WRAPPED_NORMAL):
         raise InvalidInputError(f"unknown prior {prior!r}")
-    return rng.standard_normal((n, d))
+    if model.process == OU:
+        if prior == PRIOR_WRAPPED_NORMAL:
+            raise InvalidInputError("the wrapped-normal prior needs a torus model")
+        return rng.standard_normal((n, d))
+    if prior == PRIOR_UNIFORM:
+        return rng.uniform(-math.pi, math.pi, size=(n, d))
+    sigma = model.schedule.sigma_max if model.schedule.kind == VE else 1.0
+    return wrap_torus(sigma * rng.standard_normal((n, d)))
 
 
 def sample_pf_ode(model, n, cfg=IntegratorConfig(), rng=None, prior=PRIOR_UNIFORM):
@@ -139,8 +143,7 @@ def sample_reverse_sde(model, n, n_steps, rng=None, prior=PRIOR_UNIFORM):
     for i in range(n_steps):
         tau = 1.0 - i * h
         mu_coef, half_g2 = _drift_terms(model.schedule, tau)
-        score = model_eval_batch(model, X, tau, check_domain=False,
-                                 dtype=np.float32)[1]
+        score = model.basis.weighted_eval(X, alpha_at(model, tau), dtype=np.float32)[1]
         if model.process == OU:
             score = score - X  # full score of rho_t, pi is standard normal
         drift = mu_coef * X - 2.0 * half_g2 * score

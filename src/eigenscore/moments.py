@@ -53,23 +53,6 @@ class MomentVector:
     def theta(self):
         return self.gamma * self.theta_hat
 
-    def to_dict(self):
-        return {
-            "theta_hat": self.theta_hat.tolist(),
-            "var_hat": self.var_hat.tolist(),
-            "gamma": self.gamma.tolist(),
-            "n_samples": self.n_samples,
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return MomentVector(
-            theta_hat=np.asarray(d["theta_hat"], dtype=float),
-            var_hat=np.asarray(d["var_hat"], dtype=float),
-            gamma=np.asarray(d["gamma"], dtype=float),
-            n_samples=int(d["n_samples"]),
-        )
-
 
 def sample_block_rows(basis):
     """Data rows per block of :func:`sample_moments`: ``BLOCK_BYTES`` of float64

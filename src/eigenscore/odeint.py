@@ -42,8 +42,9 @@ class IntegratorConfig:
     max_steps: int = 100_000
 
     def __post_init__(self):
-        if np.any(np.asarray(self.rtol) < 0) or np.any(np.asarray(self.atol) <= 0):
-            raise InvalidInputError("rtol must be >= 0 and atol > 0")
+        rtol, atol = np.asarray(self.rtol), np.asarray(self.atol)
+        if not (np.all((rtol >= 0) & (rtol < np.inf)) and np.all((atol > 0) & (atol < np.inf))):
+            raise InvalidInputError("rtol must be finite and >= 0, atol finite and > 0")
         if self.max_steps < 1:
             raise InvalidInputError("max_steps must be >= 1")
 

@@ -34,14 +34,14 @@ class Schedule:
 
     @staticmethod
     def ve(sigma_min=0.01, sigma_max=50.0):
-        if sigma_min <= 0 or sigma_max <= sigma_min:
-            raise InvalidInputError("VE schedule needs 0 < sigma_min < sigma_max")
+        if not 0 < sigma_min < sigma_max < math.inf:
+            raise InvalidInputError("VE schedule needs 0 < sigma_min < sigma_max < inf")
         return Schedule(kind=VE, sigma_min=float(sigma_min), sigma_max=float(sigma_max))
 
     @staticmethod
     def vp(beta0=0.1, beta1=20.0):
-        if beta0 <= 0 or beta1 <= 0:
-            raise InvalidInputError("VP schedule needs positive beta0, beta1")
+        if not (0 < beta0 < math.inf and 0 < beta1 < math.inf):
+            raise InvalidInputError("VP schedule needs finite positive beta0, beta1")
         return Schedule(kind=VP, beta0=float(beta0), beta1=float(beta1))
 
     def to_dict(self):

@@ -7,8 +7,11 @@ score-matching objective at internal time t is (up to a constant)
     A_t[k,l] = sum_h ((lam_h - lam_k - lam_l)/2) e^{lam_h t} beta_h^{(k,l)} theta_h,
     b_t[k]   = lam_k e^{lam_k t} theta_k,
 
-whose stationary point alpha = -A_t^{-1} b_t is solved at each time node in
-the symmetric preconditioning Lambda^{-1/2} A_t Lambda^{-1/2}, Lambda =
+with beta^{(k,l)} the product expansion phi_k phi_l = sum_h beta_h phi_h.
+Both are linear in the moments theta; :class:`SystemAssembler` is the one
+construction of them, built once per set of moments for every t. The
+stationary point alpha = -A_t^{-1} b_t is solved at each time node in the
+symmetric preconditioning Lambda^{-1/2} A_t Lambda^{-1/2}, Lambda =
 diag(-lam_k), which tends to the identity as t grows (A_t -> Lambda).
 Eigenvalues of the preconditioned matrix below a noise floor are raised to
 it (see solve_node); the per-node diagnostics are the condition estimate,
@@ -60,66 +63,42 @@ class QuadraticSystem:
     noise_scale: float = 0.0  # average standard error of the moments (0 = exact)
 
 
-def _check_moments(basis, moments):
-    if len(moments.theta_hat) != len(basis.extended):
-        raise CapacityError(
-            f"moments cover {len(moments.theta_hat)} functions, "
-            f"extended basis has {len(basis.extended)}"
-        )
-
-
-def assemble_b(basis, moments, t):
-    """Linear term b_t[k] = lam_k e^{lam_k t} theta_k over the active basis."""
-    _check_moments(basis, moments)
-    lam = basis.eigenvalues[1:]
-    theta = moments.theta[1:len(basis.functions)]
-    return lam * np.exp(lam * t) * theta
-
-
-def _pair_terms(basis, table, moments):
-    """Nonzero terms of A_t over the active basis, both triangles.
-
-    Returns ``(row, col, h, coef)`` with
-    ``A_t[row, col] = sum coef e^{lam_h t}`` over the terms of each entry:
-    the product table's pairs ``1 <= k <= l``, mirrored off the diagonal.
-    """
-    _check_moments(basis, moments)
-    lam = basis.eigenvalues
-    lam_ext = basis.extended_eigenvalues
-    active = table.k >= 1
-    k, l, h = table.k[active], table.l[active], table.h[active]
-    coef = ((lam_ext[h] - lam[k] - lam[l]) / 2.0) * table.beta[active] * moments.theta[h]
-    keep = coef != 0
-    k, l, h, coef = k[keep] - 1, l[keep] - 1, h[keep], coef[keep]
-    off = k != l
-    return (np.concatenate([k, l[off]]), np.concatenate([l, k[off]]),
-            np.concatenate([h, h[off]]), np.concatenate([coef, coef[off]]))
-
-
-def assemble_A(basis, table, moments, t):
-    """Dense quadratic matrix over the active basis (oracle for SystemAssembler)."""
-    row, col, h, coef = _pair_terms(basis, table, moments)
-    A = np.zeros((basis.n_active, basis.n_active))
-    np.add.at(A, (row, col), coef * np.exp(basis.extended_eigenvalues[h] * t))
-    return A
-
-
 class SystemAssembler:
-    """Precomputed sparse assembly: A_t flattened = S @ exp(lam_ext * t)."""
+    """The sparse construction of every system from one set of moments.
+
+    A_t is linear in e^{lam_h t}: flattened, it is ``S @ e^{lam_ext t}``.
+    ``S`` holds the product table's pairs ``1 <= k <= l`` of the active
+    basis with coefficients ((lam_h - lam_k - lam_l)/2) beta_h^{(k,l)} theta_h,
+    mirrored off the diagonal. Raises CapacityError unless the moments cover
+    the extended basis.
+    """
 
     def __init__(self, basis, table, moments):
-        row, col, h, coef = _pair_terms(basis, table, moments)
-        self.basis = basis
+        if len(moments.theta_hat) != len(basis.extended):
+            raise CapacityError(
+                f"moments cover {len(moments.theta_hat)} functions, "
+                f"extended basis has {len(basis.extended)}"
+            )
+        lam = basis.eigenvalues
+        self.lam_ext = lam_ext = basis.extended_eigenvalues
+        active = table.k >= 1
+        k, l, h = table.k[active], table.l[active], table.h[active]
+        coef = ((lam_ext[h] - lam[k] - lam[l]) / 2.0) * table.beta[active] * moments.theta[h]
+        keep = coef != 0
+        k, l, h, coef = k[keep] - 1, l[keep] - 1, h[keep], coef[keep]
+        off = k != l
         self.n = n = basis.n_active
-        self.lam_ext = basis.extended_eigenvalues
         self.S = scipy.sparse.csr_matrix(
-            (coef, (row * n + col, h)), shape=(n * n, len(self.lam_ext))
+            (np.concatenate([coef, coef[off]]),
+             (np.concatenate([k * n + l, l[off] * n + k[off]]), np.concatenate([h, h[off]]))),
+            shape=(n * n, len(lam_ext)),
         )
-        self.lam_active = basis.eigenvalues[1:]
+        self.lam_active = lam[1:]
         self.theta_active = moments.theta[1:len(basis.functions)]
         self.noise_scale = float(np.sqrt(np.mean(moments.var_hat)))
 
     def system(self, t):
+        """A_t and b_t[k] = lam_k e^{lam_k t} theta_k over the active basis."""
         A = (self.S @ np.exp(self.lam_ext * t)).reshape(self.n, self.n)
         A = (A + A.T) / 2.0
         b = self.lam_active * np.exp(self.lam_active * t) * self.theta_active
@@ -282,13 +261,11 @@ def _check_domain(model, X):
         raise DomainError("point outside the torus [-pi, pi]^d")
 
 
-def model_eval_batch(model, X, tau, check_domain=True, dtype=None):
-    """Energy, score and Laplacian of the fitted model at points X (N, d)."""
+def model_eval_batch(model, X, tau):
+    """Energy, score and Laplacian of the fitted model at points X (N, d), in float64."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if check_domain:
-        _check_domain(model, X)
-    alpha = alpha_at(model, tau)
-    return model.basis.weighted_eval(X, alpha, dtype=dtype)
+    _check_domain(model, X)
+    return model.basis.weighted_eval(X, alpha_at(model, tau))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Gaussian mixtures (diagonal covariances) come with closed-form time-t
 marginals, scores and log-densities, both on R^d and wrapped onto the torus.
 The 2D toy shapes follow their standard definitions and are affinely mapped
-into [-0.95 pi, 0.95 pi]^2.
+into [-0.95 pi, 0.95 pi]^2 (a ``TORUS_MARGIN`` of 5% at each end).
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from .errors import DegenerateInputError, InvalidInputError
 from .process import VE, VP, noise_at
 
 TWO_PI = 2.0 * math.pi
+# Share of [-pi, pi] kept free at each end when point clouds are mapped into it.
+TORUS_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,8 @@ def mixture_score(gm, x):
 
 
 def sample_gaussian_mixture(gm, n, rng):
+    if n < 1:
+        raise InvalidInputError("n must be >= 1")
     comp = rng.choice(len(gm.weights), size=n, p=gm.weights)
     z = rng.standard_normal((n, gm.dimension))
     return gm.means[comp] + np.sqrt(gm.variances[comp]) * z
@@ -229,29 +233,26 @@ class DomainMap:
 class Dataset:
     points: np.ndarray
     domain_map: DomainMap
-    source: str = ""
 
     @property
     def dimension(self):
         return self.points.shape[1]
 
 
-def rescale_to_torus(points, margin=0.05):
-    """Affine map sending each coordinate range onto [-pi(1-margin), pi(1-margin)]."""
+def rescale_to_torus(points):
+    """Affine map of each coordinate's range onto +-pi (1 - TORUS_MARGIN)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(points)):
         raise InvalidInputError("points must be finite")
-    if not (0.0 <= margin < 1.0):
-        raise InvalidInputError("margin must lie in [0, 1)")
     lo, hi = points.min(axis=0), points.max(axis=0)
     if np.any(hi == lo):
         bad = int(np.nonzero(hi == lo)[0][0])
         raise DegenerateInputError(f"coordinate {bad} has zero range")
-    half = math.pi * (1.0 - margin)
+    half = math.pi * (1.0 - TORUS_MARGIN)
     scale = 2.0 * half / (hi - lo)
     shift = (hi + lo) / 2.0
     dm = DomainMap(scale=scale, shift=shift)
-    return Dataset(points=dm.forward(points), domain_map=dm, source="rescale")
+    return Dataset(points=dm.forward(points), domain_map=dm)
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +308,11 @@ _TOYS = {
 }
 
 
-def toy2d(name, n, rng, margin=0.05):
-    """Standard 2D toy point cloud, affinely mapped into the torus."""
+def toy2d(name, n, rng):
+    """Standard 2D toy point cloud, affinely mapped into the torus by
+    :func:`rescale_to_torus`."""
     if name not in _TOYS:
         raise InvalidInputError(f"unknown toy dataset {name!r}; options: {sorted(_TOYS)}")
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    raw = _TOYS[name](n, rng)
-    ds = rescale_to_torus(raw, margin=margin)
-    return Dataset(points=ds.points, domain_map=ds.domain_map, source=f"toy2d:{name}")
+    return rescale_to_torus(_TOYS[name](n, rng))

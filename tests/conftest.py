@@ -48,6 +48,29 @@ def energy_distance_pvalue(X, Y, rng, n_perm=200):
     return obs, (hits + 1) / (n_perm + 1)
 
 
+def dense_system(basis, table, moments, t):
+    """Dense A_t and b_t over the active basis, one pair of functions at a time.
+
+    A_t[k,l] = sum_h ((lam_h - lam_k - lam_l)/2) e^{lam_h t} beta_h^{(k,l)} theta_h
+    over the expansion ``table.get(k, l)`` of phi_k phi_l, and
+    b_t[k] = lam_k e^{lam_k t} theta_k. Hermite pairs on disjoint coordinates
+    have no stored expansion: their carre-du-champ vanishes.
+    """
+    lam, lam_ext, theta = basis.eigenvalues, basis.extended_eigenvalues, moments.theta
+    n = basis.n_active
+    A = np.zeros((n, n))
+    for k in range(1, n + 1):
+        for l in range(k, n + 1):
+            if basis.process == es.OU and not np.any(
+                    np.multiply(basis.functions[k].index, basis.functions[l].index)):
+                continue  # Hermite functions of disjoint coordinates
+            h, beta = table.get(k, l)
+            A[k - 1, l - 1] = A[l - 1, k - 1] = np.sum(
+                (lam_ext[h] - lam[k] - lam[l]) / 2.0 * np.exp(lam_ext[h] * t) * beta * theta[h])
+    b = lam[1:] * np.exp(lam[1:] * t) * theta[1:n + 1]
+    return A, b
+
+
 def fit_gaussian_ou(mean, var, order=2, n_tau=200, beta0=0.1, beta1=20.0):
     """Fit a 1D Gaussian with the OU/Hermite pipeline from analytic moments."""
     basis = es.hermite_univariate_basis(1, order)

@@ -171,8 +171,8 @@ def test_criterion_03_system_oracle():
     sched = es.Schedule.ve(0.1, 2.0)
     tau = 0.6
     t = es.noise_at(sched, tau)[2]
-    A = es.assemble_A(basis, table, moments, t)
-    b = es.assemble_b(basis, moments, t)
+    system = es.SystemAssembler(basis, table, moments).system(t)
+    A, b = system.A, system.b
     rng = np.random.default_rng(3)
     n_mc = 300_000
     state = es.ProcessState(process=TRUNCATED_BM, dimension=1)
@@ -196,12 +196,12 @@ def test_criterion_03_system_oracle():
     theta_u[0] = 1.0
     uniform = es.MomentVector(theta_hat=theta_u, var_hat=np.zeros_like(theta_u),
                               gamma=np.ones_like(theta_u), n_samples=0)
+    invariant = es.SystemAssembler(basis, table, uniform)
     err_inv = 0.0
     for t_chk in (0.0, 0.5, 3.0):
-        err_inv = max(err_inv,
-                      float(np.max(np.abs(es.assemble_A(basis, table, uniform, t_chk)
-                                          - np.diag(-lam)))),
-                      float(np.max(np.abs(es.assemble_b(basis, uniform, t_chk)))))
+        sys_u = invariant.system(t_chk)
+        err_inv = max(err_inv, float(np.max(np.abs(sys_u.A - np.diag(-lam)))),
+                      float(np.max(np.abs(sys_u.b))))
     ok = worst <= 1.0 and err_inv < 1e-12
     _report(3, ok, f"MC oracle max |dev|/4SE = {worst:.3f} <= 1 (6-function basis); "
                    f"invariant-measure limit error {err_inv:.1e}")

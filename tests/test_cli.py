@@ -31,6 +31,15 @@ def fitted(tmp_path_factory):
     return root, data, model
 
 
+@pytest.fixture(scope="module")
+def ou_model(fitted):
+    root, data, _ = fitted
+    model = str(root / "ou_model.json")
+    assert run("fit", "--data", data, "--out", model, "--process", "OU", "--order", "2",
+               "--schedule", "VP", "--grid-size", "20") == 0
+    return model
+
+
 def test_gen_data_deterministic(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     for out in (a, b):
@@ -165,6 +174,33 @@ def test_loss_study_bad_flags_exit_2(tmp_path, flags):
     out = tmp_path / "study.csv"
     assert run("loss-study", "--reps", "2", "--n", "100", "--basis-sizes", "4",
                "--n-quad", "64", *flags, "--out", str(out)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gen-data", "--target", "bart-simpson", "--n", "0"), "n must be >= 1"),
+    (("gen-data", "--target", "bart-simpson", "--n", "-1"), "n must be >= 1"),
+    (("loss-study", "--reps", "2", "--n", "-5", "--basis-sizes", "4", "--n-quad", "64"),
+     "n must be >= 1"),
+    (("fit", "--data", "{data}", "--grid-size", "10", "--sigma-min", "nan"), "VE schedule"),
+    (("fit", "--data", "{data}", "--grid-size", "10", "--sigma-max", "inf"), "VE schedule"),
+    (("fit", "--data", "{data}", "--grid-size", "10", "--schedule", "VP", "--beta1", "nan"),
+     "VP schedule"),
+    (("sample", "--model", "{model}", "--n", "5", "--rtol", "inf"), "must be finite"),
+    (("sample", "--model", "{model}", "--n", "5", "--rtol", "nan"), "must be finite"),
+    (("sample", "--model", "{model}", "--n", "5", "--atol", "nan"), "must be finite"),
+    (("density", "--model", "{model}", "--grid-n", "5", "--atol", "inf"), "must be finite"),
+    (("sample", "--model", "{ou_model}", "--n", "5", "--prior", "wrapped-normal"),
+     "wrapped-normal"),
+], ids=["gen-data-n0", "gen-data-n-1", "loss-study-n-5", "fit-sigma-min-nan",
+        "fit-sigma-max-inf", "fit-beta1-nan", "sample-rtol-inf", "sample-rtol-nan",
+        "sample-atol-nan", "density-atol-inf", "sample-ou-wrapped-normal"])
+def test_bad_values_exit_2(fitted, ou_model, tmp_path, capsys, argv, message):
+    _, data, model = fitted
+    out = tmp_path / "out.csv"
+    argv = [a.format(data=data, model=model, ou_model=ou_model) for a in argv]
+    assert run(*argv, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -56,8 +56,8 @@ def test_flow_field_rate_consistency(torus_model):
     X = np.linspace(-3, 3, 7)[:, None]
     t = model.internal_time(0.3)
     vel, div = es.flow_rate(model, t, X)
-    _, score, lap = es.model_eval_batch(model, X, tau_at(model.schedule, t),
-                                        dtype=np.float32)
+    alpha = es.alpha_at(model, tau_at(model.schedule, t))
+    _, score, lap = model.basis.weighted_eval(X, alpha, dtype=np.float32)
     assert np.array_equal(vel, -score) and np.array_equal(div, -lap)
 
 
@@ -162,6 +162,18 @@ def test_sampler_input_validation(torus_model):
         es.sample_pf_ode(model, 0)
     with pytest.raises(es.InvalidInputError):
         es.sample_reverse_sde(model, 10, 5)
+
+
+@pytest.mark.parametrize("prior", ["bogus", PRIOR_WRAPPED_NORMAL])
+@pytest.mark.parametrize("draw", [
+    lambda model, prior: es.sample_pf_ode(model, 5, prior=prior),
+    lambda model, prior: es.sample_reverse_sde(model, 5, 10, prior=prior),
+], ids=["pf-ode", "reverse-sde"])
+def test_ou_samplers_validate_the_prior(gaussian_model, draw, prior):
+    # the OU prior is N(0, I), which the default "uniform" names; a torus-only
+    # or unknown prior must not fall back to it silently
+    with pytest.raises(es.InvalidInputError, match="prior"):
+        draw(gaussian_model[0], prior)
 
 
 def test_transport_pushes_data_to_prior(gaussian_model):

@@ -158,17 +158,6 @@ def test_analytic_moments_hermite_vs_monte_carlo():
     assert np.all(np.abs(m.theta_hat - vals.mean(axis=0)) < 5 * se + 1e-12)
 
 
-def test_moment_vector_serialization_roundtrip():
-    basis = es.trig_basis_1d(3)
-    rng = np.random.default_rng(8)
-    data = es.wrap_torus(rng.standard_normal((64, 1)))
-    m = es.modulation_shrink(es.sample_moments(basis, data))
-    again = es.MomentVector.from_dict(m.to_dict())
-    np.testing.assert_array_equal(again.theta_hat, m.theta_hat)
-    np.testing.assert_array_equal(again.gamma, m.gamma)
-    assert again.n_samples == m.n_samples
-
-
 def test_moment_vector_validation():
     with pytest.raises(es.InvalidInputError):
         es.MomentVector(theta_hat=np.zeros(2), var_hat=np.array([0.0, -1.0]),

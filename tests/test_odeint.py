@@ -76,6 +76,15 @@ def test_config_validation():
         IntegratorConfig(max_steps=0)
 
 
+@pytest.mark.parametrize("tolerances", [
+    {"rtol": np.inf}, {"rtol": np.nan}, {"atol": np.inf}, {"atol": np.nan},
+    {"rtol": [1e-3, np.nan]},
+])
+def test_config_rejects_non_finite_tolerances(tolerances):
+    with pytest.raises(es.InvalidInputError, match="must be finite"):
+        IntegratorConfig(**tolerances)
+
+
 def test_tolerance_controls_error():
     def f(t, y):
         return np.stack([y[:, 1], -y[:, 0]], axis=1)  # harmonic oscillator

@@ -53,6 +53,15 @@ def test_schedule_validation_and_roundtrip():
         assert es.Schedule.from_dict(s.to_dict()) == s
 
 
+@pytest.mark.parametrize("kind, args", [
+    ("ve", (math.nan, 50.0)), ("ve", (0.01, math.nan)), ("ve", (0.01, math.inf)),
+    ("vp", (math.nan, 20.0)), ("vp", (0.1, math.inf)),
+])
+def test_schedule_rejects_non_finite_parameters(kind, args):
+    with pytest.raises(es.InvalidInputError, match="schedule needs"):
+        getattr(es.Schedule, kind)(*args)
+
+
 def test_wrap_torus():
     x = np.array([0.0, math.pi + 0.1, -math.pi - 0.1, 7.0, -7.0])
     w = es.wrap_torus(x)

@@ -13,7 +13,7 @@ from eigenscore.solver import (
     solve_node,
     trapezoid_grid,
 )
-from conftest import fit_gaussian_ou
+from conftest import dense_system, fit_gaussian_ou
 
 
 def _uniform_moments(basis):
@@ -33,49 +33,11 @@ def test_invariant_measure_gives_diagonal_system():
     basis = es.trig_basis_1d(3)
     table = es.product_table(basis)
     m = _uniform_moments(basis)
+    assembler = es.SystemAssembler(basis, table, m)
     for t in (0.0, 0.3, 2.0):
-        A = es.assemble_A(basis, table, m, t)
-        b = es.assemble_b(basis, m, t)
-        np.testing.assert_allclose(A, np.diag(-basis.eigenvalues[1:]), atol=1e-14)
-        np.testing.assert_allclose(b, 0.0, atol=1e-14)
-
-
-def test_assembly_matches_monte_carlo_oracle():
-    """A and b match forward-simulated expectations of the carre-du-champ.
-
-    A_t[k,l] = E_{rho_0}[P_t <grad phi_k, grad phi_l>] and
-    b_t[k] = lam_k E[phi_k(X_t)], estimated by exact forward simulation.
-    """
-    basis = es.trig_basis_1d(3)  # 6 active functions
-    table = es.product_table(basis)
-    gm = es.GaussianMixture(weights=np.array([1.0]),
-                            means=np.array([[0.7]]),
-                            variances=np.array([[0.16]]))
-    moments = es.analytic_moments(gm, basis)
-    sched = es.Schedule.ve(0.1, 2.0)
-    tau = 0.6
-    t = es.noise_at(sched, tau)[2]
-    A = es.assemble_A(basis, table, moments, t)
-    b = es.assemble_b(basis, moments, t)
-
-    rng = np.random.default_rng(11)
-    n_mc = 300_000
-    state = es.ProcessState(process=es.TRUNCATED_BM, dimension=1)
-    x0 = es.wrap_torus(es.sample_gaussian_mixture(gm, n_mc, rng))
-    xt = es.sample_forward(state, sched, x0, tau, rng)
-    _, grads, _ = basis.eval_batch(xt)
-    G = grads[:, 0, 1:]  # (N, n_active) gradients on the 1D torus
-    vals = basis.eval_values(xt)[:, 1:]
-    lam = basis.eigenvalues[1:]
-    n = basis.n_active
-    for k in range(n):
-        for l in range(n):
-            prod = G[:, k] * G[:, l]
-            se = prod.std() / math.sqrt(n_mc)
-            assert abs(A[k, l] - prod.mean()) < 4 * se + 1e-12
-    for k in range(n):
-        se = abs(lam[k]) * vals[:, k].std() / math.sqrt(n_mc)
-        assert abs(b[k] - lam[k] * vals[:, k].mean()) < 4 * se + 1e-12
+        system = assembler.system(t)
+        np.testing.assert_allclose(system.A, np.diag(-basis.eigenvalues[1:]), atol=1e-14)
+        np.testing.assert_allclose(system.b, 0.0, atol=1e-14)
 
 
 def test_system_assembler_matches_direct_assembly():
@@ -87,8 +49,9 @@ def test_system_assembler_matches_direct_assembly():
     assembler = es.SystemAssembler(basis, table, m)
     for t in (0.0, 0.05, 0.7, 3.0):
         sys_t = assembler.system(t)
-        np.testing.assert_allclose(sys_t.A, es.assemble_A(basis, table, m, t), atol=1e-12)
-        np.testing.assert_allclose(sys_t.b, es.assemble_b(basis, m, t), atol=1e-12)
+        A, b = dense_system(basis, table, m, t)
+        np.testing.assert_allclose(sys_t.A, A, atol=1e-12)
+        np.testing.assert_allclose(sys_t.b, b, atol=1e-12)
         np.testing.assert_allclose(sys_t.A, sys_t.A.T, atol=1e-14)
 
 
@@ -102,8 +65,9 @@ def test_hermite_assembler_matches_direct_assembly():
     assembler = es.SystemAssembler(basis, table, m)
     for t in (0.0, 0.4, 2.0):
         sys_t = assembler.system(t)
-        np.testing.assert_allclose(sys_t.A, es.assemble_A(basis, table, m, t), atol=1e-12)
-        np.testing.assert_allclose(sys_t.b, es.assemble_b(basis, m, t), atol=1e-12)
+        A, b = dense_system(basis, table, m, t)
+        np.testing.assert_allclose(sys_t.A, A, atol=1e-12)
+        np.testing.assert_allclose(sys_t.b, b, atol=1e-12)
 
 
 def test_large_time_limit_recovers_preconditioner():
@@ -112,8 +76,17 @@ def test_large_time_limit_recovers_preconditioner():
     rng = np.random.default_rng(13)
     data = es.wrap_torus(rng.standard_normal((200, 1)))
     m = es.sample_moments(basis, data)
-    A = es.assemble_A(basis, table, m, 50.0)
+    A = es.SystemAssembler(basis, table, m).system(50.0).A
     np.testing.assert_allclose(A, np.diag(-basis.eigenvalues[1:]), atol=1e-10)
+
+
+def test_assembler_rejects_moments_of_a_smaller_basis():
+    basis = es.trig_basis_1d(5)
+    data = es.wrap_torus(np.random.default_rng(14).standard_normal((50, 1)))
+    m = es.sample_moments(es.trig_basis_1d(3), data)
+    with pytest.raises(es.CapacityError, match="moments cover 13 functions, "
+                                               "extended basis has 21"):
+        es.SystemAssembler(basis, es.product_table(basis), m)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,12 @@ def test_sample_gaussian_mixture_moments():
     assert x.var() == pytest.approx(true_var, rel=0.02)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_gaussian_mixture_rejects_empty_draws(n):
+    with pytest.raises(es.InvalidInputError, match="n must be >= 1"):
+        es.sample_gaussian_mixture(es.bart_simpson(), n, np.random.default_rng(0))
+
+
 def test_wrapped_mixture_pdf_integrates_to_one():
     gm = _gm([0.5, 0.5], [[-2.5], [1.0]], [[0.3], [2.0]])
     x, w = torus_quad_1d(8192)
