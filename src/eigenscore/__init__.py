@@ -46,10 +46,10 @@ from .moments import (
 from .process import (
     VE,
     VP,
-    ProcessState,
     Schedule,
-    noise_at,
+    internal_time,
     sample_forward,
+    transition,
     wrap_torus,
 )
 from .solver import (

@@ -37,7 +37,7 @@ from .errors import (
 from .generate import sample_pf_ode, sample_reverse_sde, log_density
 from .odeint import IntegratorConfig
 from .moments import modulation_shrink, sample_moments
-from .process import Schedule, noise_at, tau_at, wrap_torus
+from .process import VE, VP, Schedule, internal_time, tau_at, wrap_torus
 from .solver import (
     QuadratureSpec,
     dataset_hash,
@@ -127,15 +127,28 @@ def _build_basis(process, dimension, args):
     return hermite_univariate_basis(dimension, args.order)
 
 
+def _set_flags(args, used, unused, reason):
+    """The flags among ``used`` that were set, as keyword arguments; a set flag
+    among ``unused`` is a ConfigError that gives ``reason``."""
+    for k in unused:
+        if getattr(args, k) is not None:
+            raise ConfigError(f"--{k.replace('_', '-')} {reason}")
+    return {k: getattr(args, k) for k in used if getattr(args, k) is not None}
+
+
 def _build_schedule(args):
-    if args.schedule == "VE":
-        return Schedule.ve(args.sigma_min, args.sigma_max)
-    if args.schedule == "VP":
-        return Schedule.vp(args.beta0, args.beta1)
+    """The --schedule clock with the parameters given for it; unset ones keep
+    the library defaults."""
+    ve, vp = ("sigma_min", "sigma_max"), ("beta0", "beta1")
+    if args.schedule == VE:
+        return Schedule.ve(**_set_flags(args, ve, vp, "does not apply to a VE schedule"))
+    if args.schedule == VP:
+        return Schedule.vp(**_set_flags(args, vp, ve, "does not apply to a VP schedule"))
     raise ConfigError(f"unknown schedule {args.schedule!r}")
 
 
 def cmd_fit(args):
+    schedule = _build_schedule(args)
     data = _load_csv(args.data)
     if not np.all(np.isfinite(data)):
         raise DomainError("dataset contains non-finite values")
@@ -153,7 +166,6 @@ def cmd_fit(args):
         moments = modulation_shrink(moments)
     elif args.shrinkage != "none":
         raise ConfigError(f"unknown shrinkage mode {args.shrinkage!r}")
-    schedule = _build_schedule(args)
     model = presolve_grid(
         basis, table, moments, schedule, n_times=args.grid_size,
         domain_map=DomainMap.identity(d),
@@ -200,11 +212,13 @@ def _fmt(value):
 def cmd_sample(args):
     model = load_model(args.model)
     rng = np.random.default_rng(args.seed)
-    cfg = IntegratorConfig(rtol=args.rtol, atol=args.atol)
     if args.method == "pf-ode":
-        pts = sample_pf_ode(model, args.n, cfg, rng, prior=args.prior)
+        tols = _set_flags(args, ("rtol", "atol"), ("n_steps",),
+                          "applies only to --method reverse-sde")
+        pts = sample_pf_ode(model, args.n, IntegratorConfig(**tols), rng, prior=args.prior)
     elif args.method == "reverse-sde":
-        pts = sample_reverse_sde(model, args.n, args.n_steps, rng, prior=args.prior)
+        steps = _set_flags(args, ("n_steps",), ("rtol", "atol"), "applies only to --method pf-ode")
+        pts = sample_reverse_sde(model, args.n, rng=rng, prior=args.prior, **steps)
     else:
         raise ConfigError(f"unknown method {args.method!r}")
     if not model.domain_map.is_identity:
@@ -275,7 +289,7 @@ def cmd_loss_study(args):
     sizes = _csv_list(args.basis_sizes, int, "--basis-sizes")
     if args.taus:
         taus = _csv_list(args.taus, float, "--taus")
-    elif noise_at(schedule, 0.0)[2] > LOSS_STUDY_T:
+    elif internal_time(schedule, 0.0) > LOSS_STUDY_T:
         raise ConfigError(f"the schedule starts above t={LOSS_STUDY_T}; "
                           "pass --taus or lower --sigma-min")
     else:
@@ -342,12 +356,14 @@ def _add_basis_flags(p):
     p.add_argument("--order", type=int, default=2)
 
 
-def _add_schedule_flags(p, default="VE"):
-    p.add_argument("--schedule", choices=["VE", "VP"], default=default)
-    p.add_argument("--sigma-min", type=float, default=0.01)
-    p.add_argument("--sigma-max", type=float, default=50.0)
-    p.add_argument("--beta0", type=float, default=0.1)
-    p.add_argument("--beta1", type=float, default=20.0)
+def _add_schedule_flags(p):
+    """The clock and its parameters; each unset parameter takes the default
+    of ``Schedule.ve`` or ``Schedule.vp``."""
+    p.add_argument("--schedule", choices=["VE", "VP"], default="VE")
+    p.add_argument("--sigma-min", type=float, help="VE only")
+    p.add_argument("--sigma-max", type=float, help="VE only")
+    p.add_argument("--beta0", type=float, help="VP only")
+    p.add_argument("--beta1", type=float, help="VP only")
 
 
 def build_parser():
@@ -378,10 +394,10 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--method", choices=["pf-ode", "reverse-sde"], default="pf-ode")
-    p.add_argument("--n-steps", type=int, default=1000)
+    p.add_argument("--n-steps", type=int, help="reverse-sde only")
     p.add_argument("--prior", choices=["uniform", "wrapped-normal"], default="uniform")
-    p.add_argument("--rtol", type=float, default=1e-5)
-    p.add_argument("--atol", type=float, default=1e-6)
+    p.add_argument("--rtol", type=float, help="pf-ode only")
+    p.add_argument("--atol", type=float, help="pf-ode only")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("density", help="evaluate the model log-density on a grid")

@@ -11,9 +11,15 @@ the prior score -x. The divergence comes in closed form from the
 eigenfunction Laplacians, so log-densities are exact up to ODE tolerance.
 :func:`flow_rate` gives both rates; :func:`sample_pf_ode` and
 :func:`log_density` integrate them between the internal times of tau = 1 and
-tau = 0. The reverse SDE steps in normalized time tau with the forward drift
-mu and g_tau^2: mu = 0, g^2 = d(sigma^2)/dtau for VE and mu = -(beta_tau/2) x,
-g^2 = beta_tau for VP.
+tau = 0. The schedule enters only through those times and the tau at which
+the coefficients are read.
+
+The reverse SDE takes even steps in tau, each of internal length h. With the
+score frozen over a step, the linear part of the reversed process is solved
+exactly (the exponential-integrator step of DEIS, Zhang & Chen, ICLR 2023):
+X <- alpha X + g s~ + sigma Z with (alpha, sigma) = ``transition(process, h)``
+and g = 2 sigma^2 / (1 + alpha), which is 2h on the torus and 2(1 - alpha) for
+OU, whose reversed drift is -x + 2 s~.
 """
 
 from __future__ import annotations
@@ -25,28 +31,18 @@ import numpy as np
 from .basis import OU, TRUNCATED_BM
 from .errors import InvalidInputError
 from .odeint import IntegratorConfig, integrate_batch
-from .process import VE, noise_at, tau_at, wrap_torus
-from .solver import _check_domain, alpha_at
+from .process import check_domain, internal_time, tau_at, transition, wrap_torus
+from .solver import alpha_at
 
 PRIOR_UNIFORM = "uniform"
 PRIOR_WRAPPED_NORMAL = "wrapped-normal"
-
-
-def _drift_terms(schedule, tau):
-    """(mu coefficient of x, g_tau^2 / 2) for the forward SDE in tau."""
-    if schedule.kind == VE:
-        log_r = math.log(schedule.sigma_max / schedule.sigma_min)
-        half_g2 = schedule.sigma_min**2 * (schedule.sigma_max / schedule.sigma_min) ** (2 * tau) * log_r
-        return 0.0, half_g2
-    beta = schedule.beta_at(tau)
-    return -beta / 2.0, beta / 2.0
 
 
 def flow_rate(model, t, X):
     """Velocity and divergence of the probability flow at internal time t.
 
     Returns ``(-score, -laplacian)`` of the model at ``tau_at(schedule, t)``.
-    In internal time the schedule factor dt/dtau cancels for both VE and VP,
+    In internal time the schedule factor dt/dtau cancels for either clock,
     leaving a process-independent, well-scaled system; the integrator then
     adapts to the score dynamics instead of the exponential time
     reparameterization.
@@ -60,7 +56,7 @@ def flow_rate(model, t, X):
 
 def _prior_draw(model, n, rng, prior):
     """Draws from the invariant measure (``uniform``: N(0, I) for OU) or, on the
-    torus only, from the wrapped normal of the terminal noise level."""
+    torus only, from the wrapped normal that X_0 = 0 reaches at tau = 1."""
     d = model.basis.dimension
     if prior not in (PRIOR_UNIFORM, PRIOR_WRAPPED_NORMAL):
         raise InvalidInputError(f"unknown prior {prior!r}")
@@ -70,7 +66,7 @@ def _prior_draw(model, n, rng, prior):
         return rng.standard_normal((n, d))
     if prior == PRIOR_UNIFORM:
         return rng.uniform(-math.pi, math.pi, size=(n, d))
-    sigma = model.schedule.sigma_max if model.schedule.kind == VE else 1.0
+    sigma = transition(model.process, internal_time(model.schedule, 1.0))[1]
     return wrap_torus(sigma * rng.standard_normal((n, d)))
 
 
@@ -80,8 +76,8 @@ def sample_pf_ode(model, n, cfg=IntegratorConfig(), rng=None, prior=PRIOR_UNIFOR
         raise InvalidInputError("n must be >= 1")
     rng = rng if rng is not None else np.random.default_rng()
     x1 = _prior_draw(model, n, rng, prior)
-    t1 = noise_at(model.schedule, 1.0)[2]
-    t0 = noise_at(model.schedule, 0.0)[2]
+    t1 = internal_time(model.schedule, 1.0)
+    t0 = internal_time(model.schedule, 0.0)
     x0 = integrate_batch(lambda t, Y: flow_rate(model, t, Y)[0], x1, t1, t0, cfg)
     if model.process == TRUNCATED_BM:
         x0 = wrap_torus(x0)
@@ -100,7 +96,7 @@ def log_density(model, x0, cfg=IntegratorConfig()):
     single = x0.ndim == 1
     X = np.atleast_2d(x0)
     d = model.basis.dimension
-    _check_domain(model, X)
+    check_domain(model.process, X)
 
     def f_aug(t, Y):
         dX, div = flow_rate(model, t, Y[:, :d])
@@ -113,8 +109,8 @@ def log_density(model, x0, cfg=IntegratorConfig()):
     rtol[d] = cfg.rtol * 0.02
     atol = np.full(d + 1, cfg.atol)
     aug_cfg = IntegratorConfig(rtol=rtol, atol=atol, max_steps=cfg.max_steps)
-    t0 = noise_at(model.schedule, 0.0)[2]
-    t1 = noise_at(model.schedule, 1.0)[2]
+    t0 = internal_time(model.schedule, 0.0)
+    t1 = internal_time(model.schedule, 1.0)
     y0 = np.concatenate([X, np.zeros((X.shape[0], 1))], axis=1)
     y1 = integrate_batch(f_aug, y0, t0, t1, aug_cfg)
     x1, acc = y1[:, :d], y1[:, d]
@@ -126,11 +122,12 @@ def log_density(model, x0, cfg=IntegratorConfig()):
     return float(out[0]) if single else out
 
 
-def sample_reverse_sde(model, n, n_steps, rng=None, prior=PRIOR_UNIFORM):
-    """Euler-Maruyama discretization of the time-reversed SDE, tau: 1 -> 0.
+def sample_reverse_sde(model, n, n_steps=1000, rng=None, prior=PRIOR_UNIFORM):
+    """The time-reversed SDE from tau = 1 to 0 in ``n_steps`` even tau steps.
 
-    Each step uses the flat-space reversal drift mu - g^2 grad log rho with
-    the model score; torus states are wrapped after every step.
+    Each step is exact for the linear part of the reversed process, with the
+    model's relative score read at the step's larger tau (see the module
+    docstring); torus states are wrapped after every step.
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
@@ -139,15 +136,13 @@ def sample_reverse_sde(model, n, n_steps, rng=None, prior=PRIOR_UNIFORM):
     rng = rng if rng is not None else np.random.default_rng()
     d = model.basis.dimension
     X = _prior_draw(model, n, rng, prior)
-    h = 1.0 / n_steps
+    taus = np.linspace(1.0, 0.0, n_steps + 1)
+    times = [internal_time(model.schedule, tau) for tau in taus]
     for i in range(n_steps):
-        tau = 1.0 - i * h
-        mu_coef, half_g2 = _drift_terms(model.schedule, tau)
-        score = model.basis.weighted_eval(X, alpha_at(model, tau), dtype=np.float32)[1]
-        if model.process == OU:
-            score = score - X  # full score of rho_t, pi is standard normal
-        drift = mu_coef * X - 2.0 * half_g2 * score
-        X = X - h * drift + math.sqrt(2.0 * half_g2 * h) * rng.standard_normal((n, d))
+        alpha, sigma = transition(model.process, times[i] - times[i + 1])
+        score = model.basis.weighted_eval(X, alpha_at(model, taus[i]), dtype=np.float32)[1]
+        g = 2.0 * sigma * sigma / (1.0 + alpha)
+        X = alpha * X + g * score + sigma * rng.standard_normal((n, d))
         if model.process == TRUNCATED_BM:
             X = wrap_torus(X)
     return X

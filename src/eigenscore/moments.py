@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import KIND_CONSTANT, KIND_COS, KIND_SIN, OU, TRUNCATED_BM, block_rows
-from .errors import DomainError, InvalidInputError, UnsupportedTargetError
+from .errors import InvalidInputError, UnsupportedTargetError
+from .process import check_domain
 
 GH_NODES = 200  # Gauss-Hermite nodes per mixture component for analytic Hermite moments
 # Bytes of float64 values in one sample_moments block (82 rows of the 1581
@@ -77,10 +78,7 @@ def sample_moments(basis, data):
     n = data.shape[0]
     if n < 2:
         raise InvalidInputError("need at least 2 data points")
-    if basis.process == TRUNCATED_BM:
-        bad = np.nonzero(np.any(np.abs(data) > np.pi + 1e-12, axis=1))[0]
-        if bad.size:
-            raise DomainError(f"data row {int(bad[0])} lies outside [-pi, pi]^d")
+    check_domain(basis.process, data)
     theta_hat = np.zeros(len(basis.extended))
     sq_dev = np.zeros(len(basis.extended))  # sum of squared deviations from theta_hat
     seen = 0

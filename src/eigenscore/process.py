@@ -1,13 +1,17 @@
-"""Noise schedules and exact simulation of the forward processes.
+"""The forward processes, the clocks that drive them and exact simulation.
 
-Both processes are driven through a normalized time tau in [0, 1]:
+The process alone owns the dynamics. After internal time t of its semigroup
+e^{tL}, X_t given X_0 = x0 is N(alpha x0, sigma^2 I) (see :func:`transition`):
 
-* VE (variance exploding, used with the wrapped Brownian motion): the noise
-  level is sigma_tau = sigma_min (sigma_max/sigma_min)^tau and the internal
-  process time is t(tau) = sigma_tau^2 / 2.
-* VP (variance preserving, the Ornstein-Uhlenbeck process): the internal time
-  is t(tau) = beta0 tau / 2 + (beta1 - beta0) tau^2 / 4, with alpha = e^{-t}
-  and sigma^2 = 1 - alpha^2.
+* wrapped Brownian motion on the torus: alpha = 1, sigma^2 = 2t, wrapped onto
+  [-pi, pi]^d;
+* Ornstein-Uhlenbeck: alpha = e^{-t}, sigma^2 = 1 - e^{-2t}.
+
+A schedule is only a clock: it maps the normalized time tau in [0, 1] to t
+(:func:`internal_time`), and either schedule drives either process.
+
+* VE: t(tau) = sigma_tau^2 / 2 with sigma_tau = sigma_min (sigma_max/sigma_min)^tau.
+* VP: t(tau) = beta0 tau / 2 + (beta1 - beta0) tau^2 / 4.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from .errors import DomainError, InvalidInputError
 
 VE = "VE"
 VP = "VP"
+# Distance beyond [-pi, pi] within which a torus point still counts as inside.
+DOMAIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,32 +63,6 @@ class Schedule:
             return Schedule.vp(d["beta0"], d["beta1"])
         raise InvalidInputError(f"unknown schedule kind {d.get('kind')!r}")
 
-    def beta_at(self, tau):
-        """Instantaneous VP rate beta_tau = beta0 + tau (beta1 - beta0)."""
-        if self.kind != VP:
-            raise InvalidInputError("beta_at is only defined for VP schedules")
-        return self.beta0 + tau * (self.beta1 - self.beta0)
-
-
-@dataclass(frozen=True)
-class ProcessState:
-    """Which forward process is running and on which domain."""
-
-    process: str
-    dimension: int
-
-    def __post_init__(self):
-        if self.process not in (OU, TRUNCATED_BM):
-            raise InvalidInputError(f"unknown process {self.process!r}")
-        if self.dimension < 1:
-            raise InvalidInputError("dimension must be >= 1")
-
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.process == TRUNCATED_BM:
-            return bool(np.all(np.abs(x) <= np.pi + 1e-12))
-        return bool(np.all(np.isfinite(x)))
-
 
 def _check_tau(tau):
     tau = float(tau)
@@ -91,15 +71,13 @@ def _check_tau(tau):
     return tau
 
 
-def noise_at(schedule, tau):
-    """Scaling alpha_tau, noise level sigma_tau and internal time t(tau)."""
+def internal_time(schedule, tau):
+    """The internal process time t(tau) of the schedule's clock."""
     tau = _check_tau(tau)
     if schedule.kind == VE:
         sigma = schedule.sigma_min * (schedule.sigma_max / schedule.sigma_min) ** tau
-        return 1.0, sigma, 0.5 * sigma * sigma
-    t = schedule.beta0 * tau / 2.0 + (schedule.beta1 - schedule.beta0) * tau * tau / 4.0
-    alpha = math.exp(-t)
-    return alpha, math.sqrt(max(0.0, 1.0 - alpha * alpha)), t
+        return 0.5 * sigma * sigma
+    return schedule.beta0 * tau / 2.0 + (schedule.beta1 - schedule.beta0) * tau * tau / 4.0
 
 
 def tau_at(schedule, t):
@@ -121,25 +99,41 @@ def tau_at(schedule, t):
     return min(max(tau, 0.0), 1.0)
 
 
+def transition(process, t):
+    """Scaling alpha and noise level sigma of X_t | X_0 = x0 ~ N(alpha x0, sigma^2 I)
+    after internal time t >= 0 (wrapped onto the torus for the Brownian motion)."""
+    if process == TRUNCATED_BM:
+        return 1.0, math.sqrt(2.0 * t)
+    if process == OU:
+        alpha = math.exp(-t)
+        return alpha, math.sqrt(max(0.0, 1.0 - alpha * alpha))
+    raise InvalidInputError(f"unknown process {process!r}")
+
+
+def check_domain(process, x):
+    """Raise DomainError naming the first row of x, (N, d) or (d,), with a
+    non-finite coordinate or, on the torus, one beyond pi + ``DOMAIN_TOL``."""
+    bound = math.pi + DOMAIN_TOL if process == TRUNCATED_BM else math.inf
+    bad = np.nonzero(~np.all(np.abs(np.atleast_2d(x)) < bound, axis=1))[0]
+    if bad.size:
+        where = "[-pi, pi]^d" if process == TRUNCATED_BM else "R^d"
+        raise DomainError(f"row {int(bad[0])} lies outside {where}")
+
+
 def wrap_torus(x):
     """Shift each coordinate by multiples of 2 pi into [-pi, pi]."""
     return np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
 
 
-def sample_forward(state, schedule, x0, tau, rng):
-    """Exact draw of X_tau given X_0 = x0.
+def sample_forward(process, schedule, x0, tau, rng):
+    """Exact draw of X_tau given X_0 = x0 (see :func:`transition`).
 
-    For OU the conditional law is N(alpha x0, sigma^2 I); for the wrapped
-    Brownian motion the unconstrained Gaussian step is wrapped onto the torus.
     ``x0`` may be a single point (d,) or a batch (N, d).
     """
     x0 = np.asarray(x0, dtype=float)
-    if not state.contains(x0):
-        raise DomainError("x0 outside the torus [-pi, pi]^d")
-    alpha, sigma, _ = noise_at(schedule, tau)
-    z = rng.standard_normal(x0.shape)
-    x = alpha * x0 + sigma * z
-    if state.process == TRUNCATED_BM:
+    check_domain(process, x0)
+    alpha, sigma = transition(process, internal_time(schedule, tau))
+    x = alpha * x0 + sigma * rng.standard_normal(x0.shape)
+    if process == TRUNCATED_BM:
         x = wrap_torus(x)
     return x
-

@@ -30,16 +30,15 @@ import scipy.linalg
 import scipy.sparse
 from scipy.linalg import lapack
 
-from .basis import TRUNCATED_BM, EigenBasis, basis_from_dict, basis_to_dict
+from .basis import EigenBasis, basis_from_dict, basis_to_dict
 from .errors import (
     CapacityError,
     IllConditionedError,
-    DomainError,
     InvalidInputError,
     UnsupportedTargetError,
 )
 from .moments import modulation_shrink, sample_moments
-from .process import Schedule, noise_at
+from .process import Schedule, check_domain, internal_time
 from .targets import DomainMap
 
 MODEL_FORMAT_VERSION = 1
@@ -191,9 +190,6 @@ class ScoreModel:
     def process(self):
         return self.basis.process
 
-    def internal_time(self, tau):
-        return noise_at(self.schedule, tau)[2]
-
 
 def presolve_grid(basis, table, moments, schedule, n_times=1000,
                   domain_map=None, provenance=None):
@@ -212,8 +208,7 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
     regs = np.zeros(n_times, dtype=bool)
     clamped = np.zeros(n_times, dtype=int)
     for g, tau in enumerate(grid):
-        t = noise_at(schedule, tau)[2]
-        system = assembler.system(t)
+        system = assembler.system(internal_time(schedule, tau))
         try:
             node = solve_node(system)
         except IllConditionedError as exc:
@@ -256,15 +251,10 @@ def alpha_at(model, tau):
     return (1.0 - w) * model.alphas[j] + w * model.alphas[j + 1]
 
 
-def _check_domain(model, X):
-    if model.process == TRUNCATED_BM and np.any(np.abs(X) > math.pi + 1e-9):
-        raise DomainError("point outside the torus [-pi, pi]^d")
-
-
 def model_eval_batch(model, X, tau):
     """Energy, score and Laplacian of the fitted model at points X (N, d), in float64."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    _check_domain(model, X)
+    check_domain(model.process, X)
     return model.basis.weighted_eval(X, alpha_at(model, tau))
 
 
@@ -342,7 +332,7 @@ def shrinkage_losses(data, bases, schedule, grids):
     at each grid's internal time. Returns the :func:`score_error` values as an
     array (len(bases), len(grids), 2), sample-mean first.
     """
-    times = [noise_at(schedule, grid.tau)[2] for grid in grids]
+    times = [internal_time(schedule, grid.tau) for grid in grids]
     out = np.empty((len(bases), len(grids), 2))
     for i, (basis, table) in enumerate(bases):
         raw = sample_moments(basis, data)

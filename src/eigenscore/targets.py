@@ -1,7 +1,9 @@
 """Analytic and synthetic data distributions used for fitting and validation.
 
-Gaussian mixtures (diagonal covariances) come with closed-form time-t
-marginals, scores and log-densities, both on R^d and wrapped onto the torus.
+Gaussian mixtures (diagonal covariances) come with closed-form marginals
+after internal time t of either forward process (the process's transition
+applied to each component), scores and log-densities, both on R^d and
+wrapped onto the torus.
 The 2D toy shapes follow their standard definitions and are affinely mapped
 into [-0.95 pi, 0.95 pi]^2 (a ``TORUS_MARGIN`` of 5% at each end).
 """
@@ -16,7 +18,7 @@ from scipy.special import logsumexp
 
 from .basis import OU, TRUNCATED_BM
 from .errors import DegenerateInputError, InvalidInputError
-from .process import VE, VP, noise_at
+from .process import internal_time, transition
 
 TWO_PI = 2.0 * math.pi
 # Share of [-pi, pi] kept free at each end when point clouds are mapped into it.
@@ -58,15 +60,11 @@ def bart_simpson():
     return GaussianMixture(weights, means, variances)
 
 
-def mixture_marginal(gm, schedule, tau):
-    """Component-wise noising of the mixture at normalized time tau.
-
-    VE keeps means and inflates every variance by sigma_tau^2; VP scales the
-    means by alpha_tau and maps variances to alpha^2 v + sigma^2.
-    """
-    alpha, sigma, _ = noise_at(schedule, tau)
-    if schedule.kind == VE:
-        return GaussianMixture(gm.weights, gm.means, gm.variances + sigma * sigma)
+def mixture_marginal(gm, process, t):
+    """The mixture after internal time t of the process on R^d: with (alpha,
+    sigma) = ``transition(process, t)`` each component N(m, v) becomes
+    N(alpha m, alpha^2 v + sigma^2). The torus marginal is its wrapping."""
+    alpha, sigma = transition(process, t)
     return GaussianMixture(
         gm.weights, alpha * gm.means, alpha * alpha * gm.variances + sigma * sigma
     )
@@ -179,7 +177,7 @@ class AnalyticReference:
         self.process = process
 
     def marginal(self, tau):
-        return mixture_marginal(self.gm, self.schedule, tau)
+        return mixture_marginal(self.gm, self.process, internal_time(self.schedule, tau))
 
     def pdf(self, x, tau):
         gm_t = self.marginal(tau)

@@ -48,6 +48,14 @@ def energy_distance_pvalue(X, Y, rng, n_perm=200):
     return obs, (hits + 1) / (n_perm + 1)
 
 
+def uniform_moments(basis):
+    """Moments of the invariant measure: only the constant is nonzero."""
+    theta = np.zeros(len(basis.extended))
+    theta[0] = 1.0
+    return es.MomentVector(theta_hat=theta, var_hat=np.zeros_like(theta),
+                           gamma=np.ones_like(theta), n_samples=0)
+
+
 def dense_system(basis, table, moments, t):
     """Dense A_t and b_t over the active basis, one pair of functions at a time.
 
@@ -71,7 +79,7 @@ def dense_system(basis, table, moments, t):
     return A, b
 
 
-def fit_gaussian_ou(mean, var, order=2, n_tau=200, beta0=0.1, beta1=20.0):
+def fit_gaussian_ou(mean, var, order=2, n_tau=200, schedule=es.Schedule.vp(0.1, 20.0)):
     """Fit a 1D Gaussian with the OU/Hermite pipeline from analytic moments."""
     basis = es.hermite_univariate_basis(1, order)
     table = es.product_table(basis)
@@ -79,6 +87,5 @@ def fit_gaussian_ou(mean, var, order=2, n_tau=200, beta0=0.1, beta1=20.0):
                             means=np.array([[mean]]),
                             variances=np.array([[var]]))
     moments = es.analytic_moments(gm, basis)
-    schedule = es.Schedule.vp(beta0, beta1)
     model = es.presolve_grid(basis, table, moments, schedule, n_times=n_tau)
     return model, gm, schedule

@@ -22,7 +22,7 @@ from eigenscore.solver import QuadratureSpec, loss_grid, shrinkage_losses
 from eigenscore.targets import _TOYS, AnalyticReference
 from eigenscore.process import OU, TRUNCATED_BM, tau_at
 
-from conftest import energy_distance_pvalue, fit_gaussian_ou
+from conftest import energy_distance_pvalue, fit_gaussian_ou, uniform_moments
 
 
 def _report(criterion, ok, detail):
@@ -140,12 +140,11 @@ def test_criterion_02_eigenrelation():
             basis = es.trig_basis_1d(5)
             sched = es.Schedule.ve(0.1, 3.0)
             x0 = es.wrap_torus(0.3 + 0.5 * rng.standard_normal((n_mc, 1)))
-        state = es.ProcessState(process=process, dimension=1)
         v0 = basis.eval_values(x0)
         lam = basis.eigenvalues
         for t_target in (0.1, 1.0):
             tau = tau_at(sched, t_target)
-            xt = es.sample_forward(state, sched, x0, tau, rng)
+            xt = es.sample_forward(process, sched, x0, tau, rng)
             vt = basis.eval_values(xt)
             expect = np.exp(lam * t_target) * v0.mean(axis=0)
             got = vt.mean(axis=0)
@@ -170,14 +169,13 @@ def test_criterion_03_system_oracle():
     moments = es.analytic_moments(gm, basis)
     sched = es.Schedule.ve(0.1, 2.0)
     tau = 0.6
-    t = es.noise_at(sched, tau)[2]
+    t = es.internal_time(sched, tau)
     system = es.SystemAssembler(basis, table, moments).system(t)
     A, b = system.A, system.b
     rng = np.random.default_rng(3)
     n_mc = 300_000
-    state = es.ProcessState(process=TRUNCATED_BM, dimension=1)
     x0 = es.wrap_torus(es.sample_gaussian_mixture(gm, n_mc, rng))
-    xt = es.sample_forward(state, sched, x0, tau, rng)
+    xt = es.sample_forward(TRUNCATED_BM, sched, x0, tau, rng)
     _, grads, _ = basis.eval_batch(xt)
     G = grads[:, 0, 1:]
     vals = basis.eval_values(xt)[:, 1:]
@@ -192,11 +190,7 @@ def test_criterion_03_system_oracle():
         se = abs(lam[k]) * vals[:, k].std() / math.sqrt(n_mc)
         worst = max(worst, abs(b[k] - lam[k] * vals[:, k].mean()) / (4 * se + 1e-15))
     # invariant measure: A_t = Lambda, b_t = 0 exactly
-    theta_u = np.zeros(len(basis.extended))
-    theta_u[0] = 1.0
-    uniform = es.MomentVector(theta_hat=theta_u, var_hat=np.zeros_like(theta_u),
-                              gamma=np.ones_like(theta_u), n_samples=0)
-    invariant = es.SystemAssembler(basis, table, uniform)
+    invariant = es.SystemAssembler(basis, table, uniform_moments(basis))
     err_inv = 0.0
     for t_chk in (0.0, 0.5, 3.0):
         sys_u = invariant.system(t_chk)
@@ -216,7 +210,7 @@ def test_criterion_04_gaussian_exactness():
     model, gm, sched = fit_gaussian_ou(mean, var, n_tau=20)
     err = 0.0
     for g, tau in enumerate(model.grid):
-        t = es.noise_at(sched, tau)[2]
+        t = es.internal_time(sched, tau)
         m_t = math.exp(-t) * mean
         v_t = math.exp(-2 * t) * var + (1 - math.exp(-2 * t))
         alpha = model.alphas[g]
@@ -363,7 +357,7 @@ def test_criterion_09_transport_consistency():
     # forward transport of 1e5 data points onto the uniform prior
     rng = np.random.default_rng(7)
     x0 = es.wrap_torus(es.sample_gaussian_mixture(gm, 100_000, rng))
-    t0, t1 = model.internal_time(0.0), model.internal_time(1.0)
+    t0, t1 = es.internal_time(sched, 0.0), es.internal_time(sched, 1.0)
     x1 = es.integrate_batch(lambda t, Y: es.flow_rate(model, t, Y)[0],
                             x0, t0, t1, IntegratorConfig(rtol=1e-6, atol=1e-8))
     x1 = es.wrap_torus(x1)

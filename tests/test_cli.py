@@ -192,13 +192,32 @@ def test_loss_study_bad_flags_exit_2(tmp_path, flags):
     (("density", "--model", "{model}", "--grid-n", "5", "--atol", "inf"), "must be finite"),
     (("sample", "--model", "{ou_model}", "--n", "5", "--prior", "wrapped-normal"),
      "wrapped-normal"),
+    (("sample", "--model", "{model}", "--n", "5", "--n-steps", "5"), "--n-steps applies only"),
+    (("sample", "--model", "{model}", "--n", "5", "--config", "{config}"),
+     "--n-steps applies only"),
+    (("sample", "--model", "{model}", "--n", "5", "--method", "reverse-sde", "--rtol", "1e-12"),
+     "--rtol applies only"),
+    (("sample", "--model", "{model}", "--n", "5", "--method", "reverse-sde", "--atol", "1e-9"),
+     "--atol applies only"),
+    (("fit", "--data", "{data}", "--grid-size", "10", "--beta0", "0.2"),
+     "--beta0 does not apply to a VE schedule"),
+    (("fit", "--data", "{data}", "--grid-size", "10", "--schedule", "VP", "--sigma-min", "7"),
+     "--sigma-min does not apply to a VP schedule"),
+    (("loss-study", "--reps", "2", "--n", "100", "--basis-sizes", "4", "--n-quad", "64",
+      "--beta1", "30"), "--beta1 does not apply to a VE schedule"),
+    (("loss-study", "--reps", "2", "--n", "100", "--basis-sizes", "4", "--n-quad", "64",
+      "--schedule", "VP", "--sigma-max", "30"), "--sigma-max does not apply to a VP schedule"),
 ], ids=["gen-data-n0", "gen-data-n-1", "loss-study-n-5", "fit-sigma-min-nan",
         "fit-sigma-max-inf", "fit-beta1-nan", "sample-rtol-inf", "sample-rtol-nan",
-        "sample-atol-nan", "density-atol-inf", "sample-ou-wrapped-normal"])
+        "sample-atol-nan", "density-atol-inf", "sample-ou-wrapped-normal",
+        "pf-ode-n-steps", "pf-ode-n-steps-config", "reverse-sde-rtol", "reverse-sde-atol",
+        "fit-ve-beta0", "fit-vp-sigma-min", "loss-study-ve-beta1", "loss-study-vp-sigma-max"])
 def test_bad_values_exit_2(fitted, ou_model, tmp_path, capsys, argv, message):
     _, data, model = fitted
     out = tmp_path / "out.csv"
-    argv = [a.format(data=data, model=model, ou_model=ou_model) for a in argv]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_steps": 5}))
+    argv = [a.format(data=data, model=model, ou_model=ou_model, config=config) for a in argv]
     assert run(*argv, "--out", str(out)) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -10,15 +10,22 @@ import eigenscore as es
 from eigenscore.generate import PRIOR_WRAPPED_NORMAL
 from eigenscore.odeint import IntegratorConfig
 from eigenscore.process import tau_at
-from conftest import fit_gaussian_ou, torus_quad_1d
+from conftest import fit_gaussian_ou, torus_quad_1d, uniform_moments
 
 
 @pytest.fixture(scope="module")
 def gaussian_model():
     # beta1 = 40 drives the terminal marginal within e^{-10} of the prior, so
     # log-density comparisons probe the flow rather than schedule truncation
-    model, gm, schedule = fit_gaussian_ou(0.5, 0.25, n_tau=200, beta1=40.0)
+    model, gm, schedule = fit_gaussian_ou(0.5, 0.25, n_tau=200,
+                                          schedule=es.Schedule.vp(0.1, 40.0))
     return model, gm, schedule
+
+
+@pytest.fixture(scope="module")
+def gaussian_model_ve_clock():
+    # the OU process driven by the VE clock, whose internal time runs to 1250
+    return fit_gaussian_ou(0.5, 0.25, n_tau=200, schedule=es.Schedule.ve(0.01, 50.0))[0]
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +61,7 @@ def test_flow_field_rate_consistency(torus_model):
     # flow_rate is (-score, -laplacian) of the float32 kernel at tau_at(t)
     model, _, _ = torus_model
     X = np.linspace(-3, 3, 7)[:, None]
-    t = model.internal_time(0.3)
+    t = es.internal_time(model.schedule, 0.3)
     vel, div = es.flow_rate(model, t, X)
     alpha = es.alpha_at(model, tau_at(model.schedule, t))
     _, score, lap = model.basis.weighted_eval(X, alpha, dtype=np.float32)
@@ -92,11 +99,11 @@ def test_log_density_single_point(gaussian_model):
     assert ld == pytest.approx(-0.5 * math.log(2 * math.pi * 0.25), abs=5e-3)
 
 
-def test_reverse_sde_gaussian_moments(gaussian_model):
-    model, _, _ = gaussian_model
-    x = es.sample_reverse_sde(model, 20_000, 400, rng=np.random.default_rng(1))
-    assert x.mean() == pytest.approx(0.5, abs=0.02)
-    assert x.var() == pytest.approx(0.25, rel=0.1)
+def test_reverse_sde_gaussian_moments(gaussian_model, gaussian_model_ve_clock):
+    for model in (gaussian_model[0], gaussian_model_ve_clock):
+        x = es.sample_reverse_sde(model, 20_000, 400, rng=np.random.default_rng(1))
+        assert x.mean() == pytest.approx(0.5, abs=0.02), model.schedule
+        assert x.var() == pytest.approx(0.25, rel=0.1), model.schedule
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +143,20 @@ def test_pf_ode_wrapped_normal_prior(torus_model):
     assert np.all(np.abs(x) <= math.pi)
     with pytest.raises(es.InvalidInputError):
         es.sample_pf_ode(model, 500, prior="bogus")
+
+
+def test_wrapped_normal_prior_follows_the_clock():
+    # a model of the uniform law has zero coefficients, so its flow is still and
+    # the samples are the prior draws: the wrapped normal that X_0 = 0 reaches
+    # at tau = 1, whose mean cosine is e^{-t(1)}
+    basis = es.trig_basis_1d(2)
+    schedule = es.Schedule.vp(0.1, 4.0)
+    model = es.presolve_grid(basis, es.product_table(basis), uniform_moments(basis), schedule,
+                             n_times=2)
+    x = es.sample_pf_ode(model, 40_000, rng=np.random.default_rng(6),
+                         prior=PRIOR_WRAPPED_NORMAL)
+    t1 = es.internal_time(schedule, 1.0)
+    assert np.cos(x).mean() == pytest.approx(math.exp(-t1), abs=0.02)
 
 
 def test_reverse_sde_torus_matches_pf_ode(torus_model):
@@ -181,8 +202,8 @@ def test_transport_pushes_data_to_prior(gaussian_model):
     model, gm, _ = gaussian_model
     rng = np.random.default_rng(5)
     x0 = es.sample_gaussian_mixture(gm, 20_000, rng)
-    t0 = model.internal_time(0.0)
-    t1 = model.internal_time(1.0)
+    t0 = es.internal_time(model.schedule, 0.0)
+    t1 = es.internal_time(model.schedule, 1.0)
     x1 = es.integrate_batch(lambda t, Y: es.flow_rate(model, t, Y)[0],
                             x0, t0, t1, IntegratorConfig(rtol=1e-6, atol=1e-8))
     stat = kstest(x1[:, 0], "norm")

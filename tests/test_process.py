@@ -6,34 +6,45 @@ import numpy as np
 import pytest
 
 import eigenscore as es
-from eigenscore.process import tau_at
+from eigenscore.process import check_domain, tau_at
 
 
 def test_ve_schedule_noise_levels():
+    # on the torus the VE clock's sigma_tau is the transition's noise level
     s = es.Schedule.ve(0.01, 50.0)
-    assert es.noise_at(s, 0.0)[1] == pytest.approx(0.01)
-    assert es.noise_at(s, 1.0)[1] == pytest.approx(50.0)
-    alpha, sigma, t = es.noise_at(s, 0.5)
+
+    def noise(tau):
+        return es.transition(es.TRUNCATED_BM, es.internal_time(s, tau))
+
+    assert noise(0.0)[1] == pytest.approx(0.01)
+    assert noise(1.0)[1] == pytest.approx(50.0)
+    alpha, sigma = noise(0.5)
     assert alpha == 1.0
     assert sigma == pytest.approx(math.sqrt(0.01 * 50.0))
-    assert t == pytest.approx(0.5 * sigma**2)
+    assert es.internal_time(s, 0.5) == pytest.approx(0.5 * sigma**2)
 
 
 def test_vp_schedule_internal_time():
     s = es.Schedule.vp(0.1, 20.0)
-    alpha, sigma, t = es.noise_at(s, 1.0)
+    t = es.internal_time(s, 1.0)
+    alpha, sigma = es.transition(es.OU, t)
     assert t == pytest.approx(0.1 / 2 + (20.0 - 0.1) / 4)
     assert alpha == pytest.approx(math.exp(-t))
     assert sigma == pytest.approx(math.sqrt(1 - alpha**2))
-    assert es.noise_at(s, 0.0)[2] == 0.0
+    assert es.internal_time(s, 0.0) == 0.0
+
+
+def test_transition_rejects_unknown_process():
+    with pytest.raises(es.InvalidInputError, match="unknown process"):
+        es.transition("BM", 0.5)
 
 
 @pytest.mark.parametrize("sched", [es.Schedule.ve(0.01, 50.0), es.Schedule.vp(0.1, 20.0)])
-def test_tau_at_inverts_noise_at(sched):
+def test_tau_at_inverts_internal_time(sched):
     for tau in np.linspace(0, 1, 17):
-        t = es.noise_at(sched, tau)[2]
+        t = es.internal_time(sched, tau)
         assert tau_at(sched, t) == pytest.approx(tau, abs=1e-12)
-    assert es.noise_at(sched, tau_at(sched, 0.02))[2] == pytest.approx(0.02, rel=1e-12)
+    assert es.internal_time(sched, tau_at(sched, 0.02)) == pytest.approx(0.02, rel=1e-12)
 
 
 def test_tau_at_out_of_range():
@@ -70,57 +81,68 @@ def test_wrap_torus():
     np.testing.assert_allclose(np.sin(w), np.sin(x), atol=1e-12)
 
 
-def test_noise_at_rejects_bad_tau():
+def test_internal_time_rejects_bad_tau():
     s = es.Schedule.ve(0.01, 50.0)
     for tau in (-0.1, 1.1, float("nan")):
         with pytest.raises(es.InvalidInputError):
-            es.noise_at(s, tau)
+            es.internal_time(s, tau)
 
 
 def test_sample_forward_ou_moments():
-    state = es.ProcessState(process=es.OU, dimension=2)
     sched = es.Schedule.vp(0.1, 20.0)
     rng = np.random.default_rng(0)
     x0 = np.full((200_000, 2), 1.5)
-    x = es.sample_forward(state, sched, x0, 0.5, rng)
-    alpha, sigma, _ = es.noise_at(sched, 0.5)
+    x = es.sample_forward(es.OU, sched, x0, 0.5, rng)
+    alpha, sigma = es.transition(es.OU, es.internal_time(sched, 0.5))
     se_mean = sigma / math.sqrt(len(x))
     assert np.all(np.abs(x.mean(axis=0) - alpha * 1.5) < 5 * se_mean)
     assert np.all(np.abs(x.var(axis=0) - sigma**2) < 5 * sigma**2 * math.sqrt(2 / len(x)))
 
 
 def test_sample_forward_torus_stays_in_domain():
-    state = es.ProcessState(process=es.TRUNCATED_BM, dimension=1)
     sched = es.Schedule.ve(0.01, 50.0)
     rng = np.random.default_rng(1)
-    x = es.sample_forward(state, sched, np.zeros((1000, 1)), 0.9, rng)
+    x = es.sample_forward(es.TRUNCATED_BM, sched, np.zeros((1000, 1)), 0.9, rng)
     assert np.all(np.abs(x) <= math.pi)
 
 
 def test_sample_forward_rejects_out_of_domain():
-    state = es.ProcessState(process=es.TRUNCATED_BM, dimension=1)
     sched = es.Schedule.ve(0.01, 50.0)
     with pytest.raises(es.DomainError):
-        es.sample_forward(state, sched, np.array([[4.0]]), 0.5, np.random.default_rng(0))
+        es.sample_forward(es.TRUNCATED_BM, sched, np.array([[4.0]]), 0.5, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("process", [es.OU, es.TRUNCATED_BM])
-def test_eigenrelation_monte_carlo(process):
-    """E[phi_n(X_t)] = e^{lambda_n t} E[phi_n(X_0)] for simulated forward paths."""
+@pytest.mark.parametrize("process, rows", [
+    (es.TRUNCATED_BM, [[0.0, math.pi + 1e-13], [0.0, math.pi + 1e-11], [4.0, 0.0]]),
+    (es.OU, [[1e300, -5.0], [np.nan, 0.0], [np.inf, 0.0]]),
+])
+def test_check_domain_names_the_first_row_outside(process, rows):
+    # one tolerance, 1e-12 beyond pi, for every torus check; non-finite rows fail everywhere
+    with pytest.raises(es.DomainError, match="row 1 "):
+        check_domain(process, np.array(rows))
+    check_domain(process, np.array(rows[0]))
+
+
+@pytest.mark.parametrize("process, sched", [
+    pytest.param(es.OU, es.Schedule.vp(0.1, 20.0), id=es.OU),
+    pytest.param(es.TRUNCATED_BM, es.Schedule.ve(0.1, 3.0), id=es.TRUNCATED_BM),
+    pytest.param(es.OU, es.Schedule.ve(0.1, 3.0), id=f"{es.OU}-VE"),
+    pytest.param(es.TRUNCATED_BM, es.Schedule.vp(0.1, 20.0), id=f"{es.TRUNCATED_BM}-VP"),
+])
+def test_eigenrelation_monte_carlo(process, sched):
+    """E[phi_n(X_t)] = e^{lambda_n t} E[phi_n(X_0)] for simulated forward paths,
+    whichever clock drives the process."""
     rng = np.random.default_rng(42)
     n_mc = 200_000
     if process == es.OU:
         basis = es.hermite_univariate_basis(1, 4)
-        sched = es.Schedule.vp(0.1, 20.0)
         x0 = 0.3 + 0.5 * rng.standard_normal((n_mc, 1))
     else:
         basis = es.trig_basis_1d(4)
-        sched = es.Schedule.ve(0.1, 3.0)
         x0 = es.wrap_torus(0.3 + 0.5 * rng.standard_normal((n_mc, 1)))
-    state = es.ProcessState(process=process, dimension=1)
     tau = 0.5
-    t = es.noise_at(sched, tau)[2]
-    xt = es.sample_forward(state, sched, x0, tau, rng)
+    t = es.internal_time(sched, tau)
+    xt = es.sample_forward(process, sched, x0, tau, rng)
     v0 = basis.eval_values(x0)
     vt = basis.eval_values(xt)
     lam = basis.eigenvalues

@@ -7,21 +7,16 @@ import numpy as np
 import pytest
 
 import eigenscore as es
+from eigenscore.process import tau_at
 from eigenscore.solver import (
     QuadratureSpec,
     dataset_hash,
+    loss_grid,
+    score_error,
     solve_node,
     trapezoid_grid,
 )
-from conftest import dense_system, fit_gaussian_ou
-
-
-def _uniform_moments(basis):
-    """Moments of the invariant measure: only the constant is nonzero."""
-    theta = np.zeros(len(basis.extended))
-    theta[0] = 1.0
-    return es.MomentVector(theta_hat=theta, var_hat=np.zeros_like(theta),
-                           gamma=np.ones_like(theta), n_samples=0)
+from conftest import dense_system, fit_gaussian_ou, uniform_moments
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +27,7 @@ def test_invariant_measure_gives_diagonal_system():
     """With data distributed as the invariant measure, A_t = Lambda, b_t = 0."""
     basis = es.trig_basis_1d(3)
     table = es.product_table(basis)
-    m = _uniform_moments(basis)
+    m = uniform_moments(basis)
     assembler = es.SystemAssembler(basis, table, m)
     for t in (0.0, 0.3, 2.0):
         system = assembler.system(t)
@@ -246,7 +241,7 @@ def test_gaussian_closed_form_coefficients():
     mean, var = 0.7, 0.36
     model, _, schedule = fit_gaussian_ou(mean, var, n_tau=41)
     for tau in np.linspace(0, 1, 41):
-        t = es.noise_at(schedule, tau)[2]
+        t = es.internal_time(schedule, tau)
         m_t = math.exp(-t) * mean
         v_t = math.exp(-2 * t) * var + (1 - math.exp(-2 * t))
         alpha = es.alpha_at(model, tau)
@@ -258,7 +253,7 @@ def test_gaussian_relative_score_pointwise():
     mean, var = -0.4, 2.25
     model, gm, schedule = fit_gaussian_ou(mean, var, n_tau=11)
     tau = 0.3
-    t = es.noise_at(schedule, tau)[2]
+    t = es.internal_time(schedule, tau)
     m_t = math.exp(-t) * mean
     v_t = math.exp(-2 * t) * var + (1 - math.exp(-2 * t))
     x = np.linspace(-3, 3, 13)[:, None]
@@ -312,7 +307,7 @@ def test_alpha_at_interpolates_linearly():
 def test_presolve_requires_two_nodes():
     basis = es.trig_basis_1d(2)
     table = es.product_table(basis)
-    m = _uniform_moments(basis)
+    m = uniform_moments(basis)
     with pytest.raises(es.InvalidInputError):
         es.presolve_grid(basis, table, m, es.Schedule.ve(0.01, 50.0), n_times=1)
 
@@ -396,6 +391,19 @@ def test_sm_loss_gaussian_is_tiny():
     spec = QuadratureSpec(n_nodes=2001, lower=-8.0, upper=8.0)
     for tau in (0.0, 0.5, 1.0):
         assert es.sm_loss(model, tau, ref, spec) < 1e-12
+
+
+@pytest.mark.parametrize("schedule", [es.Schedule.ve(0.01, 50.0), es.Schedule.vp(0.1, 20.0)],
+                         ids=["VE", "VP"])
+def test_torus_reference_follows_the_clock(schedule):
+    # exact moments fit the wrapped Bart-Simpson marginal at t = 0.05 to within
+    # the basis truncation, whichever clock maps tau to that t
+    gm, basis = es.bart_simpson(), es.trig_basis_1d(25)
+    assembler = es.SystemAssembler(basis, es.product_table(basis), es.analytic_moments(gm, basis))
+    alpha = solve_node(assembler.system(0.05)).alpha
+    reference = es.AnalyticReference(gm, schedule, es.TRUNCATED_BM)
+    grid = loss_grid(reference, tau_at(schedule, 0.05), QuadratureSpec(), 1)
+    assert score_error(basis, alpha, grid) < 1e-10
 
 
 def test_sm_loss_monte_carlo_close_to_quadrature():

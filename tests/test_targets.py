@@ -54,16 +54,14 @@ def test_mixture_score_finite_difference():
 
 def test_mixture_marginal_under_schedules():
     gm = _gm([1.0], [[0.8]], [[0.25]])
-    vp = es.Schedule.vp(0.1, 20.0)
-    tau = 0.4
-    alpha, sigma, _ = es.noise_at(vp, tau)
-    m = es.mixture_marginal(gm, vp, tau)
-    assert m.means[0, 0] == pytest.approx(alpha * 0.8)
-    assert m.variances[0, 0] == pytest.approx(alpha**2 * 0.25 + sigma**2)
-    ve = es.Schedule.ve(0.1, 5.0)
-    mve = es.mixture_marginal(gm, ve, tau)
+    t = es.internal_time(es.Schedule.vp(0.1, 20.0), 0.4)
+    m = es.mixture_marginal(gm, es.OU, t)
+    assert m.means[0, 0] == pytest.approx(math.exp(-t) * 0.8)
+    assert m.variances[0, 0] == pytest.approx(math.exp(-2 * t) * 0.25 + 1 - math.exp(-2 * t))
+    t = es.internal_time(es.Schedule.ve(0.1, 5.0), 0.4)
+    mve = es.mixture_marginal(gm, es.TRUNCATED_BM, t)
     assert mve.means[0, 0] == pytest.approx(0.8)
-    assert mve.variances[0, 0] == pytest.approx(0.25 + es.noise_at(ve, tau)[1] ** 2)
+    assert mve.variances[0, 0] == pytest.approx(0.25 + 2 * t)
 
 
 def test_sample_gaussian_mixture_moments():
@@ -126,7 +124,7 @@ def test_analytic_reference_relative_score():
     sched = es.Schedule.vp(0.1, 20.0)
     ref = es.AnalyticReference(gm, sched, es.OU)
     tau = 0.3
-    alpha, sigma, t = es.noise_at(sched, tau)
+    alpha, sigma = es.transition(es.OU, es.internal_time(sched, tau))
     m_t, v_t = alpha * 0.5, alpha**2 * 0.25 + sigma**2
     x = np.linspace(-2, 2, 9)[:, None]
     rel = ref.relative_score(x, tau)
