@@ -140,26 +140,25 @@ def block_rows(row_bytes, budget):
 
 
 class _TrigFamily:
-    """sqrt2 cos / sqrt2 sin functions over the unique frequency rows ``U``."""
+    """The constant, then one sqrt2 cos / sqrt2 sin pair per frequency row.
+
+    Function 2r + 1 is sqrt2 cos(U[r].x) and function 2r + 2 is
+    sqrt2 sin(U[r].x), the column order of ``_cos_sin`` shifted by the
+    constant, so values, slopes and weights are reshapes of it.
+    """
 
     def __init__(self, funcs, dimension):
-        rows, row_of = [], {}
-        self.urow = np.zeros(len(funcs), dtype=int)  # frequency row of each function
-        for j, f in enumerate(funcs[1:], start=1):
-            if f.index not in row_of:
-                row_of[f.index] = len(rows)
-                rows.append(f.index)
-            self.urow[j] = row_of[f.index]
-        self.is_sin = np.array([f.kind == KIND_SIN for f in funcs])
-        self.U = np.array(rows, dtype=float).reshape(len(rows), dimension)
+        cos, sin = funcs[1::2], funcs[2::2]
+        if len(cos) != len(sin) or any(
+                c.kind != KIND_COS or s.kind != KIND_SIN or c.index != s.index
+                for c, s in zip(cos, sin)):
+            raise InvalidInputError("trig functions must follow the constant as "
+                                    "(cos, sin) pairs of one frequency each")
+        self.U = np.array([f.index for f in cos], dtype=float).reshape(len(cos), dimension)
         self.lam = np.array([f.eigenvalue for f in funcs])
         self.kmax = int(np.abs(self.U).max(initial=0))
         # column of z_j^{U[r, j]} among the powers z_j^-kmax .. z_j^kmax
         self.power_col = self.U.astype(int) + self.kmax
-        # columns of each function's value and phase derivative in _cos_sin
-        self.value_col = 2 * self.urow + self.is_sin
-        self.slope_col = 2 * self.urow + ~self.is_sin
-        self.slope_sign = np.where(self.is_sin, SQRT2, -SQRT2)
 
     def _cos_sin(self, X):
         """cos and sin of X @ U.T in float64, interleaved: (N, 2 len(U)) with
@@ -179,9 +178,12 @@ class _TrigFamily:
         return E.view(np.float64)
 
     def _values(self, CS):
-        vals = SQRT2 * CS[:, self.value_col]
-        vals[:, 0] = 1.0
-        return vals
+        # column-major, so that the per-function sums of sample_moments are pairwise
+        vals = np.empty((CS.shape[1] + 1, len(CS)))
+        vals[0] = 1.0
+        vals[1:] = CS.T
+        vals[1:] *= SQRT2
+        return vals.T
 
     def values(self, X):
         return self._values(self._cos_sin(X))
@@ -189,9 +191,11 @@ class _TrigFamily:
     def derivatives(self, X):
         CS = self._cos_sin(X)
         vals = self._values(CS)
-        slope = self.slope_sign * CS[:, self.slope_col]  # d/d(phase) of each function
-        grads = slope[:, None, :] * self.U.T[None, :, self.urow]
-        grads[:, :, 0] = 0.0
+        N, (n, d) = len(CS), self.U.shape
+        # d/d(phase) of each pair: (-sqrt2 sin, sqrt2 cos)
+        slope = (CS.reshape(N, n, 2)[:, :, ::-1] * [-SQRT2, SQRT2]).reshape(N, 2 * n)
+        grads = np.zeros((N, d, 2 * n + 1))
+        grads[:, :, 1:] = slope[:, None, :] * np.repeat(self.U.T, 2, axis=1)
         return vals, grads, self.lam * vals
 
     def block_rows(self, dtype):
@@ -204,15 +208,13 @@ class _TrigFamily:
         of (a_sin U, -a_cos U), and of lam alpha. Rows are every cosine then
         every sine, or interleaved as in ``_cos_sin``."""
         n, d = self.U.shape
-        slot = self.urow[1:] + n * self.is_sin[1:]
-        a_cos, a_sin = np.bincount(slot, weights=alpha, minlength=2 * n).reshape(2, n)
-        W = np.empty((2, n, d + 2))
-        W[:, :, 0] = a_cos, a_sin
-        W[0, :, 1:-1] = a_sin[:, None] * self.U
-        W[1, :, 1:-1] = -a_cos[:, None] * self.U
-        W[:, :, -1] = np.bincount(slot, weights=alpha * self.lam[1:],
-                                  minlength=2 * n).reshape(2, n)
-        if interleaved:
+        a = alpha.reshape(n, 2)  # (cos, sin) coefficients of each frequency row
+        W = np.empty((n, 2, d + 2))
+        W[:, :, 0] = a
+        W[:, 0, 1:-1] = a[:, 1:] * self.U
+        W[:, 1, 1:-1] = -a[:, :1] * self.U
+        W[:, :, -1] = (alpha * self.lam[1:]).reshape(n, 2)
+        if not interleaved:
             W = W.transpose(1, 0, 2)
         return SQRT2 * W.reshape(2 * n, d + 2)
 
@@ -312,6 +314,10 @@ class EigenBasis:
                 raise InvalidInputError("function 0 of a basis must be the constant")
         if [(f.kind, f.index) for f in self.extended[:len(keys)]] != keys:
             raise InvalidInputError("the extended basis must start with the basis functions")
+        # one evaluator per function list; building it checks the family's layout
+        family = _TrigFamily if self.process == TRUNCATED_BM else _HermiteFamily
+        object.__setattr__(self, "_family", family(self.functions, self.dimension))
+        object.__setattr__(self, "_extended_family", family(self.extended, self.dimension))
 
     @property
     def n_active(self):
@@ -327,18 +333,6 @@ class EigenBasis:
         return np.array([f.eigenvalue for f in self.extended])
 
     # -- evaluation ---------------------------------------------------------
-
-    def _evaluator(self, funcs):
-        family = _TrigFamily if self.process == TRUNCATED_BM else _HermiteFamily
-        return family(funcs, self.dimension)
-
-    @cached_property
-    def _family(self):
-        return self._evaluator(self.functions)
-
-    @cached_property
-    def _extended_family(self):
-        return self._evaluator(self.extended)
 
     def eval_batch(self, X, extended=False):
         """Values, gradients and Laplacians at points X (N x d).
@@ -531,37 +525,35 @@ class ProductTable:
 _TRIG_KINDS = (KIND_CONSTANT, KIND_COS, KIND_SIN)  # kind codes 0, 1, 2
 
 
-def _trig_codes(funcs):
-    """Integer frequencies (n, d) and kind codes (n,) of trig functions."""
-    freq = np.array([f.index for f in funcs], dtype=np.int64)
-    kind = np.array([_TRIG_KINDS.index(f.kind) for f in funcs])
-    return freq, kind
-
-
-def _trig_lookup(extended, freq, kind):
-    """Extended indices of canonical trig terms, found among sorted integer keys."""
-    ext_freq, ext_kind = _trig_codes(extended)
-    off = int(max(np.abs(ext_freq).max(), np.abs(freq).max(initial=0)))
+def _trig_lookup(ext, freq, kind):
+    """Extended indices of canonical trig terms: 0 for the constant (kind 0),
+    else 2r + kind with r the row of ``freq`` among the sorted integer keys of
+    the extended family's frequency rows ``ext.U``."""
+    rows = ext.U.astype(np.int64)
+    off = int(max(np.abs(rows).max(initial=0), np.abs(freq).max(initial=0)))
     radix = 2 * off + 1
-    if 3 * radix ** freq.shape[1] >= 2 ** 63:
+    if radix ** freq.shape[1] >= 2 ** 63:
         raise CapacityError("frequency lattice too large for 64-bit product keys")
 
-    def keys(f, c):
+    def keys(f):
         key = np.zeros(len(f), dtype=np.int64)
         for i in range(f.shape[1]):
             key = key * radix + (f[:, i] + off)
-        return key * 3 + c
+        return key
 
-    ext_keys = keys(ext_freq, ext_kind)
-    order = np.argsort(ext_keys)
-    sorted_keys, q = ext_keys[order], keys(freq, kind)
-    pos = np.minimum(np.searchsorted(sorted_keys, q), len(order) - 1)
-    missing = np.nonzero(sorted_keys[pos] != q)[0]
+    # with one key above all others, every search lands on an entry
+    row_keys = np.append(keys(rows), np.iinfo(np.int64).max)
+    order = np.argsort(row_keys)
+    sorted_keys, q = row_keys[order], keys(freq)
+    pos = np.searchsorted(sorted_keys, q)
+    missing = np.nonzero((kind > 0) & (sorted_keys[pos] != q))[0]
     if len(missing):
         j = missing[0]
         raise CapacityError(f"extended basis does not contain "
                             f"{_TRIG_KINDS[kind[j]]} {tuple(freq[j].tolist())}")
-    return order[pos]
+    h = 2 * order[pos] + kind
+    h[kind == 0] = 0
+    return h
 
 
 def _trig_terms(basis, k, l):
@@ -574,7 +566,10 @@ def _trig_terms(basis, k, l):
     cosine and nothing for a sine. A product with the constant is the other
     factor itself.
     """
-    freq, kind = _trig_codes(basis.functions)
+    # frequency and kind code of each function: the constant, then (cos, sin) per row
+    U = basis._family.U.astype(np.int64)
+    freq = np.concatenate([np.zeros((1, U.shape[1]), np.int64), np.repeat(U, 2, axis=0)])
+    kind = np.concatenate([[0], np.tile([1, 2], len(U))])
     fa, fb, ka, kb = freq[k], freq[l], kind[k], kind[l]
     sin_a, sin_b = ka == 2, kb == 2
     mixed = sin_a != sin_b
@@ -597,7 +592,7 @@ def _trig_terms(basis, k, l):
     keep = ~(zero & (k2 == 2))
     beta = np.where(k2 == 2, c2 * sign, c2)
     beta = np.where(plain | zero, beta, beta / SQRT2)[keep]
-    h = _trig_lookup(basis.extended, (f2 * sign[:, None])[keep],
+    h = _trig_lookup(basis._extended_family, (f2 * sign[:, None])[keep],
                      np.where(zero, 0, k2)[keep])
     pair = np.repeat(np.arange(len(k)), 2)[keep]
     return k[pair], l[pair], h, beta

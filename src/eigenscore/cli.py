@@ -37,7 +37,7 @@ from .errors import (
 from .generate import sample_pf_ode, sample_reverse_sde, log_density
 from .odeint import IntegratorConfig
 from .moments import modulation_shrink, sample_moments
-from .process import VE, VP, Schedule, internal_time, tau_at, wrap_torus
+from .process import VE, Schedule, internal_time, tau_at, wrap_torus
 from .solver import (
     QuadratureSpec,
     dataset_hash,
@@ -105,10 +105,8 @@ def cmd_gen_data(args):
     rng = np.random.default_rng(args.seed)
     if args.target == "bart-simpson":
         pts = sample_gaussian_mixture(bart_simpson(), args.n, rng)
-    elif args.target in _TOYS:
-        pts = toy2d(args.target, args.n, rng).points
     else:
-        raise ConfigError(f"unknown target {args.target!r}")
+        pts = toy2d(args.target, args.n, rng).points
     _save_csv(args.out, pts, _coord_header(pts.shape[1]))
     _write_provenance(args.out, {
         "command": "gen-data",
@@ -142,9 +140,7 @@ def _build_schedule(args):
     ve, vp = ("sigma_min", "sigma_max"), ("beta0", "beta1")
     if args.schedule == VE:
         return Schedule.ve(**_set_flags(args, ve, vp, "does not apply to a VE schedule"))
-    if args.schedule == VP:
-        return Schedule.vp(**_set_flags(args, vp, ve, "does not apply to a VP schedule"))
-    raise ConfigError(f"unknown schedule {args.schedule!r}")
+    return Schedule.vp(**_set_flags(args, vp, ve, "does not apply to a VP schedule"))
 
 
 def cmd_fit(args):
@@ -164,8 +160,6 @@ def cmd_fit(args):
     moments = sample_moments(basis, data)
     if args.shrinkage == "modulation":
         moments = modulation_shrink(moments)
-    elif args.shrinkage != "none":
-        raise ConfigError(f"unknown shrinkage mode {args.shrinkage!r}")
     model = presolve_grid(
         basis, table, moments, schedule, n_times=args.grid_size,
         domain_map=DomainMap.identity(d),
@@ -216,11 +210,9 @@ def cmd_sample(args):
         tols = _set_flags(args, ("rtol", "atol"), ("n_steps",),
                           "applies only to --method reverse-sde")
         pts = sample_pf_ode(model, args.n, IntegratorConfig(**tols), rng, prior=args.prior)
-    elif args.method == "reverse-sde":
+    else:
         steps = _set_flags(args, ("n_steps",), ("rtol", "atol"), "applies only to --method pf-ode")
         pts = sample_reverse_sde(model, args.n, rng=rng, prior=args.prior, **steps)
-    else:
-        raise ConfigError(f"unknown method {args.method!r}")
     if not model.domain_map.is_identity:
         pts = model.domain_map.inverse(pts)
     _save_csv(args.out, pts, _coord_header(pts.shape[1]))
@@ -445,12 +437,14 @@ _KNOWN_ERRORS = (
 
 
 def _apply_config_file(parser, argv):
-    """Seed parser defaults from --config JSON; explicit flags still win."""
+    """argv with the --config JSON's values inserted as flags right after the
+    subcommand, so they pass the same checks as flags and explicit flags,
+    which come later, still win. Keys of other subcommands are ignored."""
     pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     if path is None:
-        return
+        return argv
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -458,16 +452,22 @@ def _apply_config_file(parser, argv):
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    known = {a.dest for sp in parser._subparsers._group_actions
-             for sp_parser in sp.choices.values()
-             for a in sp_parser._actions}
-    unknown = set(cfg) - known
+    commands = parser._subparsers._group_actions[0].choices
+    flags = {name: {a.dest: a.option_strings[-1] for a in sp._actions
+                    if a.option_strings and a.dest not in ("help", "config")}
+             for name, sp in commands.items()}
+    unknown = set(cfg) - {dest for own in flags.values() for dest in own}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for sp in parser._subparsers._group_actions:
-        for sp_parser in sp.choices.values():
-            sp_parser.set_defaults(**{k: v for k, v in cfg.items()
-                                      if k in {a.dest for a in sp_parser._actions}})
+    at = next((i for i, a in enumerate(argv) if a in commands), None)
+    if at is None:
+        return argv  # the parser reports the missing subcommand
+    own = flags[argv[at]]
+    for key, value in cfg.items():
+        if key in own and (isinstance(value, bool) or not isinstance(value, (str, int, float))):
+            raise ConfigError(f"config key {key!r} needs a string or a number, got {value!r}")
+    inserted = [f"{own[key]}={value}" for key, value in cfg.items() if key in own]
+    return argv[:at + 1] + inserted + argv[at + 1:]
 
 
 def main(argv=None):
@@ -475,8 +475,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         try:
-            _apply_config_file(parser, argv)
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_apply_config_file(parser, argv))
         except SystemExit as exc:
             return EXIT_CONFIG if exc.code not in (0, None) else 0
         return args.func(args)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import KIND_CONSTANT, KIND_COS, KIND_SIN, OU, TRUNCATED_BM, block_rows
+from .basis import OU, SQRT2, TRUNCATED_BM, block_rows, hermite_eval
 from .errors import InvalidInputError, UnsupportedTargetError
 from .process import check_domain
 
@@ -123,37 +123,23 @@ def analytic_moments(target, basis):
     per mixture component. Variances are zero and gamma is 1 throughout.
     """
     w, mu, var = target.weights, target.means, target.variances
-    funcs = basis.extended
-    theta = np.empty(len(funcs))
+    fam = basis._extended_family
     if basis.process == TRUNCATED_BM:
-        for h, f in enumerate(funcs):
-            if f.kind == KIND_CONSTANT:
-                theta[h] = 1.0
-                continue
-            xi = np.array(f.index, dtype=float)
-            phase = mu @ xi
-            decay = np.exp(-0.5 * (var @ (xi * xi)))
-            osc = np.cos(phase) if f.kind == KIND_COS else np.sin(phase)
-            theta[h] = math.sqrt(2.0) * float(w @ (osc * decay))
+        # per frequency row: E cos + i E sin = sum_j w_j e^{i mu_j.u - var_j.u^2 / 2}
+        phase = mu @ fam.U.T
+        decay = np.exp(-0.5 * (var @ (fam.U * fam.U).T))
+        osc = np.stack([np.cos(phase), np.sin(phase)], axis=-1) * decay[:, :, None]
+        theta = np.concatenate([[0.0], SQRT2 * (w @ osc.reshape(len(w), -1))])
     elif basis.process == OU:
-        from .basis import hermite_eval
-
+        # per component and coordinate, every order at the standardized nodes
         nodes, weights = np.polynomial.hermite_e.hermegauss(GH_NODES)
         weights = weights / math.sqrt(2.0 * math.pi)
-        for h, f in enumerate(funcs):
-            if f.kind == KIND_CONSTANT:
-                theta[h] = 1.0
-                continue
-            i = int(np.nonzero(f.index)[0][0])
-            k = f.index[i]
-            # E[phi_k(x_i)] per component via standardized nodes
-            acc = 0.0
-            for j in range(len(w)):
-                x = mu[j, i] + math.sqrt(var[j, i]) * nodes
-                acc += w[j] * float(hermite_eval(k, x)[:, k] @ weights)
-            theta[h] = acc
+        x = mu[:, None, :] + np.sqrt(var)[:, None, :] * nodes[:, None]  # (J, nodes, d)
+        expect = np.einsum("q,jqdk->jdk", weights, hermite_eval(fam.max_order, x))
+        theta = w @ expect[:, fam.dims, fam.orders]
     else:
         raise UnsupportedTargetError(f"no analytic moments for process {basis.process!r}")
+    theta[0] = 1.0  # the constant, exactly
     return MomentVector(
         theta_hat=theta,
         var_hat=np.zeros_like(theta),

@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedTargetError,
 )
 from .moments import modulation_shrink, sample_moments
-from .process import Schedule, check_domain, internal_time
+from .process import Schedule, _check_tau, check_domain, internal_time
 from .targets import DomainMap
 
 MODEL_FORMAT_VERSION = 1
@@ -238,12 +238,8 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
 
 def alpha_at(model, tau):
     """Coefficients at tau by linear interpolation between grid nodes."""
-    grid = model.grid
-    tau = float(tau)
-    if tau < grid[0] - 1e-12 or tau > grid[-1] + 1e-12:
-        raise InvalidInputError(f"tau={tau} outside the presolved range "
-                                f"[{grid[0]}, {grid[-1]}]")
-    tau = min(max(tau, grid[0]), grid[-1])
+    grid = model.grid  # spans [0, 1] exactly (presolve_grid, model_from_dict)
+    tau = _check_tau(tau)
     j = int(np.searchsorted(grid, tau, side="right")) - 1
     if j >= len(grid) - 1:
         return model.alphas[-1].copy()

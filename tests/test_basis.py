@@ -366,6 +366,19 @@ def test_extended_must_start_with_the_basis_functions():
                       functions=funcs, extended=ext[:1] + ext[2:] + ext[1:2])
 
 
+@pytest.mark.parametrize("layout", ["cos-without-sin", "sin-before-cos", "pair-of-two-rows"])
+def test_trig_basis_must_pair_each_cosine_with_its_sine(layout):
+    """Function 2r + 1 is the cosine and 2r + 2 the sine of one frequency; any
+    other trig order fails when the basis is built."""
+    funcs = _trig_1d_functions(3)  # 1, cos x, sin x, cos 2x, sin 2x, cos 3x, sin 3x
+    funcs = {"cos-without-sin": funcs[:-1],
+             "sin-before-cos": funcs[:3] + (funcs[4], funcs[3]) + funcs[5:],
+             "pair-of-two-rows": funcs[:3] + (funcs[3], funcs[6], funcs[5], funcs[4])}[layout]
+    ext = funcs + _trig_1d_functions(6)[7:]
+    with pytest.raises(es.InvalidInputError, match="pairs"):
+        es.EigenBasis(process=es.TRUNCATED_BM, dimension=1, functions=funcs, extended=ext)
+
+
 def test_dimension_mismatch_rejected():
     basis = es.trig_basis_nd(2, -4.0)
     with pytest.raises(es.InvalidInputError):

@@ -259,7 +259,8 @@ def test_eigen_report_stdout(capsys):
 
 def test_config_file_defaults_and_override(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 33, "seed": 4}))
+    # keys of other subcommands are ignored, even values their flags would reject
+    cfg.write_text(json.dumps({"n": 33, "seed": 4, "grid_size": 10.5, "method": "euler"}))
     out = str(tmp_path / "d.csv")
     assert run("gen-data", "--config", str(cfg), "--target", "bart-simpson",
                "--out", out) == 0
@@ -275,6 +276,30 @@ def test_config_file_unknown_key(tmp_path):
     cfg.write_text(json.dumps({"bogus_key": 1}))
     assert run("gen-data", "--config", str(cfg), "--target", "bart-simpson",
                "--out", str(tmp_path / "x.csv")) == 2
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("fit", {"process": "bogus"}),
+    ("fit", {"grid_size": 10.5}),
+    ("fit", {"shrinkage": "median"}),
+    ("fit", {"schedule": "VX"}),
+    ("fit", {"max_freq": True}),
+    ("fit", {"grid_size": [10]}),
+    ("gen-data", {"target": "nope"}),
+    ("sample", {"method": "euler"}),
+    ("sample", {"n": "many"}),
+    ("density", {"grid_n": None}),
+], ids=["fit-process", "fit-grid-size-float", "fit-shrinkage", "fit-schedule", "fit-bool",
+        "fit-list", "gen-data-target", "sample-method", "sample-n-text", "density-null"])
+def test_config_values_checked_like_flags(fitted, tmp_path, command, cfg):
+    """A --config value that its flag would reject exits 2 and writes nothing."""
+    _, data, model = fitted
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    src = {"fit": ["--data", data], "gen-data": []}.get(command, ["--model", model])
+    assert run(command, *src, "--config", str(config), "--out", str(out)) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spelling", ["--config={}", "--config"])

@@ -129,33 +129,38 @@ def test_modulation_never_increases_magnitude():
     assert np.all(np.abs(m.theta) <= np.abs(m.theta_hat) + 1e-15)
 
 
+TWO_COMPONENTS_2D = es.GaussianMixture(weights=np.array([0.3, 0.7]),
+                                       means=np.array([[-1.0, 0.5], [0.8, -0.2]]),
+                                       variances=np.array([[0.09, 0.3], [0.25, 0.04]]))
+
+
+def _check_analytic_vs_monte_carlo(gm, basis, seed, n=400_000):
+    """Every extended moment within 5 standard errors of the mean over n
+    draws, taken by sample_moments in blocks (its var_hat is the squared
+    standard error)."""
+    m = es.analytic_moments(gm, basis)
+    x = es.sample_gaussian_mixture(gm, n, np.random.default_rng(seed))
+    if basis.process == es.TRUNCATED_BM:
+        x = es.wrap_torus(x)
+    mc = es.sample_moments(basis, x)
+    assert np.all(np.abs(m.theta_hat - mc.theta_hat) < 5 * np.sqrt(mc.var_hat) + 1e-12)
+    assert np.all(m.var_hat == 0.0)
+
+
 def test_analytic_moments_trig_vs_monte_carlo():
     gm = es.GaussianMixture(weights=np.array([0.4, 0.6]),
                             means=np.array([[-1.0], [0.8]]),
                             variances=np.array([[0.09], [0.25]]))
-    basis = es.trig_basis_1d(6)
-    m = es.analytic_moments(gm, basis)
-    rng = np.random.default_rng(6)
-    n = 400_000
-    x = es.wrap_torus(es.sample_gaussian_mixture(gm, n, rng))
-    vals = basis.eval_values(x, extended=True)
-    se = vals.std(axis=0) / math.sqrt(n)
-    assert np.all(np.abs(m.theta_hat - vals.mean(axis=0)) < 5 * se + 1e-12)
-    assert np.all(m.var_hat == 0.0)
+    _check_analytic_vs_monte_carlo(gm, es.trig_basis_1d(6), seed=6)
+    _check_analytic_vs_monte_carlo(TWO_COMPONENTS_2D, es.trig_basis_nd(2, -5.0), seed=16)
 
 
 def test_analytic_moments_hermite_vs_monte_carlo():
     gm = es.GaussianMixture(weights=np.array([1.0]),
                             means=np.array([[0.5]]),
                             variances=np.array([[0.49]]))
-    basis = es.hermite_univariate_basis(1, 4)
-    m = es.analytic_moments(gm, basis)
-    rng = np.random.default_rng(7)
-    n = 400_000
-    x = es.sample_gaussian_mixture(gm, n, rng)
-    vals = basis.eval_values(x, extended=True)
-    se = vals.std(axis=0) / math.sqrt(n)
-    assert np.all(np.abs(m.theta_hat - vals.mean(axis=0)) < 5 * se + 1e-12)
+    _check_analytic_vs_monte_carlo(gm, es.hermite_univariate_basis(1, 4), seed=7)
+    _check_analytic_vs_monte_carlo(TWO_COMPONENTS_2D, es.hermite_univariate_basis(2, 3), seed=17)
 
 
 def test_moment_vector_validation():

@@ -300,8 +300,12 @@ def test_alpha_at_interpolates_linearly():
                                0.5 * (model.alphas[3] + model.alphas[4]), atol=1e-12)
     np.testing.assert_allclose(es.alpha_at(model, g[7]), model.alphas[7], atol=1e-12)
     np.testing.assert_allclose(es.alpha_at(model, 1.0), model.alphas[-1], atol=1e-12)
-    with pytest.raises(es.InvalidInputError):
-        es.alpha_at(model, 1.5)
+    # no tau outside [0, 1] is clamped onto the grid, NaN included
+    for tau in (math.nan, math.inf, -math.inf, -0.1, 1.5):
+        with pytest.raises(es.InvalidInputError, match="outside"):
+            es.alpha_at(model, tau)
+        with pytest.raises(es.InvalidInputError, match="outside"):
+            es.model_eval_batch(model, np.zeros((3, 1)), tau)
 
 
 def test_presolve_requires_two_nodes():
