@@ -115,20 +115,19 @@ def hermite_order_expansion(basis_max, extended_max):
 # ---------------------------------------------------------------------------
 #
 # Each evaluator holds one ordered function list whose entry 0 is the constant
-# and evaluates it at checked points X (N, d): ``values`` (N, n),
-# ``derivatives`` (values, gradients (N, d, n), Laplacians (N, n)), and
-# ``weighted``, the energy, score and Laplacian of f = sum_k alpha_k phi_k
-# over entries 1.. without forming the gradient tensor (trig runs it in
-# ``dtype``, Hermite always in float64). Trig gets cos/sin of the integer
-# frequencies by angle addition (``_cos_sin``), except the float32 flow
-# kernel, whose SIMD np.cos/np.sin beat the complex products. The trig
-# ``weighted`` walks the rows in blocks whose cos/sin values take
-# ``KERNEL_BLOCK_BYTES`` and gets all d + 2 outputs of a block from one
-# product with a weight matrix built once per alpha, so no (N, n_freq)
-# temporary is formed. The budget comes from a sweep on a 2-vCPU Xeon
-# (CHANGES.md): smaller blocks pay per-block overhead, and at twice the
-# budget a block's temporaries leave the cache and the 400-function kernel
-# slows by a quarter or more.
+# and evaluates it at checked points X (N, d): ``values`` (N, n) and
+# ``derivatives`` (values, gradients (N, d, n), Laplacians (N, n)), both in
+# float64, and ``weighted``, the flow kernel: the energy, score and Laplacian
+# of f = sum_k alpha_k phi_k over entries 1.. without forming the gradient
+# tensor (trig in float32, Hermite in float64). Trig values and derivatives
+# get cos/sin of the integer frequencies by angle addition (``_cos_sin``); the
+# float32 kernel uses SIMD np.cos/np.sin, which beat the complex products. It
+# walks the rows in blocks whose cos/sin values take ``KERNEL_BLOCK_BYTES``
+# and gets all d + 2 outputs of a block from one product with a weight matrix
+# built once per alpha, so no (N, n_freq) temporary is formed. The budget
+# comes from a sweep on a 2-vCPU Xeon (CHANGES.md): smaller blocks pay
+# per-block overhead, and at twice the budget a block's temporaries leave the
+# cache and the 400-function kernel slows by a quarter or more.
 
 KERNEL_BLOCK_BYTES = 256 * 1024
 
@@ -198,15 +197,15 @@ class _TrigFamily:
         grads[:, :, 1:] = slope[:, None, :] * np.repeat(self.U.T, 2, axis=1)
         return vals, grads, self.lam * vals
 
-    def block_rows(self, dtype):
-        """Rows per block of ``weighted``: 2 len(U) cos/sin values of dtype a row."""
-        return block_rows(2 * len(self.U) * np.dtype(dtype).itemsize, KERNEL_BLOCK_BYTES)
+    def block_rows(self):
+        """Rows per block of ``weighted``: 2 len(U) float32 cos/sin values a row."""
+        return block_rows(2 * len(self.U) * 4, KERNEL_BLOCK_BYTES)
 
-    def _weights(self, alpha, interleaved):
+    def _weights(self, alpha):
         """(2 len(U), d + 2) weights taking cos/sin of the frequency rows to
         energy, score and Laplacian: sqrt2 times the coefficients of alpha,
-        of (a_sin U, -a_cos U), and of lam alpha. Rows are every cosine then
-        every sine, or interleaved as in ``_cos_sin``."""
+        of (a_sin U, -a_cos U), and of lam alpha. Rows are every cosine, then
+        every sine."""
         n, d = self.U.shape
         a = alpha.reshape(n, 2)  # (cos, sin) coefficients of each frequency row
         W = np.empty((n, 2, d + 2))
@@ -214,38 +213,29 @@ class _TrigFamily:
         W[:, 0, 1:-1] = a[:, 1:] * self.U
         W[:, 1, 1:-1] = -a[:, :1] * self.U
         W[:, :, -1] = (alpha * self.lam[1:]).reshape(n, 2)
-        if not interleaved:
-            W = W.transpose(1, 0, 2)
-        return SQRT2 * W.reshape(2 * n, d + 2)
+        return SQRT2 * W.transpose(1, 0, 2).reshape(2 * n, d + 2)
 
-    def weighted(self, X, alpha, dtype):
-        dtype = np.dtype(np.float64 if dtype is None else dtype)
-        exact = dtype == np.float64
+    def weighted(self, X, alpha):
         N, d = X.shape
         n = len(self.U)
-        W = self._weights(alpha, interleaved=exact).astype(dtype, copy=False)
-        # At large tau alpha decays below dtype's normal range, and subnormal
+        W = self._weights(alpha).astype(np.float32)
+        # At large tau alpha decays below float32's normal range, and subnormal
         # operands put the product on the FPU's slow path (5x at 2000 rows).
         # A weight of at least tiny/eps keeps its product normal for every
         # cos/sin of at least eps; the smaller ones move no output by more
         # than 2 len(U) tiny/eps.
-        info = np.finfo(dtype)
+        info = np.finfo(np.float32)
         W[np.abs(W) < info.tiny / info.eps] = 0.0
-        out = np.empty((N, d + 2), dtype)
-        b = self.block_rows(dtype)
-        if not exact:
-            phase = np.empty((min(b, N), n), dtype)
-            CS = np.empty((min(b, N), 2 * n), dtype)
+        out = np.empty((N, d + 2), np.float32)
+        b = self.block_rows()
+        phase = np.empty((min(b, N), n), np.float32)
+        CS = np.empty((min(b, N), 2 * n), np.float32)
         for s in range(0, N, b):
             rows = X[s:s + b]
-            if exact:
-                cs = self._cos_sin(rows)
-            else:
-                r = len(rows)
-                p, cs = phase[:r], CS[:r]
-                np.matmul(rows, self.U.T, out=p)
-                np.cos(p, out=cs[:, :n])
-                np.sin(p, out=cs[:, n:])
+            p, cs = phase[:len(rows)], CS[:len(rows)]
+            np.matmul(rows, self.U.T, out=p)
+            np.cos(p, out=cs[:, :n])
+            np.sin(p, out=cs[:, n:])
             np.matmul(cs, W, out=out[s:s + b])
         return out[:, 0].astype(float), out[:, 1:-1].astype(float), out[:, -1].astype(float)
 
@@ -282,7 +272,7 @@ class _HermiteFamily:
         vals, d1, d2 = self._terms(X)
         return vals, d1[:, None, :] * self.axis.T, d2
 
-    def weighted(self, X, alpha, dtype):
+    def weighted(self, X, alpha):
         vals, d1, d2 = self._terms(X)
         return vals[:, 1:] @ alpha, (d1[:, 1:] * alpha) @ self.axis[1:], d2[:, 1:] @ alpha
 
@@ -348,17 +338,14 @@ class EigenBasis:
         family = self._extended_family if extended else self._family
         return family.values(self._check_points(X))
 
-    def weighted_eval(self, X, alpha, dtype=None):
-        """Energy, score and Laplacian of ``f = sum_k alpha_k phi_k``.
+    def weighted_eval(self, X, alpha):
+        """The flow kernel: energy, score and Laplacian of ``f = sum_k alpha_k phi_k``.
 
-        ``alpha`` runs over the active (non-constant) basis functions.
-        Returns ``(energy (N,), score (N,d), laplacian (N,))`` without
-        materializing the full gradient tensor. With ``dtype=np.float32``
-        the trig cos/sin and the weight product run in single precision
-        (SIMD np.cos/np.sin, two to three times as fast as the float64 path
-        at 400 functions) — appropriate inside ODE integration where tolerances
-        dwarf the ~1e-6 evaluation error. One call evaluates every row,
-        block by block.
+        ``alpha`` runs over the active (non-constant) basis functions. Returns
+        ``(energy (N,), score (N,d), laplacian (N,))`` without materializing the
+        gradient tensor. Trig runs in float32 (~1e-6 relative error, far below
+        the integrators' tolerances), Hermite in float64; exact float64 values
+        come from :meth:`eval_batch`.
         """
         X = self._check_points(X)
         alpha = np.asarray(alpha, dtype=float)
@@ -366,7 +353,7 @@ class EigenBasis:
             raise InvalidInputError(
                 f"alpha has length {alpha.shape}, expected ({self.n_active},)"
             )
-        return self._family.weighted(X, alpha, dtype)
+        return self._family.weighted(X, alpha)
 
     def _check_points(self, X):
         X = np.asarray(X, dtype=float)
@@ -392,27 +379,6 @@ def _trig_fn(freq, kind):
 
 def constant_function(dimension):
     return EigenFunction(index=(0,) * dimension, kind=KIND_CONSTANT, eigenvalue=0.0)
-
-
-def _trig_1d_functions(max_frequency):
-    funcs = [constant_function(1)]
-    for k in range(1, max_frequency + 1):
-        funcs.append(_trig_fn((k,), KIND_COS))
-        funcs.append(_trig_fn((k,), KIND_SIN))
-    return tuple(funcs)
-
-
-def trig_basis_1d(max_frequency):
-    """Torus basis {1, sqrt2 cos(kx), sqrt2 sin(kx) : k <= max_frequency}."""
-    if max_frequency < 1:
-        raise InvalidInputError("max_frequency must be >= 1")
-    return EigenBasis(
-        process=TRUNCATED_BM,
-        dimension=1,
-        functions=_trig_1d_functions(max_frequency),
-        extended=_trig_1d_functions(2 * max_frequency),
-        descriptor={"family": "trig_1d", "max_frequency": max_frequency},
-    )
 
 
 def _half_lattice(d, norm_sq_max):
@@ -443,24 +409,37 @@ def _trig_nd_functions(d, norm_sq_max):
     return tuple(funcs)
 
 
-def trig_basis_nd(d, eigenvalue_floor):
-    """Torus basis in d dimensions keeping eigenvalues >= eigenvalue_floor.
+def _trig_basis(d, norm_sq_max, descriptor):
+    """Torus basis of the frequencies with |xi|^2 <= norm_sq_max. The extended
+    set uses four times the bound so that sum and difference frequencies of any
+    two basis members are covered."""
+    if norm_sq_max < 1:
+        raise InvalidInputError(f"no nonzero frequency has |xi|^2 <= {norm_sq_max:g}")
+    return EigenBasis(
+        process=TRUNCATED_BM,
+        dimension=d,
+        functions=_trig_nd_functions(d, norm_sq_max),
+        extended=_trig_nd_functions(d, 4 * norm_sq_max),
+        descriptor=descriptor,
+    )
 
-    The extended set uses four times the floor so that sum and difference
-    frequencies of any two basis members are covered.
-    """
+
+def trig_basis_1d(max_frequency):
+    """Torus basis {1, sqrt2 cos(kx), sqrt2 sin(kx) : k <= max_frequency}."""
+    if max_frequency < 1:
+        raise InvalidInputError("max_frequency must be >= 1")
+    return _trig_basis(1, max_frequency * max_frequency,
+                       {"family": "trig_1d", "max_frequency": max_frequency})
+
+
+def trig_basis_nd(d, eigenvalue_floor):
+    """Torus basis in d dimensions keeping eigenvalues >= eigenvalue_floor."""
     if d < 1:
         raise InvalidInputError("d must be >= 1")
     if eigenvalue_floor >= 0:
         raise InvalidInputError("eigenvalue_floor must be negative")
-    k = abs(float(eigenvalue_floor))
-    return EigenBasis(
-        process=TRUNCATED_BM,
-        dimension=d,
-        functions=_trig_nd_functions(d, k),
-        extended=_trig_nd_functions(d, 4.0 * k),
-        descriptor={"family": "trig_nd", "dimension": d, "eigenvalue_floor": float(eigenvalue_floor)},
-    )
+    return _trig_basis(d, abs(float(eigenvalue_floor)), {
+        "family": "trig_nd", "dimension": d, "eigenvalue_floor": float(eigenvalue_floor)})
 
 
 def _hermite_univariate_functions(d, n):

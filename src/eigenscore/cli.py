@@ -117,14 +117,6 @@ def cmd_gen_data(args):
     return EXIT_OK
 
 
-def _build_basis(process, dimension, args):
-    if process == TRUNCATED_BM:
-        if dimension == 1:
-            return trig_basis_1d(args.max_freq)
-        return trig_basis_nd(dimension, args.eigenvalue_floor)
-    return hermite_univariate_basis(dimension, args.order)
-
-
 def _set_flags(args, used, unused, reason):
     """The flags among ``used`` that were set, as keyword arguments; a set flag
     among ``unused`` is a ConfigError that gives ``reason``."""
@@ -132,6 +124,26 @@ def _set_flags(args, used, unused, reason):
         if getattr(args, k) is not None:
             raise ConfigError(f"--{k.replace('_', '-')} {reason}")
     return {k: getattr(args, k) for k in used if getattr(args, k) is not None}
+
+
+BASIS_DEFAULTS = {"max_freq": 25, "eigenvalue_floor": -125.0, "order": 2}
+
+
+def _build_basis(process, dimension, args):
+    """The basis from the one flag that sizes it, at its ``BASIS_DEFAULTS``
+    value when unset; another basis flag set is a ConfigError."""
+    if process == OU:
+        flag, kind = "order", "an OU basis"
+    elif dimension == 1:
+        flag, kind = "max_freq", "a 1D torus basis"
+    else:
+        flag, kind = "eigenvalue_floor", f"a {dimension}D torus basis"
+    others = [k for k in BASIS_DEFAULTS if k != flag]
+    size = _set_flags(args, (flag,), others, f"does not apply to {kind}").get(
+        flag, BASIS_DEFAULTS[flag])
+    if process == OU:
+        return hermite_univariate_basis(dimension, size)
+    return trig_basis_1d(size) if dimension == 1 else trig_basis_nd(dimension, size)
 
 
 def _build_schedule(args):
@@ -343,9 +355,10 @@ def _add_common(p, out_required=True):
 
 
 def _add_basis_flags(p):
-    p.add_argument("--max-freq", type=int, default=25)
-    p.add_argument("--eigenvalue-floor", type=float, default=-125.0)
-    p.add_argument("--order", type=int, default=2)
+    p.add_argument("--max-freq", type=int, help="1D torus only (default 25)")
+    p.add_argument("--eigenvalue-floor", type=float,
+                   help="torus of dimension >= 2 only (default -125)")
+    p.add_argument("--order", type=int, help="OU only (default 2)")
 
 
 def _add_schedule_flags(p):

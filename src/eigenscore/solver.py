@@ -251,7 +251,9 @@ def model_eval_batch(model, X, tau):
     """Energy, score and Laplacian of the fitted model at points X (N, d), in float64."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     check_domain(model.process, X)
-    return model.basis.weighted_eval(X, alpha_at(model, tau))
+    vals, grads, laps = model.basis.eval_batch(X)
+    alpha = alpha_at(model, tau)
+    return vals[:, 1:] @ alpha, grads[:, :, 1:] @ alpha, laps[:, 1:] @ alpha
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +308,11 @@ def loss_grid(reference, tau, quadrature, dimension):
                     reference.relative_score(nodes, tau))
 
 
-def score_error(basis, alpha, grid):
-    """Integral of |s_alpha - grad log(rho_tau/pi)|^2 rho_tau by the grid's rule,
-    where s_alpha is the score of the energy sum_k alpha_k phi_k."""
-    diff = basis.weighted_eval(grid.nodes, alpha)[1] - grid.target
+def score_error(grads, alpha, grid):
+    """Integral of |grads @ alpha - grad log(rho_tau/pi)|^2 rho_tau by the grid's
+    rule, with ``grads = basis.eval_batch(grid.nodes)[1][:, :, 1:]`` the active
+    basis's gradients, so that grads @ alpha is the score of sum_k alpha_k phi_k."""
+    diff = grads @ alpha - grid.target
     return float(grid.weights @ (grid.density * (diff * diff).sum(axis=1)))
 
 
@@ -317,7 +320,8 @@ def sm_loss(model, tau, reference, quadrature=QuadratureSpec()):
     """Weighted L2 distance between the model score at tau and the true relative
     score, by the trapezoid rule of ``quadrature`` (see :func:`score_error`)."""
     grid = loss_grid(reference, tau, quadrature, model.basis.dimension)
-    return score_error(model.basis, alpha_at(model, tau), grid)
+    grads = model.basis.eval_batch(grid.nodes)[1][:, :, 1:]
+    return score_error(grads, alpha_at(model, tau), grid)
 
 
 def shrinkage_losses(data, bases, schedule, grids):
@@ -331,12 +335,13 @@ def shrinkage_losses(data, bases, schedule, grids):
     times = [internal_time(schedule, grid.tau) for grid in grids]
     out = np.empty((len(bases), len(grids), 2))
     for i, (basis, table) in enumerate(bases):
+        grads = [basis.eval_batch(grid.nodes)[1][:, :, 1:] for grid in grids]
         raw = sample_moments(basis, data)
         for j, moments in enumerate((raw, modulation_shrink(raw))):
             assembler = SystemAssembler(basis, table, moments)
-            for g, (grid, t) in enumerate(zip(grids, times)):
+            for g, t in enumerate(times):
                 alpha = solve_node(assembler.system(t)).alpha
-                out[i, g, j] = score_error(basis, alpha, grid)
+                out[i, g, j] = score_error(grads[g], alpha, grids[g])
     return out
 
 

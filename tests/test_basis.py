@@ -10,7 +10,7 @@ from eigenscore.basis import (
     KIND_CONSTANT,
     KIND_COS,
     KIND_SIN,
-    _trig_1d_functions,
+    _trig_nd_functions,
     hermite_eval,
     hermite_order_expansion,
 )
@@ -159,8 +159,8 @@ def test_product_table_capacity_error():
 def test_trig_product_table_capacity_error():
     # cos(4x)^2 needs frequency 8, beyond the extended set's 6
     basis = es.EigenBasis(process=es.TRUNCATED_BM, dimension=1,
-                          functions=_trig_1d_functions(4),
-                          extended=_trig_1d_functions(6))
+                          functions=_trig_nd_functions(1, 4 ** 2),
+                          extended=_trig_nd_functions(1, 6 ** 2))
     with pytest.raises(es.CapacityError):
         es.product_table(basis)
 
@@ -233,13 +233,24 @@ def test_trig_laplacian_is_eigenvalue_times_value():
     np.testing.assert_allclose(laps, lam * vals, atol=1e-12)
 
 
-def _assert_float64_matches_eval_batch(basis, X, alpha):
-    """Each float64 weighted_eval output within 1e-14 of the largest magnitude
-    of its eval_batch oracle."""
+def _oracle(basis, X, alpha):
+    """Energy, score and Laplacian contracted from the float64 eval_batch."""
     vals, grads, laps = basis.eval_batch(X)
-    oracle = vals[:, 1:] @ alpha, grads[:, :, 1:] @ alpha, laps[:, 1:] @ alpha
-    for got, want in zip(basis.weighted_eval(X, alpha), oracle):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    return vals[:, 1:] @ alpha, grads[:, :, 1:] @ alpha, laps[:, 1:] @ alpha
+
+
+def _assert_kernel_matches_eval_batch(basis, X, alpha):
+    """weighted_eval against the eval_batch oracle: Hermite (float64) within
+    1e-14 of each output's largest magnitude; trig (float32) within 1e-4, 1e-3
+    and 1e-2 of sum |alpha| for energy, score and Laplacian."""
+    got, want = basis.weighted_eval(X, alpha), _oracle(basis, X, alpha)
+    if basis.process == es.OU:
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-14 * np.abs(w).max())
+        return
+    scale = np.abs(alpha).sum()
+    for g, w, bound in zip(got, want, (1e-4, 1e-3, 1e-2)):
+        assert np.max(np.abs(g - w)) < bound * scale
 
 
 @pytest.mark.parametrize("make", [
@@ -252,7 +263,7 @@ def test_weighted_eval_matches_eval_batch(make):
     basis = make()
     rng = np.random.default_rng(5)
     X = rng.uniform(-2, 2, (15, basis.dimension))
-    _assert_float64_matches_eval_batch(basis, X, rng.normal(size=basis.n_active))
+    _assert_kernel_matches_eval_batch(basis, X, rng.normal(size=basis.n_active))
 
 
 def test_weighted_eval_float32_path_close_to_float64():
@@ -260,12 +271,8 @@ def test_weighted_eval_float32_path_close_to_float64():
     rng = np.random.default_rng(6)
     X = rng.uniform(-math.pi, math.pi, (100, 2))
     alpha = rng.normal(size=basis.n_active)
-    e64, s64, l64 = basis.weighted_eval(X, alpha)
-    e32, s32, l32 = basis.weighted_eval(X, alpha, dtype=np.float32)
-    scale = np.abs(alpha).sum()
-    assert np.max(np.abs(e64 - e32)) < 1e-4 * scale
-    assert np.max(np.abs(s64 - s32)) < 1e-3 * scale
-    assert np.max(np.abs(l64 - l32)) < 1e-2 * scale
+    assert all(out.dtype == np.float64 for out in basis.weighted_eval(X, alpha))
+    _assert_kernel_matches_eval_batch(basis, X, alpha)
 
 
 def test_weighted_eval_float32_with_coefficients_below_its_normal_range():
@@ -275,10 +282,7 @@ def test_weighted_eval_float32_with_coefficients_below_its_normal_range():
     rng = np.random.default_rng(8)
     X = rng.uniform(-math.pi, math.pi, (500, 2))
     alpha = rng.normal(size=basis.n_active) * np.exp(1.1 * basis.eigenvalues[1:])
-    vals, grads, laps = basis.eval_batch(X)
-    exact = vals[:, 1:] @ alpha, grads[:, :, 1:] @ alpha, laps[:, 1:] @ alpha
-    single = basis.weighted_eval(X, alpha, dtype=np.float32)
-    for got, want in zip(single, exact):
+    for got, want in zip(basis.weighted_eval(X, alpha), _oracle(basis, X, alpha)):
         assert np.max(np.abs(got - want)) < 1e-5 * np.max(np.abs(want))
 
 
@@ -294,21 +298,12 @@ BLOCK_EDGES = {"1": lambda b: 1, "b-1": lambda b: b - 1, "b": lambda b: b,
     pytest.param(es.trig_basis_nd(3, -6.0), id="trig-3d-6"),
 ])
 def test_weighted_eval_at_block_edges(basis, edge):
-    """The row-blocked kernel at row counts around each dtype's block size:
-    float64 against eval_batch, float32 against float64."""
+    """The row-blocked kernel against eval_batch at row counts around its block size."""
     rng = np.random.default_rng(7)
     alpha = rng.normal(size=basis.n_active)
-    n = BLOCK_EDGES[edge](basis._family.block_rows(np.float64))
-    _assert_float64_matches_eval_batch(
-        basis, rng.uniform(-math.pi, math.pi, (n, basis.dimension)), alpha)
-    n = BLOCK_EDGES[edge](basis._family.block_rows(np.float32))
+    n = BLOCK_EDGES[edge](basis._family.block_rows())
     X = rng.uniform(-math.pi, math.pi, (n, basis.dimension))
-    e64, s64, l64 = basis.weighted_eval(X, alpha)
-    e32, s32, l32 = basis.weighted_eval(X, alpha, dtype=np.float32)
-    scale = np.abs(alpha).sum()
-    assert np.max(np.abs(e64 - e32)) < 1e-4 * scale
-    assert np.max(np.abs(s64 - s32)) < 1e-3 * scale
-    assert np.max(np.abs(l64 - l32)) < 1e-2 * scale
+    _assert_kernel_matches_eval_batch(basis, X, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +331,21 @@ def test_builder_validation():
         es.trig_basis_nd(2, 1.0)
     with pytest.raises(es.InvalidInputError):
         es.hermite_univariate_basis(0, 3)
+    # |xi|^2 >= 1 for every nonzero integer frequency, so no function would be active
+    with pytest.raises(es.InvalidInputError, match="no nonzero frequency"):
+        es.trig_basis_nd(2, -0.5)
+
+
+def test_trig_1d_builder_is_the_nd_builder_in_one_dimension():
+    def listing(funcs):
+        return [(f.kind, f.index, f.eigenvalue) for f in funcs]
+
+    for K in range(1, 51):
+        one, nd = es.trig_basis_1d(K), es.trig_basis_nd(1, -K * K)
+        assert listing(one.functions) == listing(nd.functions)
+        assert listing(one.extended) == listing(nd.extended)
+        assert len(one.functions) == 2 * K + 1 and len(one.extended) == 4 * K + 1
+        assert one.descriptor == {"family": "trig_1d", "max_frequency": K}
 
 
 @pytest.mark.parametrize("make", [
@@ -352,15 +362,15 @@ def test_basis_serialization_roundtrip(make):
 
 
 def test_constant_must_come_first():
-    funcs = _trig_1d_functions(3)
+    funcs = _trig_nd_functions(1, 3 ** 2)
     with pytest.raises(es.InvalidInputError):
         es.EigenBasis(process=es.TRUNCATED_BM, dimension=1,
-                      functions=funcs[1:] + funcs[:1], extended=_trig_1d_functions(6))
+                      functions=funcs[1:] + funcs[:1], extended=_trig_nd_functions(1, 6 ** 2))
 
 
 def test_extended_must_start_with_the_basis_functions():
-    funcs = _trig_1d_functions(3)
-    ext = _trig_1d_functions(6)
+    funcs = _trig_nd_functions(1, 3 ** 2)
+    ext = _trig_nd_functions(1, 6 ** 2)
     with pytest.raises(es.InvalidInputError):
         es.EigenBasis(process=es.TRUNCATED_BM, dimension=1,
                       functions=funcs, extended=ext[:1] + ext[2:] + ext[1:2])
@@ -370,11 +380,11 @@ def test_extended_must_start_with_the_basis_functions():
 def test_trig_basis_must_pair_each_cosine_with_its_sine(layout):
     """Function 2r + 1 is the cosine and 2r + 2 the sine of one frequency; any
     other trig order fails when the basis is built."""
-    funcs = _trig_1d_functions(3)  # 1, cos x, sin x, cos 2x, sin 2x, cos 3x, sin 3x
+    funcs = _trig_nd_functions(1, 3 ** 2)  # 1, cos x, sin x, cos 2x, sin 2x, cos 3x, sin 3x
     funcs = {"cos-without-sin": funcs[:-1],
              "sin-before-cos": funcs[:3] + (funcs[4], funcs[3]) + funcs[5:],
              "pair-of-two-rows": funcs[:3] + (funcs[3], funcs[6], funcs[5], funcs[4])}[layout]
-    ext = funcs + _trig_1d_functions(6)[7:]
+    ext = funcs + _trig_nd_functions(1, 6 ** 2)[7:]
     with pytest.raises(es.InvalidInputError, match="pairs"):
         es.EigenBasis(process=es.TRUNCATED_BM, dimension=1, functions=funcs, extended=ext)
 

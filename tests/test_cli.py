@@ -223,6 +223,52 @@ def test_bad_values_exit_2(fitted, ou_model, tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def data_2d(tmp_path_factory):
+    data = str(tmp_path_factory.mktemp("cli2d") / "pinwheel.csv")
+    assert run("gen-data", "--target", "pinwheel", "--n", "200", "--seed", "1",
+               "--out", data) == 0
+    return data
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("fit", "--data", "{data}", "--eigenvalue-floor", "-5"),
+     "--eigenvalue-floor does not apply to a 1D torus basis"),
+    (("fit", "--data", "{data}", "--order", "3"), "--order does not apply to a 1D torus basis"),
+    (("fit", "--data", "{data_2d}", "--max-freq", "4"),
+     "--max-freq does not apply to a 2D torus basis"),
+    (("fit", "--data", "{data_2d}", "--order", "3"), "--order does not apply to a 2D torus basis"),
+    (("fit", "--data", "{data}", "--process", "OU", "--max-freq", "4"),
+     "--max-freq does not apply to an OU basis"),
+    (("fit", "--data", "{data}", "--process", "OU", "--eigenvalue-floor", "-5"),
+     "--eigenvalue-floor does not apply to an OU basis"),
+    (("fit", "--data", "{data}", "--config", "{config}"),
+     "--order does not apply to a 1D torus basis"),
+    (("eigen-report", "--eigenvalue-floor", "-5"),
+     "--eigenvalue-floor does not apply to a 1D torus basis"),
+    (("eigen-report", "--dimension", "2", "--max-freq", "4"),
+     "--max-freq does not apply to a 2D torus basis"),
+    (("eigen-report", "--process", "OU", "--max-freq", "4"),
+     "--max-freq does not apply to an OU basis"),
+    (("fit", "--data", "{data_2d}", "--eigenvalue-floor", "-0.5"), "no nonzero frequency"),
+    (("eigen-report", "--dimension", "2", "--eigenvalue-floor", "-0.5"), "no nonzero frequency"),
+], ids=["fit-1d-eigenvalue-floor", "fit-1d-order", "fit-2d-max-freq", "fit-2d-order",
+        "fit-ou-max-freq", "fit-ou-eigenvalue-floor", "fit-1d-order-config",
+        "report-1d-eigenvalue-floor", "report-2d-max-freq", "report-ou-max-freq",
+        "fit-2d-empty-floor", "report-2d-empty-floor"])
+def test_bad_basis_flags_exit_2(fitted, data_2d, tmp_path, capsys, argv, message):
+    """A basis flag that the run's basis does not read, or a floor that keeps no
+    frequency, exits 2 and writes nothing."""
+    _, data, _ = fitted
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"order": 3}))
+    out = tmp_path / "out.json"
+    argv = [a.format(data=data, data_2d=data_2d, config=config) for a in argv]
+    assert run(*argv, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_loss_study_small(tmp_path):
     out = str(tmp_path / "study.csv")
     assert run("loss-study", "--reps", "3", "--n", "200",
