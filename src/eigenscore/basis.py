@@ -120,16 +120,24 @@ def hermite_order_expansion(basis_max, extended_max):
 # float64, and ``weighted``, the flow kernel: the energy, score and Laplacian
 # of f = sum_k alpha_k phi_k over entries 1.. without forming the gradient
 # tensor (trig in float32, Hermite in float64). Trig values and derivatives
-# get cos/sin of the integer frequencies by angle addition (``_cos_sin``); the
-# float32 kernel uses SIMD np.cos/np.sin, which beat the complex products. It
-# walks the rows in blocks whose cos/sin values take ``KERNEL_BLOCK_BYTES``
-# and gets all d + 2 outputs of a block from one product with a weight matrix
-# built once per alpha, so no (N, n_freq) temporary is formed. The budget
-# comes from a sweep on a 2-vCPU Xeon (CHANGES.md): smaller blocks pay
-# per-block overhead, and at twice the budget a block's temporaries leave the
-# cache and the 400-function kernel slows by a quarter or more.
+# get cos/sin of the integer frequencies by angle addition (``_cos_sin``).
+#
+# The float32 trig kernel is sum-factorized (Orszag, J. Comput. Phys. 1980):
+# the frequencies are integer, so e^{i u.x} = prod_j e^{i u_j x_j}, and the
+# outputs come from the harmonics e^{i k x_j} of each coordinate over its
+# range of k: 35 cos/sin pairs per point on the 400-function 2D basis,
+# against one pair per frequency row (200). A GEMM with a matrix M built once
+# per alpha contracts the last coordinate; then each remaining coordinate is
+# one contraction over its harmonics, point by point: a complex step for a
+# middle coordinate, the real part alone for the first. The kernel walks the
+# rows in blocks whose phases, harmonics and partial sums take
+# ``KERNEL_BLOCK_BYTES``, laid out coordinate-major so that every
+# elementwise step runs along a block's points.
+# The budget comes from a sweep on a 2-vCPU Xeon (CHANGES.md): at 192 KiB and
+# below the per-block overhead slows the 400-function kernel by 10% or more,
+# and from 448 KiB up the 50-function 1D kernel slows by a tenth or more.
 
-KERNEL_BLOCK_BYTES = 256 * 1024
+KERNEL_BLOCK_BYTES = 384 * 1024
 
 
 def block_rows(row_bytes, budget):
@@ -138,12 +146,97 @@ def block_rows(row_bytes, budget):
     return max(1, budget // row_bytes)
 
 
+@dataclass(frozen=True)
+class _KernelLayout:
+    """Where each frequency row sits in the dense harmonic grid of the kernel.
+
+    Coordinate j's harmonics run over k = min(U[:, j]) .. max(U[:, j]), m_j
+    of them. ``phase_rows`` (n_phases, d) takes a point to the phase of every
+    harmonic: -k x_j for the coordinates d-2 .. 0 in turn, whose cos/sin are
+    the conjugate harmonics, then k x_j for the last coordinate. The kernel
+    takes the cos of every phase, then the sin of the last coordinate's and
+    of the others', so that the last coordinate's cos and sin rows meet.
+    ``others`` lists, from coordinate d-2 down to 0, each coordinate with its
+    cos and sin rows there. ``src`` and ``fac`` give each entry of M
+    (2 m_last, n_sums) as ``sqrt2 alpha[src] fac``: its rows are the cos and
+    sin harmonics of the last coordinate, and its columns the partial sums
+    over the other coordinates, ordered (output, k_0, .., k_{d-2}, re/im),
+    with no re/im axis in 1D.
+    """
+
+    phase_rows: np.ndarray
+    src: np.ndarray
+    fac: np.ndarray
+    n_last: int
+    others: tuple
+
+    @classmethod
+    def build(cls, U, lam):
+        n, d = U.shape
+        k = U.astype(np.int64)
+        lo = k.min(axis=0)
+        m = k.max(axis=0) - lo + 1
+        last = d - 1
+        # flat position of each row over (k_0, .., k_{d-2}), k_{d-2} fastest
+        q = np.zeros(n, np.int64)
+        for j in range(last):
+            q = q * m[j] + k[:, j] - lo[j]
+        grid = int(np.prod(m[:last]))
+        parts = 2 if d > 1 else 1  # re/im of the partial sums
+        cols = (np.arange(d + 2) * grid + q[:, None]) * parts  # (n, d + 2)
+        cos_row = k[:, last] - lo[last]
+        sin_row = cos_row + m[last]
+        # the cos (sin) function of row r carries Wc (Ws): sqrt2 times
+        # (a_cos, a_sin U, lam a_cos) and (a_sin, -a_cos U, lam a_sin)
+        src_c = np.repeat(2 * np.arange(n)[:, None], d + 2, axis=1)
+        src_c[:, 1:-1] += 1
+        src_s = src_c ^ 1
+        ones, lam_r = np.ones((n, 1)), lam[1::2, None]
+        fac_c = np.hstack([ones, U, lam_r])
+        fac_s = np.hstack([ones, -U, lam_r])
+        # the row's complex coefficient is Wc - i Ws; (cos + i sin)(Wc - i Ws)
+        # puts (Wc, Ws) into the real part and (-Ws, Wc) into the imaginary one
+        src = np.zeros((2 * m[last], (d + 2) * grid * parts), np.int64)
+        fac = np.zeros(src.shape)
+        terms = [(cos_row, 0, src_c, fac_c), (sin_row, 0, src_s, fac_s)]
+        if parts == 2:
+            terms += [(cos_row, 1, src_s, -fac_s), (sin_row, 1, src_c, fac_c)]
+        for row, part, sr, f in terms:
+            src[row[:, None], cols + part] = sr
+            fac[row[:, None], cols + part] = f
+        n_phases = int(m.sum())
+        phase_rows = np.zeros((n_phases, d))
+        others, p = [], 0
+        for j in range(last - 1, -1, -1):
+            phase_rows[p:p + m[j], j] = -np.arange(lo[j], lo[j] + m[j])
+            sin_p = n_phases + m[last] + p
+            others.append((j, slice(p, p + m[j]), slice(sin_p, sin_p + m[j])))
+            p += m[j]
+        phase_rows[p:, last] = np.arange(lo[last], lo[last] + m[last])
+        return cls(phase_rows, src, fac, int(m[last]), tuple(others))
+
+    def weights(self, alpha):
+        """M in float32, with entries below tiny/eps flushed to zero. At large
+        tau alpha decays below float32's normal range, and subnormal operands
+        put the product on the FPU's slow path (5x at 2000 rows). An entry of
+        at least tiny/eps keeps its product normal for every harmonic of at
+        least eps; the smaller ones move no partial sum by more than
+        2 m_last tiny/eps."""
+        M = alpha.take(self.src)
+        M *= self.fac
+        M *= SQRT2
+        M = M.astype(np.float32)
+        info = np.finfo(np.float32)
+        M[np.abs(M) < info.tiny / info.eps] = 0.0
+        return M
+
+
 class _TrigFamily:
     """The constant, then one sqrt2 cos / sqrt2 sin pair per frequency row.
 
     Function 2r + 1 is sqrt2 cos(U[r].x) and function 2r + 2 is
     sqrt2 sin(U[r].x), the column order of ``_cos_sin`` shifted by the
-    constant, so values, slopes and weights are reshapes of it.
+    constant, so values and slopes are reshapes of it.
     """
 
     def __init__(self, funcs, dimension):
@@ -192,52 +285,64 @@ class _TrigFamily:
         vals = self._values(CS)
         N, (n, d) = len(CS), self.U.shape
         # d/d(phase) of each pair: (-sqrt2 sin, sqrt2 cos)
-        slope = (CS.reshape(N, n, 2)[:, :, ::-1] * [-SQRT2, SQRT2]).reshape(N, 2 * n)
+        slope = np.empty((N, 2 * n))
+        np.multiply(CS[:, 1::2], -SQRT2, out=slope[:, 0::2])
+        np.multiply(CS[:, 0::2], SQRT2, out=slope[:, 1::2])
         grads = np.zeros((N, d, 2 * n + 1))
         grads[:, :, 1:] = slope[:, None, :] * np.repeat(self.U.T, 2, axis=1)
         return vals, grads, self.lam * vals
 
-    def block_rows(self):
-        """Rows per block of ``weighted``: 2 len(U) float32 cos/sin values a row."""
-        return block_rows(2 * len(self.U) * 4, KERNEL_BLOCK_BYTES)
+    @cached_property
+    def _layout(self):
+        return _KernelLayout.build(self.U, self.lam)
 
-    def _weights(self, alpha):
-        """(2 len(U), d + 2) weights taking cos/sin of the frequency rows to
-        energy, score and Laplacian: sqrt2 times the coefficients of alpha,
-        of (a_sin U, -a_cos U), and of lam alpha. Rows are every cosine, then
-        every sine."""
-        n, d = self.U.shape
-        a = alpha.reshape(n, 2)  # (cos, sin) coefficients of each frequency row
-        W = np.empty((n, 2, d + 2))
-        W[:, :, 0] = a
-        W[:, 0, 1:-1] = a[:, 1:] * self.U
-        W[:, 1, 1:-1] = -a[:, :1] * self.U
-        W[:, :, -1] = (alpha * self.lam[1:]).reshape(n, 2)
-        return SQRT2 * W.transpose(1, 0, 2).reshape(2 * n, d + 2)
+    def block_rows(self):
+        """Rows per block of ``weighted``: a row's float32 phases, harmonics
+        and partial sums."""
+        lay = self._layout
+        return block_rows(4 * (3 * len(lay.phase_rows) + lay.src.shape[1]), KERNEL_BLOCK_BYTES)
 
     def weighted(self, X, alpha):
         N, d = X.shape
-        n = len(self.U)
-        W = self._weights(alpha).astype(np.float32)
-        # At large tau alpha decays below float32's normal range, and subnormal
-        # operands put the product on the FPU's slow path (5x at 2000 rows).
-        # A weight of at least tiny/eps keeps its product normal for every
-        # cos/sin of at least eps; the smaller ones move no output by more
-        # than 2 len(U) tiny/eps.
-        info = np.finfo(np.float32)
-        W[np.abs(W) < info.tiny / info.eps] = 0.0
-        out = np.empty((N, d + 2), np.float32)
+        lay = self._layout
+        M = lay.weights(alpha)
+        m, W = lay.n_last, len(lay.phase_rows)
+        # coordinate-major: one row per phase, harmonic or output, one column per point
+        out = np.empty((d + 2, N), np.float32)
         b = self.block_rows()
-        phase = np.empty((min(b, N), n), np.float32)
-        CS = np.empty((min(b, N), 2 * n), np.float32)
-        for s in range(0, N, b):
-            rows = X[s:s + b]
-            p, cs = phase[:len(rows)], CS[:len(rows)]
-            np.matmul(rows, self.U.T, out=p)
-            np.cos(p, out=cs[:, :n])
-            np.sin(p, out=cs[:, n:])
-            np.matmul(cs, W, out=out[s:s + b])
-        return out[:, 0].astype(float), out[:, 1:-1].astype(float), out[:, -1].astype(float)
+        nb = min(b, N)
+        phase = np.empty((W, nb), np.float32)
+        harm = np.empty((2 * W, nb), np.float32)
+        sums = np.empty((M.shape[1], nb), np.float32)
+        for start in range(0, N, b):
+            rows = X[start:start + b]
+            B = len(rows)
+            p, h = phase[:, :B], harm[:, :B]
+            np.matmul(lay.phase_rows, rows.T, out=p)  # in float64, rounded once to float32
+            np.cos(p, out=h[:W])
+            np.sin(p[W - m:], out=h[W:W + m])
+            np.sin(p[:W - m], out=h[W + m:])
+            # the GEMM over the last coordinate's cos, then sin, harmonics; in 1D
+            # it gives the outputs, else T, the re/im of sum_k z^k G_k over the
+            # coordinates contracted so far. With c, s = cos, sin(-k x_j) of
+            # the next coordinate, z^k = c - i s.
+            dst = out[:, start:start + B]
+            T = np.matmul(M.T, h[W - m:W + m], out=sums[:, :B] if lay.others else dst)
+            for j, c_rows, s_rows in lay.others:
+                c, s = h[c_rows], h[s_rows]
+                T = T.reshape(-1, len(c), 2, B)
+                re, im = T[:, :, 0], T[:, :, 1]
+                if j:  # a middle coordinate: the complex step
+                    T = np.empty((len(re), 2, B), np.float32)
+                    np.einsum("rkb,kb->rb", re, c, out=T[:, 0])
+                    T[:, 0] += np.einsum("rkb,kb->rb", im, s)
+                    np.einsum("rkb,kb->rb", im, c, out=T[:, 1])
+                    T[:, 1] -= np.einsum("rkb,kb->rb", re, s)
+                else:  # the first coordinate: the real part alone
+                    np.einsum("rkb,kb->rb", re, c, out=dst)
+                    dst += np.einsum("rkb,kb->rb", im, s)
+        score = np.ascontiguousarray(out[1:-1].T, dtype=float)
+        return out[0].astype(float), score, out[-1].astype(float)
 
 
 class _HermiteFamily:
@@ -343,9 +448,12 @@ class EigenBasis:
 
         ``alpha`` runs over the active (non-constant) basis functions. Returns
         ``(energy (N,), score (N,d), laplacian (N,))`` without materializing the
-        gradient tensor. Trig runs in float32 (~1e-6 relative error, far below
-        the integrators' tolerances), Hermite in float64; exact float64 values
-        come from :meth:`eval_batch`.
+        gradient tensor. Trig is sum-factorized over the coordinates' harmonics
+        and runs in float32: each output is within 1e-5 of its largest
+        magnitude over the points (1e-7 to 5e-6 measured), far below the
+        integrators' tolerances.
+        Hermite runs in float64; exact float64 values come from
+        :meth:`eval_batch`.
         """
         X = self._check_points(X)
         alpha = np.asarray(alpha, dtype=float)

@@ -24,8 +24,8 @@ GH_NODES = 200  # Gauss-Hermite nodes per mixture component for analytic Hermite
 # Bytes of float64 values in one sample_moments block (82 rows of the 1581
 # extended pinwheel functions). Not the flow kernel's budget: a row here also
 # carries its phases and complex powers, and in a sweep on a 2-vCPU Xeon the
-# 20k-point pinwheel moments ran 40% slower at basis.KERNEL_BLOCK_BYTES,
-# while the kernel runs a quarter or more slower at this budget.
+# 20k-point pinwheel moments ran 40% slower at 256 KiB, while the flow
+# kernel runs a quarter or more slower at this budget.
 BLOCK_BYTES = 1024 * 1024
 
 

@@ -110,7 +110,9 @@ class NodeSolve:
     """Result of solving one node: coefficients plus solve diagnostics."""
 
     alpha: np.ndarray
-    condition: float  # 1-norm estimate on Cholesky nodes, spectral ratio if regularized
+    # LAPACK 1-norm estimate on Cholesky nodes (last digits depend on array
+    # alignment, see solve_node), spectral ratio if regularized
+    condition: float
     regularized: bool
     clamped: int  # eigenvalues raised to the floor (0 on Cholesky nodes)
 
@@ -133,9 +135,12 @@ def solve_node(system):
     result is flagged ``regularized``, with ``clamped`` counting the
     eigenvalues of magnitude below that floor. The reported ``condition`` is
     P's LAPACK 1-norm estimate on Cholesky nodes and the 2-norm ratio of the
-    floored spectrum on regularized ones. If the floored spectrum is still
-    ill-conditioned, or alpha is not finite, an IllConditionedError is
-    raised. Returns a :class:`NodeSolve`.
+    floored spectrum on regularized ones. The estimate's last digits depend on
+    how the arrays are aligned in memory, not only on P, so model files that
+    store it are byte-reproducible only within one process; alpha depends on
+    it only through the comparison with ``CONDITION_LIMIT``. If the floored
+    spectrum is still ill-conditioned, or alpha is not finite, an
+    IllConditionedError is raised. Returns a :class:`NodeSolve`.
     """
     if not np.allclose(system.A, system.A.T, atol=1e-10):
         raise InvalidInputError("system matrix must be symmetric")

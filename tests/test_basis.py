@@ -306,6 +306,69 @@ def test_weighted_eval_at_block_edges(basis, edge):
     _assert_kernel_matches_eval_batch(basis, X, alpha)
 
 
+# Sum-factorized kernel: relative to each output's largest magnitude over the
+# points, every output is within this bound of the eval_batch contraction
+KERNEL_REL_TOL = 1e-5
+
+
+def _assert_kernel_within_output_scale(basis, X, alpha, rows=None):
+    """weighted_eval on X[:rows] against the eval_batch oracle, per output,
+    within KERNEL_REL_TOL of that output's largest magnitude over all of X."""
+    rows = len(X) if rows is None else rows
+    want = _oracle(basis, X, alpha)
+    got = basis.weighted_eval(X[:rows], alpha)
+    for name, g, w in zip(("energy", "score", "laplacian"), got, want):
+        err = np.max(np.abs(g - w[:rows]))
+        assert err < KERNEL_REL_TOL * np.max(np.abs(w)), (name, err, np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("basis", [
+    pytest.param(es.trig_basis_1d(25), id="trig-1d-25"),
+    pytest.param(es.trig_basis_nd(2, -1.0), id="trig-2d-1"),
+    pytest.param(es.trig_basis_nd(2, -125.0), id="trig-2d-125"),
+    pytest.param(es.trig_basis_nd(3, -20.0), id="trig-3d-20"),
+    pytest.param(es.trig_basis_nd(4, -3.0), id="trig-4d-3"),
+])
+def test_kernel_off_the_torus(basis):
+    """Flow states leave the torus before they are wrapped: points with |x| up
+    to 2 pi. trig-3d-20 chains one complex middle contraction over harmonics
+    -4..4, trig-4d-3 two; trig-2d-1 has one-harmonic-wide ranges."""
+    rng = np.random.default_rng(31)
+    X = rng.uniform(-2 * math.pi, 2 * math.pi, (700, basis.dimension))
+    _assert_kernel_within_output_scale(basis, X, rng.normal(size=basis.n_active))
+
+
+@pytest.mark.parametrize("edge", list(BLOCK_EDGES))
+@pytest.mark.parametrize("basis", [
+    pytest.param(es.trig_basis_1d(25), id="trig-1d-25"),
+    pytest.param(es.trig_basis_nd(2, -125.0), id="trig-2d-125"),
+    pytest.param(es.trig_basis_nd(3, -20.0), id="trig-3d-20"),
+])
+def test_kernel_per_output_bound_at_block_edges(basis, edge):
+    """At row counts around the block size, each output within KERNEL_REL_TOL
+    of its largest magnitude over 3b + 5 points (the largest edge)."""
+    rng = np.random.default_rng(9)
+    alpha = rng.normal(size=basis.n_active)
+    b = basis._family.block_rows()
+    X = rng.uniform(-2 * math.pi, 2 * math.pi, (3 * b + 5, basis.dimension))
+    _assert_kernel_within_output_scale(basis, X, alpha, BLOCK_EDGES[edge](b))
+
+
+def test_kernel_weights_in_1d_are_the_frequency_row_weights():
+    """In 1D the harmonics are the frequency rows 1..K, so M is, row for row,
+    sqrt2 (a_cos, a_sin k, lam a_cos) for each cosine, then
+    sqrt2 (a_sin, -a_cos k, lam a_sin) for each sine, in float32."""
+    basis = es.trig_basis_1d(25)
+    alpha = np.random.default_rng(12).normal(size=basis.n_active)
+    k, lam = np.arange(1.0, 26.0), -np.arange(1.0, 26.0) ** 2
+    a_cos, a_sin = alpha[0::2], alpha[1::2]
+    W = np.concatenate([np.stack([a_cos, a_sin * k, a_cos * lam], axis=1),
+                        np.stack([a_sin, -a_cos * k, a_sin * lam], axis=1)])
+    M = basis._family._layout.weights(alpha)
+    assert M.dtype == np.float32
+    np.testing.assert_array_equal(M, (math.sqrt(2) * W).astype(np.float32))
+
+
 # ---------------------------------------------------------------------------
 # Builders and serialization
 # ---------------------------------------------------------------------------
