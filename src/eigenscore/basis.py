@@ -117,8 +117,8 @@ def hermite_order_expansion(basis_max, extended_max):
 # Each evaluator holds one ordered function list whose entry 0 is the constant
 # and evaluates it at checked points X (N, d): ``values`` (N, n) and
 # ``derivatives`` (values, gradients (N, d, n), Laplacians (N, n)), both in
-# float64, and ``weighted``, the flow kernel: the energy, score and Laplacian
-# of f = sum_k alpha_k phi_k over entries 1.. without forming the gradient
+# float64, and ``weighted``, the flow kernel: the score and Laplacian of
+# f = sum_k alpha_k phi_k over entries 1.. without forming the gradient
 # tensor (trig in float32, Hermite in float64). Trig values and derivatives
 # get cos/sin of the integer frequencies by angle addition (``_cos_sin``).
 #
@@ -160,8 +160,8 @@ class _KernelLayout:
     cos and sin rows there. ``src`` and ``fac`` give each entry of M
     (2 m_last, n_sums) as ``sqrt2 alpha[src] fac``: its rows are the cos and
     sin harmonics of the last coordinate, and its columns the partial sums
-    over the other coordinates, ordered (output, k_0, .., k_{d-2}, re/im),
-    with no re/im axis in 1D.
+    over the other coordinates, ordered (output, k_0, .., k_{d-2}, re/im):
+    d score components, then the Laplacian; no re/im axis in 1D.
     """
 
     phase_rows: np.ndarray
@@ -183,20 +183,19 @@ class _KernelLayout:
             q = q * m[j] + k[:, j] - lo[j]
         grid = int(np.prod(m[:last]))
         parts = 2 if d > 1 else 1  # re/im of the partial sums
-        cols = (np.arange(d + 2) * grid + q[:, None]) * parts  # (n, d + 2)
+        cols = (np.arange(d + 1) * grid + q[:, None]) * parts  # (n, d + 1)
         cos_row = k[:, last] - lo[last]
         sin_row = cos_row + m[last]
         # the cos (sin) function of row r carries Wc (Ws): sqrt2 times
-        # (a_cos, a_sin U, lam a_cos) and (a_sin, -a_cos U, lam a_sin)
-        src_c = np.repeat(2 * np.arange(n)[:, None], d + 2, axis=1)
-        src_c[:, 1:-1] += 1
+        # (a_sin U, lam a_cos) and (-a_cos U, lam a_sin)
+        src_c = np.repeat(2 * np.arange(n)[:, None], d + 1, axis=1)
+        src_c[:, :-1] += 1
         src_s = src_c ^ 1
-        ones, lam_r = np.ones((n, 1)), lam[1::2, None]
-        fac_c = np.hstack([ones, U, lam_r])
-        fac_s = np.hstack([ones, -U, lam_r])
+        fac_c = np.hstack([U, lam[1::2, None]])
+        fac_s = np.hstack([-U, lam[1::2, None]])
         # the row's complex coefficient is Wc - i Ws; (cos + i sin)(Wc - i Ws)
         # puts (Wc, Ws) into the real part and (-Ws, Wc) into the imaginary one
-        src = np.zeros((2 * m[last], (d + 2) * grid * parts), np.int64)
+        src = np.zeros((2 * m[last], (d + 1) * grid * parts), np.int64)
         fac = np.zeros(src.shape)
         terms = [(cos_row, 0, src_c, fac_c), (sin_row, 0, src_s, fac_s)]
         if parts == 2:
@@ -308,7 +307,7 @@ class _TrigFamily:
         M = lay.weights(alpha)
         m, W = lay.n_last, len(lay.phase_rows)
         # coordinate-major: one row per phase, harmonic or output, one column per point
-        out = np.empty((d + 2, N), np.float32)
+        out = np.empty((d + 1, N), np.float32)
         b = self.block_rows()
         nb = min(b, N)
         phase = np.empty((W, nb), np.float32)
@@ -341,8 +340,7 @@ class _TrigFamily:
                 else:  # the first coordinate: the real part alone
                     np.einsum("rkb,kb->rb", re, c, out=dst)
                     dst += np.einsum("rkb,kb->rb", im, s)
-        score = np.ascontiguousarray(out[1:-1].T, dtype=float)
-        return out[0].astype(float), score, out[-1].astype(float)
+        return np.ascontiguousarray(out[:-1].T, dtype=float), out[-1].astype(float)
 
 
 class _HermiteFamily:
@@ -378,8 +376,8 @@ class _HermiteFamily:
         return vals, d1[:, None, :] * self.axis.T, d2
 
     def weighted(self, X, alpha):
-        vals, d1, d2 = self._terms(X)
-        return vals[:, 1:] @ alpha, (d1[:, 1:] * alpha) @ self.axis[1:], d2[:, 1:] @ alpha
+        _, d1, d2 = self._terms(X)
+        return (d1[:, 1:] * alpha) @ self.axis[1:], d2[:, 1:] @ alpha
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +442,16 @@ class EigenBasis:
         return family.values(self._check_points(X))
 
     def weighted_eval(self, X, alpha):
-        """The flow kernel: energy, score and Laplacian of ``f = sum_k alpha_k phi_k``.
+        """The flow kernel: score and Laplacian of ``f = sum_k alpha_k phi_k``.
 
         ``alpha`` runs over the active (non-constant) basis functions. Returns
-        ``(energy (N,), score (N,d), laplacian (N,))`` without materializing the
-        gradient tensor. Trig is sum-factorized over the coordinates' harmonics
-        and runs in float32: each output is within 1e-5 of its largest
-        magnitude over the points (1e-7 to 5e-6 measured), far below the
-        integrators' tolerances.
-        Hermite runs in float64; exact float64 values come from
-        :meth:`eval_batch`.
+        ``(score (N,d), laplacian (N,))`` without materializing the gradient
+        tensor. The flow and the reverse SDE read nothing else, so the energy
+        is not formed; ``solver.model_eval_batch`` gives it. Trig is
+        sum-factorized over the coordinates' harmonics and runs in float32:
+        each output is within 1e-5 of its largest magnitude over the points
+        (1e-7 to 5e-6 measured), far below the integrators' tolerances. Hermite
+        runs in float64; exact float64 values come from :meth:`eval_batch`.
         """
         X = self._check_points(X)
         alpha = np.asarray(alpha, dtype=float)

@@ -42,8 +42,8 @@ from .solver import (
     QuadratureSpec,
     dataset_hash,
     load_model,
-    loss_grid,
     presolve_grid,
+    reference_loss,
     save_model,
     shrinkage_losses,
     trapezoid_grid,
@@ -264,10 +264,10 @@ def cmd_density(args):
 # ---------------------------------------------------------------------------
 
 def _loss_study_rep(payload):
-    rep, seed, n, bases, sched_dict, grids = payload
+    rep, seed, n, bases, losses = payload
     rng = np.random.default_rng([seed, rep])
     data = wrap_torus(sample_gaussian_mixture(bart_simpson(), n, rng))
-    return shrinkage_losses(data, bases, Schedule.from_dict(sched_dict), grids)
+    return shrinkage_losses(data, bases, losses)
 
 
 def _csv_list(text, kind, flag):
@@ -301,9 +301,9 @@ def cmd_loss_study(args):
     bases = [(basis, product_table(basis)) for basis in map(trig_basis_1d, sizes)]
     reference = AnalyticReference(bart_simpson(), schedule, TRUNCATED_BM)
     quadrature = QuadratureSpec(n_nodes=args.n_quad)
-    grids = [loss_grid(reference, tau, quadrature, 1) for tau in taus]
-    payloads = [(rep, args.seed, args.n, bases, schedule.to_dict(), grids)
-                for rep in range(args.reps)]
+    losses = [[reference_loss(basis, table, reference, tau, quadrature) for tau in taus]
+              for basis, table in bases]
+    payloads = [(rep, args.seed, args.n, bases, losses) for rep in range(args.reps)]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_loss_study_rep, payloads))

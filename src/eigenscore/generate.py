@@ -49,7 +49,7 @@ def flow_rate(model, t, X):
     reparameterization.
     """
     alpha = alpha_at(model, tau_at(model.schedule, t))
-    _, score, lap = model.basis.weighted_eval(X, alpha)
+    score, lap = model.basis.weighted_eval(X, alpha)
     return -score, -lap
 
 
@@ -139,7 +139,7 @@ def sample_reverse_sde(model, n, n_steps=1000, rng=None, prior=PRIOR_UNIFORM):
     times = [internal_time(model.schedule, tau) for tau in taus]
     for i in range(n_steps):
         alpha, sigma = transition(model.process, times[i] - times[i + 1])
-        score = model.basis.weighted_eval(X, alpha_at(model, taus[i]))[1]
+        score, _ = model.basis.weighted_eval(X, alpha_at(model, taus[i]))
         g = 2.0 * sigma * sigma / (1.0 + alpha)
         X = alpha * X + g * score + sigma * rng.standard_normal((n, d))
         if model.process == TRUNCATED_BM:

@@ -20,6 +20,7 @@ whether the floor acted, and how many eigenvalues it raised.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -30,16 +31,16 @@ import scipy.linalg
 import scipy.sparse
 from scipy.linalg import lapack
 
-from .basis import EigenBasis, basis_from_dict, basis_to_dict
+from .basis import EigenBasis, basis_from_dict, basis_to_dict, product_table
 from .errors import (
     CapacityError,
     IllConditionedError,
     InvalidInputError,
     UnsupportedTargetError,
 )
-from .moments import modulation_shrink, sample_moments
+from .moments import analytic_moments, modulation_shrink, sample_moments
 from .process import Schedule, _check_tau, check_domain, internal_time
-from .targets import DomainMap
+from .targets import AnalyticReference, DomainMap
 
 MODEL_FORMAT_VERSION = 1
 CONDITION_LIMIT = 1e12
@@ -262,7 +263,7 @@ def model_eval_batch(model, X, tau):
 
 
 # ---------------------------------------------------------------------------
-# Score-matching loss against a ground-truth reference
+# Score-matching loss: the quadratic of a reference's exact moments
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -281,72 +282,72 @@ def trapezoid_grid(spec, dimension):
             f"a trapezoid grid needs at least 2 nodes per dimension, got {spec.n_nodes}")
     x = np.linspace(spec.lower, spec.upper, spec.n_nodes)
     w = np.full(spec.n_nodes, x[1] - x[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    if dimension == 1:
-        return x[:, None], w
-    grids = np.meshgrid(*([x] * dimension), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    W = w
-    for _ in range(dimension - 1):
-        W = np.multiply.outer(W, w)
-    return nodes, W.ravel()
+    w[[0, -1]] *= 0.5
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*[x] * dimension, indexing="ij")], axis=1)
+    return nodes, functools.reduce(np.multiply.outer, [w] * dimension).ravel()
 
 
 @dataclass(frozen=True)
-class LossGrid:
-    """Quadrature at one tau with the reference's density and relative score there."""
+class ReferenceLoss:
+    """J(alpha) = E|grad f_alpha - grad log(rho_t / pi)|^2 under rho_t at internal
+    time ``t``: the quadratic alpha' A alpha + 2 b' alpha + C of the reference's
+    exact moments, as floor + (alpha - a)' A (alpha - a) about its minimizer
+    a = ``alpha``, with ``floor`` = J(a) the truncation error of the basis."""
 
-    tau: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    density: np.ndarray  # rho_tau at the nodes
-    target: np.ndarray  # grad log(rho_tau / pi) at the nodes
+    t: float
+    A: np.ndarray
+    alpha: np.ndarray
+    floor: float
+
+    def __call__(self, alpha):
+        e = np.asarray(alpha, dtype=float) - self.alpha
+        return float(self.floor + e @ self.A @ e)
 
 
-def loss_grid(reference, tau, quadrature, dimension):
-    """Trapezoid nodes and weights with the reference evaluated on them once."""
-    if reference is None or not hasattr(reference, "relative_score"):
+def reference_loss(basis, table, reference, tau, quadrature):
+    """The :class:`ReferenceLoss` of ``basis`` at ``tau`` on the reference's clock:
+    A and its minimizer from the solve a fit makes with the reference's exact
+    :func:`analytic_moments` (no floor acts), J there by the trapezoid rule of
+    ``quadrature``. Raises UnsupportedTargetError without an
+    :class:`AnalyticReference` and InvalidInputError for one of another process."""
+    if not isinstance(reference, AnalyticReference):
         raise UnsupportedTargetError("no ground-truth score reference available")
-    nodes, weights = trapezoid_grid(quadrature, dimension)
-    return LossGrid(float(tau), nodes, weights, reference.pdf(nodes, tau),
-                    reference.relative_score(nodes, tau))
-
-
-def score_error(grads, alpha, grid):
-    """Integral of |grads @ alpha - grad log(rho_tau/pi)|^2 rho_tau by the grid's
-    rule, with ``grads = basis.eval_batch(grid.nodes)[1][:, :, 1:]`` the active
-    basis's gradients, so that grads @ alpha is the score of sum_k alpha_k phi_k."""
-    diff = grads @ alpha - grid.target
-    return float(grid.weights @ (grid.density * (diff * diff).sum(axis=1)))
+    if reference.process != basis.process:
+        raise InvalidInputError(
+            f"the reference follows process {reference.process!r}, the basis {basis.process!r}")
+    t = internal_time(reference.schedule, tau)
+    system = SystemAssembler(basis, table, analytic_moments(reference.gm, basis)).system(t)
+    alpha = solve_node(system).alpha
+    nodes, weights = trapezoid_grid(quadrature, basis.dimension)
+    diff = basis.eval_batch(nodes)[1][:, :, 1:] @ alpha - reference.relative_score(nodes, tau)
+    floor = float(weights @ (reference.pdf(nodes, tau) * (diff * diff).sum(axis=1)))
+    return ReferenceLoss(t, system.A, alpha, floor)
 
 
 def sm_loss(model, tau, reference, quadrature=QuadratureSpec()):
-    """Weighted L2 distance between the model score at tau and the true relative
-    score, by the trapezoid rule of ``quadrature`` (see :func:`score_error`)."""
-    grid = loss_grid(reference, tau, quadrature, model.basis.dimension)
-    grads = model.basis.eval_batch(grid.nodes)[1][:, :, 1:]
-    return score_error(grads, alpha_at(model, tau), grid)
+    """The :class:`ReferenceLoss` of the model's coefficients at tau. A reference
+    on another schedule than the model's raises InvalidInputError."""
+    if isinstance(reference, AnalyticReference) and reference.schedule != model.schedule:
+        raise InvalidInputError("the reference runs on another schedule than the model")
+    loss = reference_loss(model.basis, product_table(model.basis), reference, tau, quadrature)
+    return loss(alpha_at(model, tau))
 
 
-def shrinkage_losses(data, bases, schedule, grids):
-    """Score errors of fits from sample-mean and modulation-shrunk moments.
+def shrinkage_losses(data, bases, losses):
+    """Losses of fits from sample-mean and modulation-shrunk moments.
 
     Each ``(basis, table)`` of ``bases`` is fit to ``data`` twice, from its
     sample moments and from their :func:`modulation_shrink`, by one node solve
-    at each grid's internal time. Returns the :func:`score_error` values as an
-    array (len(bases), len(grids), 2), sample-mean first.
+    at the time of each :class:`ReferenceLoss` of ``losses[i]``, which scores
+    it. Returns an array (len(bases), len(losses[i]), 2), sample-mean first.
     """
-    times = [internal_time(schedule, grid.tau) for grid in grids]
-    out = np.empty((len(bases), len(grids), 2))
+    out = np.empty((len(bases), len(losses[0]), 2))
     for i, (basis, table) in enumerate(bases):
-        grads = [basis.eval_batch(grid.nodes)[1][:, :, 1:] for grid in grids]
         raw = sample_moments(basis, data)
         for j, moments in enumerate((raw, modulation_shrink(raw))):
             assembler = SystemAssembler(basis, table, moments)
-            for g, t in enumerate(times):
-                alpha = solve_node(assembler.system(t)).alpha
-                out[i, g, j] = score_error(grads[g], alpha, grids[g])
+            for g, loss in enumerate(losses[i]):
+                out[i, g, j] = loss(solve_node(assembler.system(loss.t)).alpha)
     return out
 
 

@@ -1,5 +1,6 @@
 """Shared fixtures and numerical helpers for the test suite."""
 
+import functools
 import math
 
 import numpy as np
@@ -77,6 +78,21 @@ def dense_system(basis, table, moments, t):
                 (lam_ext[h] - lam[k] - lam[l]) / 2.0 * np.exp(lam_ext[h] * t) * beta * theta[h])
     b = lam[1:] * np.exp(lam[1:] * t) * theta[1:n + 1]
     return A, b
+
+
+def score_error(basis, alpha, reference, tau, quadrature=es.QuadratureSpec()):
+    """The score-matching loss by quadrature: the trapezoid rule of
+    ``quadrature`` over |grad f - grad log(rho_tau / pi)|^2 rho_tau, with
+    f = sum_k alpha_k phi_k over the active basis and rho_tau the reference's
+    density at tau."""
+    d = basis.dimension
+    x = np.linspace(quadrature.lower, quadrature.upper, quadrature.n_nodes)
+    w = np.full(len(x), x[1] - x[0])
+    w[[0, -1]] *= 0.5
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*[x] * d, indexing="ij")], axis=1)
+    weights = functools.reduce(np.multiply.outer, [w] * d).ravel()
+    diff = basis.eval_batch(nodes)[1][:, :, 1:] @ alpha - reference.relative_score(nodes, tau)
+    return float(weights @ (reference.pdf(nodes, tau) * (diff * diff).sum(axis=1)))
 
 
 def fit_gaussian_ou(mean, var, order=2, n_tau=200, schedule=es.Schedule.vp(0.1, 20.0)):

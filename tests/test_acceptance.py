@@ -18,7 +18,7 @@ from scipy.stats import binomtest, kstest
 import eigenscore as es
 from eigenscore.cli import main as cli_main
 from eigenscore.odeint import IntegratorConfig
-from eigenscore.solver import QuadratureSpec, loss_grid, shrinkage_losses
+from eigenscore.solver import QuadratureSpec, reference_loss, shrinkage_losses
 from eigenscore.targets import _TOYS, AnalyticReference
 from eigenscore.process import OU, TRUNCATED_BM, tau_at
 
@@ -39,20 +39,21 @@ def _loss_study(sizes, n_reps, seed, n_samples=2000):
     """Per-replication weighted L2 score losses, sample-mean vs shrinkage.
 
     Replication ``rep`` fits the data drawn by ``default_rng([seed, rep])``,
-    as the loss-study CLI does, through ``solver.shrinkage_losses``. Losses
-    are averaged over the default pair of study times (smallest grid tau and
-    the tau with internal time 0.02); returns arrays of shape (n_reps,) per
-    size and estimator.
+    as the loss-study CLI does, through ``solver.shrinkage_losses`` with one
+    ``solver.reference_loss`` per size and time. Losses are averaged over the
+    default pair of study times (smallest grid tau and the tau with internal
+    time 0.02); returns arrays of shape (n_reps,) per size and estimator.
     """
     gm = es.bart_simpson()
     sched = es.Schedule.ve(0.01, 50.0)
     ref = AnalyticReference(gm, sched, TRUNCATED_BM)
     spec = QuadratureSpec(n_nodes=4096)
-    grids = [loss_grid(ref, tau, spec, 1) for tau in (0.0, tau_at(sched, 0.02))]
     bases = [(basis, es.product_table(basis)) for basis in map(es.trig_basis_1d, sizes)]
+    refs = [[reference_loss(basis, table, ref, tau, spec) for tau in (0.0, tau_at(sched, 0.02))]
+            for basis, table in bases]
     losses = np.stack([
         shrinkage_losses(es.wrap_torus(es.sample_gaussian_mixture(
-            gm, n_samples, np.random.default_rng([seed, rep]))), bases, sched, grids)
+            gm, n_samples, np.random.default_rng([seed, rep]))), bases, refs)
         for rep in range(n_reps)]).mean(axis=2)  # (n_reps, sizes, estimators)
     return {size: {"raw": losses[:, i, 0], "shr": losses[:, i, 1]}
             for i, size in enumerate(sizes)}

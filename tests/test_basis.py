@@ -234,22 +234,22 @@ def test_trig_laplacian_is_eigenvalue_times_value():
 
 
 def _oracle(basis, X, alpha):
-    """Energy, score and Laplacian contracted from the float64 eval_batch."""
-    vals, grads, laps = basis.eval_batch(X)
-    return vals[:, 1:] @ alpha, grads[:, :, 1:] @ alpha, laps[:, 1:] @ alpha
+    """Score and Laplacian contracted from the float64 eval_batch."""
+    _, grads, laps = basis.eval_batch(X)
+    return grads[:, :, 1:] @ alpha, laps[:, 1:] @ alpha
 
 
 def _assert_kernel_matches_eval_batch(basis, X, alpha):
     """weighted_eval against the eval_batch oracle: Hermite (float64) within
-    1e-14 of each output's largest magnitude; trig (float32) within 1e-4, 1e-3
-    and 1e-2 of sum |alpha| for energy, score and Laplacian."""
+    1e-14 of each output's largest magnitude; trig (float32) within 1e-3 and
+    1e-2 of sum |alpha| for score and Laplacian."""
     got, want = basis.weighted_eval(X, alpha), _oracle(basis, X, alpha)
     if basis.process == es.OU:
-        for g, w in zip(got, want):
+        for g, w in zip(got, want, strict=True):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-14 * np.abs(w).max())
         return
     scale = np.abs(alpha).sum()
-    for g, w, bound in zip(got, want, (1e-4, 1e-3, 1e-2)):
+    for g, w, bound in zip(got, want, (1e-3, 1e-2), strict=True):
         assert np.max(np.abs(g - w)) < bound * scale
 
 
@@ -282,7 +282,7 @@ def test_weighted_eval_float32_with_coefficients_below_its_normal_range():
     rng = np.random.default_rng(8)
     X = rng.uniform(-math.pi, math.pi, (500, 2))
     alpha = rng.normal(size=basis.n_active) * np.exp(1.1 * basis.eigenvalues[1:])
-    for got, want in zip(basis.weighted_eval(X, alpha), _oracle(basis, X, alpha)):
+    for got, want in zip(basis.weighted_eval(X, alpha), _oracle(basis, X, alpha), strict=True):
         assert np.max(np.abs(got - want)) < 1e-5 * np.max(np.abs(want))
 
 
@@ -317,7 +317,7 @@ def _assert_kernel_within_output_scale(basis, X, alpha, rows=None):
     rows = len(X) if rows is None else rows
     want = _oracle(basis, X, alpha)
     got = basis.weighted_eval(X[:rows], alpha)
-    for name, g, w in zip(("energy", "score", "laplacian"), got, want):
+    for name, g, w in zip(("score", "laplacian"), got, want, strict=True):
         err = np.max(np.abs(g - w[:rows]))
         assert err < KERNEL_REL_TOL * np.max(np.abs(w)), (name, err, np.max(np.abs(w)))
 
@@ -356,14 +356,14 @@ def test_kernel_per_output_bound_at_block_edges(basis, edge):
 
 def test_kernel_weights_in_1d_are_the_frequency_row_weights():
     """In 1D the harmonics are the frequency rows 1..K, so M is, row for row,
-    sqrt2 (a_cos, a_sin k, lam a_cos) for each cosine, then
-    sqrt2 (a_sin, -a_cos k, lam a_sin) for each sine, in float32."""
+    sqrt2 (a_sin k, lam a_cos) for each cosine, then sqrt2 (-a_cos k, lam a_sin)
+    for each sine, in float32: the score and Laplacian weights."""
     basis = es.trig_basis_1d(25)
     alpha = np.random.default_rng(12).normal(size=basis.n_active)
     k, lam = np.arange(1.0, 26.0), -np.arange(1.0, 26.0) ** 2
     a_cos, a_sin = alpha[0::2], alpha[1::2]
-    W = np.concatenate([np.stack([a_cos, a_sin * k, a_cos * lam], axis=1),
-                        np.stack([a_sin, -a_cos * k, a_sin * lam], axis=1)])
+    W = np.concatenate([np.stack([a_sin * k, a_cos * lam], axis=1),
+                        np.stack([-a_cos * k, a_sin * lam], axis=1)])
     M = basis._family._layout.weights(alpha)
     assert M.dtype == np.float32
     np.testing.assert_array_equal(M, (math.sqrt(2) * W).astype(np.float32))

@@ -64,7 +64,7 @@ def test_flow_field_rate_consistency(torus_model):
     t = es.internal_time(model.schedule, 0.3)
     vel, div = es.flow_rate(model, t, X)
     alpha = es.alpha_at(model, tau_at(model.schedule, t))
-    _, score, lap = model.basis.weighted_eval(X, alpha)
+    score, lap = model.basis.weighted_eval(X, alpha)
     assert np.array_equal(vel, -score) and np.array_equal(div, -lap)
 
 

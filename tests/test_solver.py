@@ -11,12 +11,12 @@ from eigenscore.process import tau_at
 from eigenscore.solver import (
     QuadratureSpec,
     dataset_hash,
-    loss_grid,
-    score_error,
+    reference_loss,
+    shrinkage_losses,
     solve_node,
     trapezoid_grid,
 )
-from conftest import dense_system, fit_gaussian_ou, uniform_moments
+from conftest import dense_system, fit_gaussian_ou, score_error, uniform_moments
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +406,73 @@ def test_torus_reference_follows_the_clock(schedule):
     assembler = es.SystemAssembler(basis, es.product_table(basis), es.analytic_moments(gm, basis))
     alpha = solve_node(assembler.system(0.05)).alpha
     reference = es.AnalyticReference(gm, schedule, es.TRUNCATED_BM)
-    grid = loss_grid(reference, tau_at(schedule, 0.05), QuadratureSpec(), 1)
-    assert score_error(basis.eval_batch(grid.nodes)[1][:, :, 1:], alpha, grid) < 1e-10
+    assert score_error(basis, alpha, reference, tau_at(schedule, 0.05)) < 1e-10
+
+
+BART_VE = es.Schedule.ve(0.01, 50.0)
+# two Gaussians on the line, for the OU/Hermite loss
+OU_MIXTURE = es.GaussianMixture(weights=np.array([0.4, 0.6]), means=np.array([[-1.0], [0.8]]),
+                                variances=np.array([[0.3], [0.5]]))
+OU_QUADRATURE = QuadratureSpec(n_nodes=4096, lower=-12.0, upper=12.0)
+LOSS_CASES = {
+    "bart-5": (es.bart_simpson, lambda: es.trig_basis_1d(5), BART_VE, es.TRUNCATED_BM,
+               (0.0, tau_at(BART_VE, 0.02), 0.352), QuadratureSpec()),
+    "bart-25": (es.bart_simpson, lambda: es.trig_basis_1d(25), BART_VE, es.TRUNCATED_BM,
+                (0.0, tau_at(BART_VE, 0.02), 0.352), QuadratureSpec()),
+    "ou-mixture-6": (lambda: OU_MIXTURE, lambda: es.hermite_univariate_basis(1, 6),
+                     es.Schedule.vp(0.1, 20.0), es.OU, (0.0, 0.137, 0.6), OU_QUADRATURE),
+}
+
+
+@pytest.mark.parametrize("case", list(LOSS_CASES))
+def test_reference_loss_matches_quadrature(case):
+    """The quadratic about the exact-moment solve, against the quadrature of
+    the score error, at random coefficients and at a fit to 2000 draws."""
+    make_gm, make_basis, schedule, process, taus, quadrature = LOSS_CASES[case]
+    gm, basis = make_gm(), make_basis()
+    table = es.product_table(basis)
+    reference = es.AnalyticReference(gm, schedule, process)
+    rng = np.random.default_rng(41)
+    data = es.sample_gaussian_mixture(gm, 2000, rng)
+    if process == es.TRUNCATED_BM:
+        data = es.wrap_torus(data)
+    fit = es.SystemAssembler(basis, table, es.modulation_shrink(es.sample_moments(basis, data)))
+    for tau in taus:
+        loss = reference_loss(basis, table, reference, tau, quadrature)
+        assert loss.t == es.internal_time(schedule, tau)
+        for alpha in (rng.normal(size=basis.n_active), solve_node(fit.system(loss.t)).alpha):
+            want = score_error(basis, alpha, reference, tau, quadrature)
+            assert loss(alpha) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_shrinkage_losses_score_both_fits_by_their_reference_loss():
+    basis = es.trig_basis_1d(6)
+    table = es.product_table(basis)
+    reference = es.AnalyticReference(es.bart_simpson(), BART_VE, es.TRUNCATED_BM)
+    losses = [reference_loss(basis, table, reference, tau, QuadratureSpec(n_nodes=512))
+              for tau in (0.0, 0.3)]
+    data = es.wrap_torus(es.sample_gaussian_mixture(es.bart_simpson(), 300,
+                                                    np.random.default_rng(2)))
+    raw = es.sample_moments(basis, data)
+    got = shrinkage_losses(data, [(basis, table)], [losses])
+    assert got.shape == (1, 2, 2)
+    for j, moments in enumerate((raw, es.modulation_shrink(raw))):
+        assembler = es.SystemAssembler(basis, table, moments)
+        for g, loss in enumerate(losses):
+            assert got[0, g, j] == loss(solve_node(assembler.system(loss.t)).alpha)
+
+
+@pytest.mark.parametrize("process, schedule, match", [
+    (es.OU, BART_VE, "process"), (es.TRUNCATED_BM, es.Schedule.vp(0.1, 20.0), "schedule"),
+], ids=["OU-reference", "VP-clock-reference"])
+def test_sm_loss_rejects_a_reference_that_does_not_match_the_model(process, schedule, match):
+    # the process check is reference_loss's, which the loss study calls too
+    basis = es.trig_basis_1d(8)
+    model = es.presolve_grid(basis, es.product_table(basis),
+                             es.analytic_moments(es.bart_simpson(), basis), BART_VE, n_times=20)
+    reference = es.AnalyticReference(es.bart_simpson(), schedule, process)
+    with pytest.raises(es.InvalidInputError, match=match):
+        es.sm_loss(model, 0.2, reference, QuadratureSpec(n_nodes=256))
 
 
 def test_sm_loss_monte_carlo_close_to_quadrature():
