@@ -9,7 +9,6 @@ from .basis import (
     OU,
     TRUNCATED_BM,
     EigenBasis,
-    EigenFunction,
     basis_from_dict,
     basis_to_dict,
     hermite_eval,

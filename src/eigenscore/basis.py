@@ -8,7 +8,10 @@ Two families are supported:
   Brownian motion wrapped onto the torus [-pi, pi]^d, with eigenvalue
   ``-|xi|^2``.
 
-Bases carry an *extended* list, a superset large enough that any product of
+A basis is its index arrays: a torus function is fixed by its integer
+frequency row u and an OU function by its coordinate and Hermite order n, and
+the builders make these arrays directly (``_TrigFamily``, ``_HermiteFamily``).
+Bases carry an *extended* family, a superset large enough that any product of
 two basis members expands exactly, ``phi_k phi_l = sum_h beta_h phi_h``.
 :func:`product_table` builds that expansion, vectorised over all pairs
 ``k <= l``, as one sparse COO tensor of ``(k, l, h, beta)`` entries (a
@@ -29,24 +32,6 @@ SQRT2 = math.sqrt(2.0)
 
 OU = "OU"
 TRUNCATED_BM = "truncatedBM"
-
-KIND_CONSTANT = "constant"
-KIND_HERMITE = "hermite"
-KIND_COS = "trig-cos"
-KIND_SIN = "trig-sin"
-
-
-@dataclass(frozen=True)
-class EigenFunction:
-    """One eigenfunction: a multi-index, its family, and its eigenvalue."""
-
-    index: tuple
-    kind: str
-    eigenvalue: float
-
-    @property
-    def dimension(self):
-        return len(self.index)
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +99,15 @@ def hermite_order_expansion(basis_max, extended_max):
 # Evaluators, one per family
 # ---------------------------------------------------------------------------
 #
-# Each evaluator holds one ordered function list whose entry 0 is the constant
-# and evaluates it at checked points X (N, d): ``values`` (N, n) and
-# ``derivatives`` (values, gradients (N, d, n), Laplacians (N, n)), both in
-# float64, and ``weighted``, the flow kernel: the score and Laplacian of
-# f = sum_k alpha_k phi_k over entries 1.. without forming the gradient
-# tensor (trig in float32, Hermite in float64). Trig values and derivatives
-# get cos/sin of the integer frequencies by angle addition (``_cos_sin``).
+# Each family holds the index arrays of one ordered function list whose entry 0
+# is the constant, with their eigenvalues ``lam``; ``len`` counts the functions
+# and ``listing`` names them. It evaluates the list at checked points X (N, d):
+# ``values`` (N, n) and ``derivatives`` (values, gradients (N, d, n),
+# Laplacians (N, n)), both in float64, and ``weighted``, the flow kernel: the
+# score and Laplacian of f = sum_k alpha_k phi_k over entries 1.. without
+# forming the gradient tensor (trig in float32, Hermite in float64). Trig
+# values and derivatives get cos/sin of the integer frequencies by angle
+# addition (``_cos_sin``).
 #
 # The float32 trig kernel is sum-factorized (Orszag, J. Comput. Phys. 1980):
 # the frequencies are integer, so e^{i u.x} = prod_j e^{i u_j x_j}, and the
@@ -235,21 +222,27 @@ class _TrigFamily:
 
     Function 2r + 1 is sqrt2 cos(U[r].x) and function 2r + 2 is
     sqrt2 sin(U[r].x), the column order of ``_cos_sin`` shifted by the
-    constant, so values and slopes are reshapes of it.
+    constant, so values and slopes are reshapes of it. Both have the
+    eigenvalue -|U[r]|^2.
     """
 
-    def __init__(self, funcs, dimension):
-        cos, sin = funcs[1::2], funcs[2::2]
-        if len(cos) != len(sin) or any(
-                c.kind != KIND_COS or s.kind != KIND_SIN or c.index != s.index
-                for c, s in zip(cos, sin)):
-            raise InvalidInputError("trig functions must follow the constant as "
-                                    "(cos, sin) pairs of one frequency each")
-        self.U = np.array([f.index for f in cos], dtype=float).reshape(len(cos), dimension)
-        self.lam = np.array([f.eigenvalue for f in funcs])
+    def __init__(self, U):
+        self.U = np.asarray(U, dtype=float)
+        self.lam = np.concatenate([[0.0], np.repeat(-(self.U * self.U).sum(axis=1), 2)])
         self.kmax = int(np.abs(self.U).max(initial=0))
         # column of z_j^{U[r, j]} among the powers z_j^-kmax .. z_j^kmax
         self.power_col = self.U.astype(int) + self.kmax
+
+    def __len__(self):
+        return len(self.lam)
+
+    def listing(self):
+        """(kind, frequency, eigenvalue) of each function, as reports and
+        model files name them."""
+        rows = [("constant", (0,) * self.U.shape[1], 0.0)]
+        for u, lam in zip(self.U.astype(int).tolist(), self.lam[1::2].tolist()):
+            rows += [("trig-cos", tuple(u), lam), ("trig-sin", tuple(u), lam)]
+        return rows
 
     def _cos_sin(self, X):
         """cos and sin of X @ U.T in float64, interleaved: (N, 2 len(U)) with
@@ -348,17 +341,28 @@ class _HermiteFamily:
 
     The constant is order 0 (on coordinate 0), so it needs no special case:
     ``phi_n' = sqrt(n) phi_{n-1}`` and ``phi_n'' = sqrt(n(n-1)) phi_{n-2}``
-    vanish there.
+    vanish there. Function i is of order ``orders[i]`` on coordinate
+    ``dims[i]``, with the eigenvalue -orders[i].
     """
 
-    def __init__(self, funcs, dimension):
-        index = np.array([f.index for f in funcs])
-        n = len(funcs)
-        self.dims = np.argmax(index != 0, axis=1)
-        self.orders = index[np.arange(n), self.dims]
-        self.max_order = int(self.orders.max())
+    def __init__(self, dims, orders, dimension):
+        self.dims, self.orders = dims, orders
+        self.lam = (-orders).astype(float)
+        self.max_order = int(orders.max())
+        n = len(orders)
         self.axis = np.zeros((n, dimension))  # one-hot coordinate of each function
-        self.axis[np.arange(n), self.dims] = self.orders > 0
+        self.axis[np.arange(n), dims] = orders > 0
+
+    def __len__(self):
+        return len(self.orders)
+
+    def listing(self):
+        """(kind, multi-index, eigenvalue) of each function, as reports and
+        model files name them."""
+        index = np.zeros(self.axis.shape, np.int64)
+        index[np.arange(len(self)), self.dims] = self.orders
+        return [("hermite" if n else "constant", tuple(i), lam)
+                for n, i, lam in zip(self.orders.tolist(), index.tolist(), self.lam.tolist())]
 
     def values(self, X):
         return hermite_eval(self.max_order, X)[:, self.dims, self.orders]
@@ -384,46 +388,35 @@ class _HermiteFamily:
 # EigenBasis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenBasis:
-    """Ordered eigenfunctions plus the extended superset closing products.
+    """A family of eigenfunctions plus the extended family closing products.
 
-    ``extended`` starts with ``functions`` in their order, so index k of the
-    basis is index k of the extended basis.
+    ``functions`` and ``extended`` are families of one process (a
+    ``_TrigFamily`` or a ``_HermiteFamily``), and the builders start
+    ``extended`` with ``functions`` in their order, so index k of the basis is
+    index k of the extended basis. ``len`` of a family counts its functions,
+    the constant included.
     """
 
     process: str
     dimension: int
-    functions: tuple
-    extended: tuple
-    descriptor: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        keys = [(f.kind, f.index) for f in self.functions]
-        if len(set(keys)) != len(keys):
-            raise InvalidInputError("duplicate eigenfunctions in basis")
-        for funcs in (self.functions, self.extended):
-            if not funcs or funcs[0].kind != KIND_CONSTANT:
-                raise InvalidInputError("function 0 of a basis must be the constant")
-        if [(f.kind, f.index) for f in self.extended[:len(keys)]] != keys:
-            raise InvalidInputError("the extended basis must start with the basis functions")
-        # one evaluator per function list; building it checks the family's layout
-        family = _TrigFamily if self.process == TRUNCATED_BM else _HermiteFamily
-        object.__setattr__(self, "_family", family(self.functions, self.dimension))
-        object.__setattr__(self, "_extended_family", family(self.extended, self.dimension))
+    functions: object
+    extended: object
+    descriptor: dict = field(default_factory=dict)
 
     @property
     def n_active(self):
         """Number of non-constant basis functions (the solve dimension)."""
         return len(self.functions) - 1
 
-    @cached_property
+    @property
     def eigenvalues(self):
-        return np.array([f.eigenvalue for f in self.functions])
+        return self.functions.lam
 
-    @cached_property
+    @property
     def extended_eigenvalues(self):
-        return np.array([f.eigenvalue for f in self.extended])
+        return self.extended.lam
 
     # -- evaluation ---------------------------------------------------------
 
@@ -433,12 +426,12 @@ class EigenBasis:
         Returns ``(values (N,n), gradients (N,d,n), laplacians (N,n))`` over
         ``functions`` (or ``extended``).
         """
-        family = self._extended_family if extended else self._family
+        family = self.extended if extended else self.functions
         return family.derivatives(self._check_points(X))
 
     def eval_values(self, X, extended=False):
         """Values only (used for moment estimation over the extended set)."""
-        family = self._extended_family if extended else self._family
+        family = self.extended if extended else self.functions
         return family.values(self._check_points(X))
 
     def weighted_eval(self, X, alpha):
@@ -459,7 +452,7 @@ class EigenBasis:
             raise InvalidInputError(
                 f"alpha has length {alpha.shape}, expected ({self.n_active},)"
             )
-        return self._family.weighted(X, alpha)
+        return self.functions.weighted(X, alpha)
 
     def _check_points(self, X):
         X = np.asarray(X, dtype=float)
@@ -478,41 +471,24 @@ class EigenBasis:
 # Builders
 # ---------------------------------------------------------------------------
 
-def _trig_fn(freq, kind):
-    lam = -float(sum(c * c for c in freq))
-    return EigenFunction(index=tuple(freq), kind=kind, eigenvalue=lam)
-
-
-def constant_function(dimension):
-    return EigenFunction(index=(0,) * dimension, kind=KIND_CONSTANT, eigenvalue=0.0)
-
-
 def _half_lattice(d, norm_sq_max):
-    """Canonical half-lattice frequencies with |xi|^2 <= norm_sq_max.
+    """Canonical half-lattice frequencies with |xi|^2 <= norm_sq_max, (n, d).
 
     The first nonzero coordinate is positive, removing the cos(x) = cos(-x)
-    redundancy; sorted by |xi|^2 then lexicographically.
+    redundancy; sorted by |xi|^2 then lexicographically. The rows are grown
+    one coordinate at a time, keeping the partial norms within the bound.
     """
-    r = int(math.isqrt(int(norm_sq_max)))
-    grids = np.meshgrid(*([np.arange(-r, r + 1)] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    nsq = (pts * pts).sum(axis=1)
-    pts = pts[(nsq > 0) & (nsq <= norm_sq_max)]
-    keep = []
-    for row in pts:
-        nz = row[row != 0]
-        if nz[0] > 0:
-            keep.append(tuple(int(c) for c in row))
-    keep.sort(key=lambda t: (sum(c * c for c in t), t))
-    return keep
-
-
-def _trig_nd_functions(d, norm_sq_max):
-    funcs = [constant_function(d)]
-    for xi in _half_lattice(d, norm_sq_max):
-        funcs.append(_trig_fn(xi, KIND_COS))
-        funcs.append(_trig_fn(xi, KIND_SIN))
-    return tuple(funcs)
+    r = math.isqrt(int(norm_sq_max))
+    k = np.arange(-r, r + 1)
+    rows, nsq = np.zeros((1, 0), np.int64), np.zeros(1, np.int64)
+    for _ in range(d):
+        rows = np.hstack([np.repeat(rows, len(k), axis=0), np.tile(k, len(rows))[:, None]])
+        nsq = (nsq[:, None] + k * k).ravel()
+        inside = nsq <= norm_sq_max
+        rows, nsq = rows[inside], nsq[inside]
+    first = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    rows, nsq = rows[first > 0], nsq[first > 0]
+    return rows[np.lexsort((*rows.T[::-1], nsq))]
 
 
 def _trig_basis(d, norm_sq_max, descriptor):
@@ -524,8 +500,8 @@ def _trig_basis(d, norm_sq_max, descriptor):
     return EigenBasis(
         process=TRUNCATED_BM,
         dimension=d,
-        functions=_trig_nd_functions(d, norm_sq_max),
-        extended=_trig_nd_functions(d, 4 * norm_sq_max),
+        functions=_TrigFamily(_half_lattice(d, norm_sq_max)),
+        extended=_TrigFamily(_half_lattice(d, 4 * norm_sq_max)),
         descriptor=descriptor,
     )
 
@@ -548,14 +524,11 @@ def trig_basis_nd(d, eigenvalue_floor):
         "family": "trig_nd", "dimension": d, "eigenvalue_floor": float(eigenvalue_floor)})
 
 
-def _hermite_univariate_functions(d, n):
-    funcs = [constant_function(d)]
-    for k in range(1, n + 1):
-        for i in range(d):
-            idx = [0] * d
-            idx[i] = k
-            funcs.append(EigenFunction(index=tuple(idx), kind=KIND_HERMITE, eigenvalue=-float(k)))
-    return tuple(funcs)
+def _hermite_family(d, n):
+    """The constant, then orders 1..n, each over coordinates 0..d-1."""
+    dims = np.concatenate([[0], np.tile(np.arange(d), n)])
+    orders = np.concatenate([[0], np.repeat(np.arange(1, n + 1), d)])
+    return _HermiteFamily(dims, orders, d)
 
 
 def hermite_univariate_basis(d, n):
@@ -565,8 +538,8 @@ def hermite_univariate_basis(d, n):
     return EigenBasis(
         process=OU,
         dimension=d,
-        functions=_hermite_univariate_functions(d, n),
-        extended=_hermite_univariate_functions(d, 2 * n),
+        functions=_hermite_family(d, n),
+        extended=_hermite_family(d, 2 * n),
         descriptor={"family": "hermite_univariate", "dimension": d, "max_order": n},
     )
 
@@ -607,17 +580,15 @@ class ProductTable:
         return self.h[lo:hi], self.beta[lo:hi]
 
 
-_TRIG_KINDS = (KIND_CONSTANT, KIND_COS, KIND_SIN)  # kind codes 0, 1, 2
-
-
 def _trig_lookup(ext, freq, kind):
     """Extended indices of canonical trig terms: 0 for the constant (kind 0),
     else 2r + kind with r the row of ``freq`` among the sorted integer keys of
-    the extended family's frequency rows ``ext.U``."""
+    the extended family's frequency rows ``ext.U``, which hold every product
+    frequency of the basis."""
     rows = ext.U.astype(np.int64)
-    off = int(max(np.abs(rows).max(initial=0), np.abs(freq).max(initial=0)))
+    off = int(np.abs(rows).max())
     radix = 2 * off + 1
-    if radix ** freq.shape[1] >= 2 ** 63:
+    if radix ** rows.shape[1] >= 2 ** 63:
         raise CapacityError("frequency lattice too large for 64-bit product keys")
 
     def keys(f):
@@ -626,17 +597,11 @@ def _trig_lookup(ext, freq, kind):
             key = key * radix + (f[:, i] + off)
         return key
 
-    # with one key above all others, every search lands on an entry
-    row_keys = np.append(keys(rows), np.iinfo(np.int64).max)
+    # every trig term's frequency is a row, and the constant's zero frequency
+    # sorts below all of them, so every search lands on a row
+    row_keys = keys(rows)
     order = np.argsort(row_keys)
-    sorted_keys, q = row_keys[order], keys(freq)
-    pos = np.searchsorted(sorted_keys, q)
-    missing = np.nonzero((kind > 0) & (sorted_keys[pos] != q))[0]
-    if len(missing):
-        j = missing[0]
-        raise CapacityError(f"extended basis does not contain "
-                            f"{_TRIG_KINDS[kind[j]]} {tuple(freq[j].tolist())}")
-    h = 2 * order[pos] + kind
+    h = 2 * order[np.searchsorted(row_keys[order], keys(freq))] + kind
     h[kind == 0] = 0
     return h
 
@@ -652,7 +617,7 @@ def _trig_terms(basis, k, l):
     factor itself.
     """
     # frequency and kind code of each function: the constant, then (cos, sin) per row
-    U = basis._family.U.astype(np.int64)
+    U = basis.functions.U.astype(np.int64)
     freq = np.concatenate([np.zeros((1, U.shape[1]), np.int64), np.repeat(U, 2, axis=0)])
     kind = np.concatenate([[0], np.tile([1, 2], len(U))])
     fa, fb, ka, kb = freq[k], freq[l], kind[k], kind[l]
@@ -677,7 +642,7 @@ def _trig_terms(basis, k, l):
     keep = ~(zero & (k2 == 2))
     beta = np.where(k2 == 2, c2 * sign, c2)
     beta = np.where(plain | zero, beta, beta / SQRT2)[keep]
-    h = _trig_lookup(basis._extended_family, (f2 * sign[:, None])[keep],
+    h = _trig_lookup(basis.extended, (f2 * sign[:, None])[keep],
                      np.where(zero, 0, k2)[keep])
     pair = np.repeat(np.arange(len(k)), 2)[keep]
     return k[pair], l[pair], h, beta
@@ -689,7 +654,7 @@ def _hermite_terms(basis, k, l):
     Pairs on disjoint coordinates get no terms; the others expand along their
     shared coordinate, order 0 being the constant.
     """
-    fam, ext = basis._family, basis._extended_family
+    fam, ext = basis.functions, basis.extended
     dims, orders = fam.dims, fam.orders
     B = hermite_order_expansion(fam.max_order, ext.max_order)
     ok, ol = orders[k], orders[l]
@@ -702,17 +667,14 @@ def _hermite_terms(basis, k, l):
     ext_of = np.full((basis.dimension, ext.max_order + 1), -1)
     ext_of[ext.dims, ext.orders] = np.arange(len(basis.extended))
     ext_of[:, 0] = ext_of[0, 0]  # order 0 on any coordinate is the constant
-    h = ext_of[coord[pair], h_order]
-    if np.any(h < 0):
-        raise CapacityError("extended basis misses a Hermite product term")
-    return k[pair], l[pair], h, vec[pair, h_order]
+    return k[pair], l[pair], ext_of[coord[pair], h_order], vec[pair, h_order]
 
 
 def product_table(basis):
     """Expansion of all pairwise basis products into the extended basis.
 
-    Built vectorised over the pairs k <= l; raises CapacityError when a
-    product term is missing from the extended basis.
+    Built vectorised over the pairs k <= l. The builders' extended families
+    (four times the trig bound, twice the Hermite order) hold every term.
     """
     k, l = np.triu_indices(len(basis.functions))
     terms = _trig_terms if basis.process == TRUNCATED_BM else _hermite_terms
@@ -737,7 +699,7 @@ def basis_to_dict(basis):
         "process": basis.process,
         "dimension": basis.dimension,
         "descriptor": dict(basis.descriptor),
-        "indices": [[f.kind, list(f.index)] for f in basis.functions],
+        "indices": [[kind, list(index)] for kind, index, _ in basis.functions.listing()],
     }
 
 

@@ -90,7 +90,28 @@ def _save_csv(path, data, header):
 
 
 def _load_csv(path):
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
+    """The data rows of a CSV file with one header line; a row that is not a
+    row of numbers raises InvalidInputError naming the file and its line."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: {_malformed_row(path) or exc}") from None
+
+
+def _malformed_row(path):
+    """The first data line of the CSV at ``path`` whose width differs from the
+    first data line's or that holds a cell that is not a number."""
+    with open(path) as fh:
+        rows = [(n, line.split(",")) for n, line in enumerate(fh, start=1) if line.strip()][1:]
+    for n, cells in rows:
+        if len(cells) != len(rows[0][1]):
+            return f"line {n} has {len(cells)} columns, line {rows[0][0]} has {len(rows[0][1])}"
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError:
+                return f"line {n}: {cell.strip()!r} is not a number"
+    return None
 
 
 def _coord_header(d):
@@ -333,8 +354,8 @@ def cmd_eigen_report(args):
              f"active functions (excl. constant): {basis.n_active}",
              f"extended functions: {len(basis.extended)}",
              "idx\tkind\teigenvalue\tindex"]
-    for i, f in enumerate(basis.functions):
-        lines.append(f"{i}\t{f.kind}\t{f.eigenvalue:g}\t{f.index}")
+    for i, (kind, index, eigenvalue) in enumerate(basis.functions.listing()):
+        lines.append(f"{i}\t{kind}\t{eigenvalue:g}\t{index}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

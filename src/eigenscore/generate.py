@@ -94,6 +94,8 @@ def log_density(model, x0, cfg=IntegratorConfig()):
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
     X = np.atleast_2d(x0)
+    if len(X) < 1:
+        raise InvalidInputError("log_density needs at least one point")
     d = model.basis.dimension
     check_domain(model.process, X)
 

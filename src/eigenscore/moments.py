@@ -123,7 +123,7 @@ def analytic_moments(target, basis):
     per mixture component. Variances are zero and gamma is 1 throughout.
     """
     w, mu, var = target.weights, target.means, target.variances
-    fam = basis._extended_family
+    fam = basis.extended
     if basis.process == TRUNCATED_BM:
         # per frequency row: E cos + i E sin = sum_j w_j e^{i mu_j.u - var_j.u^2 / 2}
         phase = mu @ fam.U.T

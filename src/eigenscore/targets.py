@@ -37,6 +37,8 @@ class GaussianMixture:
         w = np.asarray(self.weights, dtype=float)
         m = np.atleast_2d(np.asarray(self.means, dtype=float))
         v = np.atleast_2d(np.asarray(self.variances, dtype=float))
+        if np.any(w < 0):
+            raise InvalidInputError("mixture weights must be non-negative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise InvalidInputError("mixture weights must sum to 1")
         if np.any(v <= 0):

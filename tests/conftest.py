@@ -70,8 +70,7 @@ def dense_system(basis, table, moments, t):
     A = np.zeros((n, n))
     for k in range(1, n + 1):
         for l in range(k, n + 1):
-            if basis.process == es.OU and not np.any(
-                    np.multiply(basis.functions[k].index, basis.functions[l].index)):
+            if basis.process == es.OU and basis.functions.dims[k] != basis.functions.dims[l]:
                 continue  # Hermite functions of disjoint coordinates
             h, beta = table.get(k, l)
             A[k - 1, l - 1] = A[l - 1, k - 1] = np.sum(

@@ -7,10 +7,7 @@ import pytest
 
 import eigenscore as es
 from eigenscore.basis import (
-    KIND_CONSTANT,
-    KIND_COS,
-    KIND_SIN,
-    _trig_nd_functions,
+    _half_lattice,
     hermite_eval,
     hermite_order_expansion,
 )
@@ -35,7 +32,7 @@ def test_hermite_grad_and_laplacian_finite_difference():
     # the Hermite evaluator's closed-form derivatives against finite
     # differences of the independent recurrence, orders 0..8
     basis = es.hermite_univariate_basis(1, 8)
-    orders = [f.index[0] for f in basis.functions]
+    orders = basis.functions.orders
     x = np.linspace(-3, 3, 25)
     _, grads, laps = basis.eval_batch(x[:, None])
     h = 1e-6
@@ -78,10 +75,9 @@ def test_hermite_orthonormality_gauss_hermite():
 # Product expansions
 # ---------------------------------------------------------------------------
 
-def _disjoint(fk, fl):
-    """Both functions non-constant and acting on no common coordinate."""
-    return (any(fk.index) and any(fl.index)
-            and not any(a and b for a, b in zip(fk.index, fl.index)))
+def _disjoint(funcs, k, l):
+    """Hermite functions k and l both non-constant and on different coordinates."""
+    return bool(funcs.orders[k] and funcs.orders[l] and funcs.dims[k] != funcs.dims[l])
 
 
 def _pointwise_product_identity(basis, table, X, atol):
@@ -91,7 +87,7 @@ def _pointwise_product_identity(basis, table, X, atol):
     for k in range(len(funcs)):
         for l in range(k, len(funcs)):
             # a Hermite product on two coordinates leaves the univariate span
-            if basis.process == es.OU and _disjoint(funcs[k], funcs[l]):
+            if basis.process == es.OU and _disjoint(funcs, k, l):
                 continue
             h, coefs = table.get(k, l)
             lhs = vals_b[:, k] * vals_b[:, l]
@@ -148,21 +144,12 @@ def test_hermite_cross_coordinate_pairs_are_gamma_zero():
     stored = set(zip(table.k.tolist(), table.l.tolist()))
     for k in range(len(funcs)):
         for l in range(k, len(funcs)):
-            assert ((k, l) in stored) == (not _disjoint(funcs[k], funcs[l]))
+            assert ((k, l) in stored) == (not _disjoint(funcs, k, l))
 
 
 def test_product_table_capacity_error():
     with pytest.raises(es.CapacityError):
         hermite_order_expansion(4, 6)
-
-
-def test_trig_product_table_capacity_error():
-    # cos(4x)^2 needs frequency 8, beyond the extended set's 6
-    basis = es.EigenBasis(process=es.TRUNCATED_BM, dimension=1,
-                          functions=_trig_nd_functions(1, 4 ** 2),
-                          extended=_trig_nd_functions(1, 6 ** 2))
-    with pytest.raises(es.CapacityError):
-        es.product_table(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +192,15 @@ def test_trig_lattice_evaluation_matches_direct_cos_sin(basis, extended):
     lie outside [-pi, pi]. Gradients and Laplacians are compared per unit of
     frequency and of eigenvalue, so the bound is on the cos/sin themselves.
     """
-    funcs = basis.extended if extended else basis.functions
+    U = (basis.extended if extended else basis.functions).U
     rng = np.random.default_rng(23)
     X = rng.uniform(-2 * math.pi, 2 * math.pi, (300, basis.dimension))
-    freq = np.array([f.index for f in funcs], dtype=float)
-    lam = np.array([f.eigenvalue for f in funcs])
+    # the constant, then the cos and the sin of each frequency row
+    freq = np.vstack([np.zeros((1, basis.dimension)), np.repeat(U, 2, axis=0)])
+    lam = -(freq * freq).sum(axis=1)
     P = X @ freq.T
-    is_sin = np.array([f.kind == KIND_SIN for f in funcs])
+    is_sin = np.arange(len(freq)) % 2 == 0
+    is_sin[0] = False
     vals = math.sqrt(2) * np.where(is_sin, np.sin(P), np.cos(P))
     vals[:, 0] = 1.0
     slope = math.sqrt(2) * np.where(is_sin, np.cos(P), -np.sin(P))  # d/d(phase)
@@ -301,7 +290,7 @@ def test_weighted_eval_at_block_edges(basis, edge):
     """The row-blocked kernel against eval_batch at row counts around its block size."""
     rng = np.random.default_rng(7)
     alpha = rng.normal(size=basis.n_active)
-    n = BLOCK_EDGES[edge](basis._family.block_rows())
+    n = BLOCK_EDGES[edge](basis.functions.block_rows())
     X = rng.uniform(-math.pi, math.pi, (n, basis.dimension))
     _assert_kernel_matches_eval_batch(basis, X, alpha)
 
@@ -349,7 +338,7 @@ def test_kernel_per_output_bound_at_block_edges(basis, edge):
     of its largest magnitude over 3b + 5 points (the largest edge)."""
     rng = np.random.default_rng(9)
     alpha = rng.normal(size=basis.n_active)
-    b = basis._family.block_rows()
+    b = basis.functions.block_rows()
     X = rng.uniform(-2 * math.pi, 2 * math.pi, (3 * b + 5, basis.dimension))
     _assert_kernel_within_output_scale(basis, X, alpha, BLOCK_EDGES[edge](b))
 
@@ -364,7 +353,7 @@ def test_kernel_weights_in_1d_are_the_frequency_row_weights():
     a_cos, a_sin = alpha[0::2], alpha[1::2]
     W = np.concatenate([np.stack([a_sin * k, a_cos * lam], axis=1),
                         np.stack([-a_cos * k, a_sin * lam], axis=1)])
-    M = basis._family._layout.weights(alpha)
+    M = basis.functions._layout.weights(alpha)
     assert M.dtype == np.float32
     np.testing.assert_array_equal(M, (math.sqrt(2) * W).astype(np.float32))
 
@@ -377,8 +366,9 @@ def test_trig_nd_half_lattice_counts():
     basis = es.trig_basis_nd(2, -2.0)
     # |xi|^2 <= 2 canonical frequencies: (0,1),(1,-1),(1,0),(1,1) -> 4 pairs
     assert basis.n_active == 8
-    kinds = {f.kind for f in basis.functions}
-    assert kinds == {KIND_CONSTANT, KIND_COS, KIND_SIN}
+    np.testing.assert_array_equal(basis.functions.U, [[0, 1], [1, 0], [1, -1], [1, 1]])
+    kinds = [kind for kind, _, _ in basis.functions.listing()]
+    assert kinds == ["constant"] + ["trig-cos", "trig-sin"] * 4
 
 
 def test_extended_contains_all_products():
@@ -400,15 +390,20 @@ def test_builder_validation():
 
 
 def test_trig_1d_builder_is_the_nd_builder_in_one_dimension():
-    def listing(funcs):
-        return [(f.kind, f.index, f.eigenvalue) for f in funcs]
-
     for K in range(1, 51):
         one, nd = es.trig_basis_1d(K), es.trig_basis_nd(1, -K * K)
-        assert listing(one.functions) == listing(nd.functions)
-        assert listing(one.extended) == listing(nd.extended)
+        for a, b in ((one.functions, nd.functions), (one.extended, nd.extended)):
+            np.testing.assert_array_equal(a.U, b.U)
+            np.testing.assert_array_equal(a.lam, b.lam)
         assert len(one.functions) == 2 * K + 1 and len(one.extended) == 4 * K + 1
         assert one.descriptor == {"family": "trig_1d", "max_frequency": K}
+
+
+def _index_arrays(funcs):
+    """The arrays that define a family: frequency rows, or coordinates and orders."""
+    if hasattr(funcs, "U"):
+        return funcs.U, funcs.lam
+    return funcs.dims, funcs.orders, funcs.lam
 
 
 @pytest.mark.parametrize("make", [
@@ -419,37 +414,45 @@ def test_trig_1d_builder_is_the_nd_builder_in_one_dimension():
 def test_basis_serialization_roundtrip(make):
     basis = make()
     again = es.basis_from_dict(es.basis_to_dict(basis))
-    assert again.functions == basis.functions
-    assert again.extended == basis.extended
+    for a, b in ((again.functions, basis.functions), (again.extended, basis.extended)):
+        for x, y in zip(_index_arrays(a), _index_arrays(b), strict=True):
+            np.testing.assert_array_equal(x, y)
+        assert a.listing() == b.listing()
     assert again.process == basis.process
 
 
-def test_constant_must_come_first():
-    funcs = _trig_nd_functions(1, 3 ** 2)
-    with pytest.raises(es.InvalidInputError):
-        es.EigenBasis(process=es.TRUNCATED_BM, dimension=1,
-                      functions=funcs[1:] + funcs[:1], extended=_trig_nd_functions(1, 6 ** 2))
+def _half_lattice_oracle(d, norm_sq_max):
+    """Every integer point of the cube, kept if nonzero, within the bound and
+    with its first nonzero coordinate positive, sorted by norm, then by the
+    coordinates."""
+    r = math.isqrt(int(norm_sq_max))
+    points = set()
+    for flat in range((2 * r + 1) ** d):
+        u = tuple((flat // (2 * r + 1) ** j) % (2 * r + 1) - r for j in range(d))
+        nonzero = [c for c in u if c]
+        if nonzero and nonzero[0] > 0 and sum(c * c for c in u) <= norm_sq_max:
+            points.add(u)
+    return sorted(points, key=lambda u: (sum(c * c for c in u), u))
 
 
-def test_extended_must_start_with_the_basis_functions():
-    funcs = _trig_nd_functions(1, 3 ** 2)
-    ext = _trig_nd_functions(1, 6 ** 2)
-    with pytest.raises(es.InvalidInputError):
-        es.EigenBasis(process=es.TRUNCATED_BM, dimension=1,
-                      functions=funcs, extended=ext[:1] + ext[2:] + ext[1:2])
-
-
-@pytest.mark.parametrize("layout", ["cos-without-sin", "sin-before-cos", "pair-of-two-rows"])
-def test_trig_basis_must_pair_each_cosine_with_its_sine(layout):
-    """Function 2r + 1 is the cosine and 2r + 2 the sine of one frequency; any
-    other trig order fails when the basis is built."""
-    funcs = _trig_nd_functions(1, 3 ** 2)  # 1, cos x, sin x, cos 2x, sin 2x, cos 3x, sin 3x
-    funcs = {"cos-without-sin": funcs[:-1],
-             "sin-before-cos": funcs[:3] + (funcs[4], funcs[3]) + funcs[5:],
-             "pair-of-two-rows": funcs[:3] + (funcs[3], funcs[6], funcs[5], funcs[4])}[layout]
-    ext = funcs + _trig_nd_functions(1, 6 ** 2)[7:]
-    with pytest.raises(es.InvalidInputError, match="pairs"):
-        es.EigenBasis(process=es.TRUNCATED_BM, dimension=1, functions=funcs, extended=ext)
+def test_builders_make_the_half_lattice_and_start_extended_with_the_basis():
+    """``_half_lattice`` against the brute-force oracle for d = 1..4, and the
+    extended family of every builder starting with its basis family, so that
+    index k of the basis is index k of the extended basis."""
+    for d, bounds in ((1, (1, 2, 25, 100.5)), (2, (1, 2, 8, 24.0, 125)),
+                      (3, (1, 3, 6, 24)), (4, (1, 3, 12))):
+        for bound in bounds:
+            rows = _half_lattice(d, bound)
+            assert rows.shape[1] == d
+            assert [tuple(u) for u in rows.tolist()] == _half_lattice_oracle(d, bound)
+    for basis in (es.trig_basis_1d(9), es.trig_basis_nd(2, -20.0), es.trig_basis_nd(3, -6.0),
+                  es.hermite_univariate_basis(1, 5), es.hermite_univariate_basis(3, 4)):
+        n = len(basis.functions)
+        assert len(basis.extended) > n
+        for x, y in zip(_index_arrays(basis.functions), _index_arrays(basis.extended),
+                        strict=True):
+            np.testing.assert_array_equal(x, y[:len(x)])
+        assert basis.functions.listing() == basis.extended.listing()[:n]
 
 
 def test_dimension_mismatch_rejected():

@@ -1,6 +1,7 @@
 """Probability-flow sampling, exact log-densities, and the reverse SDE."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,14 @@ def test_sampler_input_validation(torus_model):
         es.sample_pf_ode(model, 0)
     with pytest.raises(es.InvalidInputError):
         es.sample_reverse_sde(model, 10, 5)
+
+
+def test_log_density_rejects_zero_points(torus_model):
+    model, _, _ = torus_model
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "Mean of empty slice" on the way
+        with pytest.raises(es.InvalidInputError, match="at least one point"):
+            es.log_density(model, np.empty((0, model.basis.dimension)))
 
 
 @pytest.mark.parametrize("prior", ["bogus", PRIOR_WRAPPED_NORMAL])

@@ -23,6 +23,12 @@ def test_mixture_validation():
         _gm([1.0], [[0.0]], [[-1.0]])  # negative variance
 
 
+def test_mixture_rejects_negative_weights():
+    # the weights sum to 1, but a negative one makes no density and no sampler
+    with pytest.raises(es.InvalidInputError, match="non-negative"):
+        _gm([1.5, -0.5], [[0.0], [1.0]], [[1.0], [1.0]])
+
+
 def test_bart_simpson_shape():
     gm = es.bart_simpson()
     assert gm.dimension == 1
