@@ -1,0 +1,280 @@
+"""Before/after benchmark of the probability flow, written to BENCH_flow.json.
+
+Run from the repository root, with a checkout of the commit to compare
+against (made with ``git clone`` or ``git archive``):
+
+    python3 scripts/bench_flow.py --before ../parent --after . --out BENCH_flow.json
+
+Both packages are loaded into one process. Each model is fit once (cached
+per fit) by the ``after`` checkout and loaded into the ``before`` one through its
+``model_from_dict``, so both flows read the same node coefficients. Parts:
+
+* ``fits``: whether the two checkouts' own fits of perfbench's workloads give
+  byte-identical ``alphas`` and ``model_to_dict`` output.
+* ``flow``: RHS evaluations (calls of ``generate.flow_rate``) and stage times
+  of PF-ODE sampling and of one log-density batch, at the shapes of
+  perfbench's workloads (pinwheel-2d: 100 nodes, 2000 samples at rtol 1e-4,
+  a 40x40 batch at rtol 1e-3; bart-1d: 1000 nodes, 2000 samples at rtol 1e-5,
+  801 points at rtol 1e-6) and of acceptance criterion 8 (pinwheel, 1000
+  nodes, 2000 samples, one 8192-point batch at rtol 1e-3). A stage's time is
+  the median over ``--rounds`` interleaved rounds (A then B, then B then A).
+* ``criterion_8_grid``: RHS evaluations of each of the eight 8192-point
+  batches of criterion 8's 256x256 grid, and the time of one pass over it.
+* ``accuracy``: the largest |log-density difference| of each checkout from
+  the interpolation-free flow, which solves the node system at every tau the
+  integrator asks for, with the RHS evaluations of each (bart 100/200/1000
+  nodes, 41 points, and OU on the VE clock 50/200 nodes, 21 points, at rtol
+  1e-8; pinwheel 100 nodes, a 16x16 grid, at rtol 1e-6).
+* ``perfbench``: ``perfbench/run.py --trace 0`` on every workload, ``--runs``
+  alternating runs per checkout (``scripts/bench_kernel.py``'s harness).
+* ``trace``: per-layer metrics of one ``perfbench/run.py --trace 1`` run per
+  checkout and workload.
+
+BLAS and OpenMP are pinned to one thread, as in perfbench.
+"""
+
+import bench_kernel  # pins BLAS and OpenMP to one thread before numpy loads
+
+import argparse  # noqa: E402
+import functools  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import os  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import time  # noqa: E402
+from unittest import mock  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from bench_kernel import SIDES, WORKLOADS, bench_perfbench, commit_of, load_package  # noqa: E402
+
+TRACED = ("odeint.nfev", "solver.alpha_at_calls", "solver.alpha_at_s", "generate.sample_s",
+          "generate.density_s", "generate.sde_s", "cli.loss_study_s", "cli.self_s",
+          "targets.reference_s")
+
+
+def midpoint_grid_2d(n):
+    x = (np.arange(n) + 0.5) / n * 2.0 * math.pi - math.pi
+    gx, gy = np.meshgrid(x, x, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+
+
+def counted(pkg, fn):
+    """fn's result and the number of flow RHS evaluations it made."""
+    calls = [0]
+    flow_rate = pkg.generate.flow_rate
+
+    def counting(*args):
+        calls[0] += 1
+        return flow_rate(*args)
+
+    with mock.patch.object(pkg.generate, "flow_rate", counting):
+        return fn(), calls[0]
+
+
+def reference_log_density(pkg, model, table, moments, x, cfg):
+    """Log-densities and RHS evaluations of the flow that solves the node
+    system at every tau it reads (memoised per tau) instead of interpolating."""
+    assembler = pkg.SystemAssembler(model.basis, table, moments)
+
+    @functools.cache
+    def solve(tau):
+        t = pkg.internal_time(model.schedule, tau)
+        return pkg.solver.solve_node(assembler.system(t)).alpha
+
+    with mock.patch.object(pkg.generate, "alpha_at", lambda _, tau: solve(float(tau))):
+        return counted(pkg, lambda: pkg.log_density(model, x, cfg))
+
+
+@functools.cache
+def ou_ve_fit(es, n_times):
+    basis = es.hermite_univariate_basis(1, 2)
+    table = es.product_table(basis)
+    gm = es.GaussianMixture(weights=np.array([1.0]), means=np.array([[0.5]]),
+                            variances=np.array([[0.25]]))
+    moments = es.analytic_moments(gm, basis)
+    model = es.presolve_grid(basis, table, moments, es.Schedule.ve(0.01, 50.0),
+                             n_times=n_times)
+    return model, table, moments
+
+
+@functools.cache
+def pinwheel_fit(es, n_times):
+    ds = es.toy2d("pinwheel", 20000, np.random.default_rng(3))
+    basis = es.trig_basis_nd(2, -125.0)
+    table = es.product_table(basis)
+    moments = es.modulation_shrink(es.sample_moments(basis, ds.points))
+    model = es.presolve_grid(basis, table, moments, es.Schedule.ve(0.01, 50.0),
+                             n_times=n_times, domain_map=ds.domain_map)
+    return model, table, moments
+
+
+@functools.cache
+def bart_fit(es, n_times):
+    basis = es.trig_basis_1d(25)
+    table = es.product_table(basis)
+    moments = es.analytic_moments(es.bart_simpson(), basis)
+    model = es.presolve_grid(basis, table, moments, es.Schedule.ve(0.01, 50.0),
+                             n_times=n_times)
+    return model, table, moments
+
+
+def both_sides(packages, model):
+    """The model as each package's ScoreModel."""
+    d = packages["after"].model_to_dict(model)
+    return {"after": model, "before": packages["before"].model_from_dict(d)}
+
+
+def bench_fits(packages):
+    out = {}
+    for name, fit, n_times in (("pinwheel-2d", pinwheel_fit, 100), ("bart-1d", bart_fit, 1000)):
+        models = {side: fit(packages[side], n_times)[0] for side in SIDES}
+        dicts = {side: json.dumps(packages[side].model_to_dict(models[side])) for side in SIDES}
+        out[name] = {
+            "alphas_identical": models["before"].alphas.tobytes()
+            == models["after"].alphas.tobytes(),
+            "model_dict_identical": dicts["before"] == dicts["after"],
+        }
+        print(f"fits {name}: {out[name]}", flush=True)
+    return out
+
+
+def flow_stages(packages, rounds):
+    es = packages["after"]
+    IC = es.odeint.IntegratorConfig
+    line = np.linspace(-math.pi, math.pi, 801)[:, None]
+    grid_8192 = midpoint_grid_2d(256)[:8192]
+    shapes = (
+        # (name, fit, nodes, sample cfg, density points, density cfg)
+        ("pinwheel-2d", pinwheel_fit, 100, IC(rtol=1e-4, atol=1e-6),
+         midpoint_grid_2d(40), IC(rtol=1e-3, atol=1e-5)),
+        ("bart-1d", bart_fit, 1000, IC(rtol=1e-5, atol=1e-7), line, IC(rtol=1e-6, atol=1e-8)),
+        ("criterion-8", pinwheel_fit, 1000, IC(rtol=1e-4, atol=1e-6),
+         grid_8192, IC(rtol=1e-3, atol=1e-5)),
+    )
+    out = {}
+    for name, fit, n_times, sample_cfg, points, density_cfg in shapes:
+        models = both_sides(packages, fit(es, n_times)[0])
+        stages = {
+            "sample": lambda side: packages[side].sample_pf_ode(
+                models[side], 2000, sample_cfg, rng=np.random.default_rng(10)),
+            "density": lambda side: packages[side].log_density(models[side], points, density_cfg),
+        }
+        out[name] = {"nodes": n_times, "density_points": len(points)}
+        for stage, run in stages.items():
+            row = {side: {} for side in SIDES}
+            results = {}
+            for side in SIDES:
+                results[side], row[side]["rhs_evaluations"] = counted(
+                    packages[side], functools.partial(run, side))
+            times = {side: [] for side in SIDES}
+            for r in range(rounds):
+                for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
+                    t0 = time.perf_counter()
+                    run(side)
+                    times[side].append(time.perf_counter() - t0)
+            for side in SIDES:
+                row[side]["seconds"] = statistics.median(times[side])
+            row["speedup"] = row["before"]["seconds"] / row["after"]["seconds"]
+            row["max_abs_difference"] = float(np.abs(results["before"] - results["after"]).max())
+            out[name][stage] = row
+            print(f"flow {name} {stage}: RHS {row['before']['rhs_evaluations']} -> "
+                  f"{row['after']['rhs_evaluations']}, {row['before']['seconds']:.3f} s -> "
+                  f"{row['after']['seconds']:.3f} s (x{row['speedup']:.2f})", flush=True)
+    return out
+
+
+def criterion8_grid(packages):
+    """RHS evaluations of each 8192-point batch of criterion 8's 256x256
+    density grid and the time of one pass over the grid, per checkout."""
+    es = packages["after"]
+    models = both_sides(packages, pinwheel_fit(es, 1000)[0])
+    points = midpoint_grid_2d(256)
+    cfg = es.odeint.IntegratorConfig(rtol=1e-3, atol=1e-5)
+    out = {}
+    for side in SIDES:
+        pkg, rhs = packages[side], []
+        t0 = time.perf_counter()
+        for i in range(0, len(points), 8192):
+            rhs.append(counted(pkg, lambda: pkg.log_density(models[side], points[i:i + 8192], cfg))[1])
+        out[side] = {"rhs_evaluations": rhs, "total_rhs_evaluations": sum(rhs),
+                     "seconds": time.perf_counter() - t0}
+    print(f"criterion-8 grid: RHS {out['before']['total_rhs_evaluations']} -> "
+          f"{out['after']['total_rhs_evaluations']}, {out['before']['seconds']:.2f} s -> "
+          f"{out['after']['seconds']:.2f} s", flush=True)
+    return out
+
+
+def bench_accuracy(packages):
+    es = packages["after"]
+    IC = es.odeint.IntegratorConfig
+    tight = IC(rtol=1e-8, atol=1e-10)
+    cases = [(f"bart-{n}", bart_fit, n, np.linspace(-math.pi, math.pi, 41)[:, None], tight)
+             for n in (100, 200, 1000)]
+    cases += [(f"ou-ve-{n}", ou_ve_fit, n, np.linspace(-1.5, 2.5, 21)[:, None], tight)
+              for n in (50, 200)]
+    cases.append(("pinwheel-100", pinwheel_fit, 100, midpoint_grid_2d(16),
+                  IC(rtol=1e-6, atol=1e-8)))
+    out = {}
+    for name, fit, n_times, x, cfg in cases:
+        model, table, moments = fit(es, n_times)
+        ref, ref_rhs = reference_log_density(es, model, table, moments, x, cfg)
+        row = {"reference_rhs_evaluations": ref_rhs}
+        for side, m in both_sides(packages, model).items():
+            ld, rhs = counted(packages[side], lambda: packages[side].log_density(m, x, cfg))
+            row[side] = {"max_abs_error": float(np.abs(ld - ref).max()), "rhs_evaluations": rhs}
+        out[name] = row
+        print(f"accuracy {name}: " + ", ".join(
+            f"{side} {row[side]['max_abs_error']:.2e} ({row[side]['rhs_evaluations']} RHS)"
+            for side in SIDES) + f"; reference {ref_rhs} RHS", flush=True)
+    return out
+
+
+def bench_trace(roots, seed):
+    out = {}
+    for workload in WORKLOADS:
+        out[workload] = {}
+        for side in SIDES:
+            metrics, _, _ = bench_kernel.perfbench_run(roots[side], workload, seed, 1)
+            out[workload][side] = {k: metrics[k] for k in TRACED if k in metrics}
+        print(f"trace {workload}: {out[workload]}", flush=True)
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--before", required=True, help="root of the checkout to compare against")
+    parser.add_argument("--after", default=".", help="root of the changed checkout")
+    parser.add_argument("--out", default="BENCH_flow.json")
+    parser.add_argument("--rounds", type=int, default=8, help="interleaved stage rounds")
+    parser.add_argument("--runs", type=int, default=2, help="perfbench runs per checkout")
+    parser.add_argument("--seed", type=int, default=3)
+    args = parser.parse_args(argv)
+
+    roots = {"before": os.path.abspath(args.before), "after": os.path.abspath(args.after)}
+    record = {
+        "commits": {side: commit_of(roots[side]) for side in SIDES},
+        "settings": {"rounds": args.rounds, "runs": args.runs, "seed": args.seed,
+                     "perfbench_seconds": bench_kernel.PERFBENCH_SECONDS},
+        "environment": {"cpu": platform.processor() or platform.machine(),
+                        "cpus": os.cpu_count(), "numpy": np.__version__,
+                        "blas_threads": 1},
+    }
+    # perfbench first: a child started from this process reports at least this
+    # process's resident size as its peak_rss_mb, which the other parts raise
+    record["perfbench"] = bench_perfbench(roots, args.runs, args.seed)
+    record["trace"] = bench_trace(roots, args.seed)
+    packages = {side: load_package(f"eigenscore_{side}", roots[side]) for side in SIDES}
+    record["fits"] = bench_fits(packages)
+    record["flow"] = flow_stages(packages, args.rounds)
+    record["criterion_8_grid"] = criterion8_grid(packages)
+    record["accuracy"] = bench_accuracy(packages)
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {args.out}")
+
+
+if __name__ == "__main__":
+    main()

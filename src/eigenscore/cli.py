@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -91,11 +92,16 @@ def _save_csv(path, data, header):
 
 def _load_csv(path):
     """The data rows of a CSV file with one header line; a row that is not a
-    row of numbers raises InvalidInputError naming the file and its line."""
-    try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise InvalidInputError(f"{path}: {_malformed_row(path) or exc}") from None
+    row of numbers, or a file with no data row, raises InvalidInputError
+    naming the file."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # loadtxt warns on no data
+        try:
+            return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except UserWarning:
+            raise InvalidInputError(f"{path}: no data rows") from None
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: {_malformed_row(path) or exc}") from None
 
 
 def _malformed_row(path):

@@ -196,6 +196,13 @@ class ScoreModel:
     def process(self):
         return self.basis.process
 
+    @functools.cached_property
+    def _hermite(self):
+        """Node values and spline slopes of alpha(tau), interleaved: row 2j is
+        alphas[j], row 2j + 1 the slope of :func:`spline_slopes` there."""
+        slopes = spline_slopes(self.grid, self.alphas)
+        return np.stack([self.alphas, slopes], axis=1).reshape(-1, self.alphas.shape[1])
+
 
 def presolve_grid(basis, table, moments, schedule, n_times=1000,
                   domain_map=None, provenance=None):
@@ -242,15 +249,56 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
     )
 
 
+def spline_slopes(x, y):
+    """Node slopes of the not-a-knot cubic spline through (x[i], y[i]), per column of y.
+
+    The slopes make the piecewise cubic Hermite interpolant twice continuously
+    differentiable at the interior nodes, and thrice at the second and the
+    next-to-last node (de Boor, *A Practical Guide to Splines*, 1978, ch. IV):
+    one tridiagonal solve for all columns. Through three nodes the spline is
+    the parabola, through two the secant line.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    secant = np.diff(y, axis=0) / dx[:, None]
+    if n == 2:
+        return np.concatenate([secant, secant])
+    ab = np.zeros((3, n))  # super-diagonal, diagonal, sub-diagonal
+    rhs = np.empty_like(y)
+    ab[0, 2:] = dx[:-1]
+    ab[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    ab[2, :-2] = dx[1:]
+    rhs[1:-1] = 3.0 * (dx[1:, None] * secant[:-1] + dx[:-1, None] * secant[1:])
+    if n == 3:  # the mean slope over each interval is its secant
+        ab[1, 0] = ab[0, 1] = ab[2, 1] = ab[1, 2] = 1.0
+        rhs[0], rhs[-1] = 2.0 * secant[0], 2.0 * secant[-1]
+    else:
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        ab[1, 0], ab[0, 1] = dx[1], d0
+        rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * secant[0] + dx[0] ** 2 * secant[1]) / d0
+        ab[2, -2], ab[1, -1] = d1, dx[-2]
+        rhs[-1] = (dx[-1] ** 2 * secant[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * secant[-1]) / d1
+    return scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
+
+
 def alpha_at(model, tau):
-    """Coefficients at tau by linear interpolation between grid nodes."""
+    """Coefficients at tau from the not-a-knot cubic spline of the nodes' alphas.
+
+    alpha(tau) is smooth in tau, and the presolved nodes sample it; the
+    spline through them (:func:`spline_slopes`, built once per model) is read
+    in cubic Hermite form on the node interval holding tau, so a node's tau
+    returns the node's alpha exactly. Raises InvalidInputError for tau outside
+    [0, 1].
+    """
     grid = model.grid  # spans [0, 1] exactly (presolve_grid, model_from_dict)
     tau = _check_tau(tau)
-    j = int(np.searchsorted(grid, tau, side="right")) - 1
-    if j >= len(grid) - 1:
-        return model.alphas[-1].copy()
-    w = (tau - grid[j]) / (grid[j + 1] - grid[j])
-    return (1.0 - w) * model.alphas[j] + w * model.alphas[j + 1]
+    j = min(int(grid.searchsorted(tau, side="right")), len(grid) - 1) - 1
+    lo, hi = grid[j:j + 2].tolist()
+    h = hi - lo
+    s = (tau - lo) / h
+    r = 1.0 - s
+    w = np.array([(1.0 + 2.0 * s) * r * r, h * s * r * r, s * s * (3.0 - 2.0 * s), -h * s * s * r])
+    return w @ model._hermite[2 * j:2 * j + 4]
 
 
 def model_eval_batch(model, X, tau):
@@ -319,8 +367,9 @@ def reference_loss(basis, table, reference, tau, quadrature):
     system = SystemAssembler(basis, table, analytic_moments(reference.gm, basis)).system(t)
     alpha = solve_node(system).alpha
     nodes, weights = trapezoid_grid(quadrature, basis.dimension)
-    diff = basis.eval_batch(nodes)[1][:, :, 1:] @ alpha - reference.relative_score(nodes, tau)
-    floor = float(weights @ (reference.pdf(nodes, tau) * (diff * diff).sum(axis=1)))
+    pdf, score = reference.pdf_and_score(nodes, tau)
+    diff = basis.eval_batch(nodes)[1][:, :, 1:] @ alpha - score
+    floor = float(weights @ (pdf * (diff * diff).sum(axis=1)))
     return ReferenceLoss(t, system.A, alpha, floor)
 
 

@@ -181,18 +181,19 @@ class AnalyticReference:
     def marginal(self, tau):
         return mixture_marginal(self.gm, self.process, internal_time(self.schedule, tau))
 
-    def pdf(self, x, tau):
+    def pdf_and_score(self, x, tau):
+        """``pdf`` and ``relative_score`` at x from one evaluation of the marginal."""
         gm_t = self.marginal(tau)
         if self.process == TRUNCATED_BM:
-            return wrapped_mixture_pdf(gm_t, x)
-        return np.exp(mixture_logpdf(gm_t, np.atleast_2d(x)))
+            return wrapped_mixture_pdf_and_score(gm_t, x)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return np.exp(mixture_logpdf(gm_t, x)), mixture_score(gm_t, x) + x
+
+    def pdf(self, x, tau):
+        return self.pdf_and_score(x, tau)[0]
 
     def relative_score(self, x, tau):
-        gm_t = self.marginal(tau)
-        if self.process == TRUNCATED_BM:
-            return wrapped_mixture_pdf_and_score(gm_t, x)[1]
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return mixture_score(gm_t, x) + x
+        return self.pdf_and_score(x, tau)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,15 @@
 
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import eigenscore as es
+from eigenscore import generate
+from eigenscore.process import internal_time
+from eigenscore.solver import solve_node
 
 
 @pytest.fixture(scope="session")
@@ -104,3 +108,17 @@ def fit_gaussian_ou(mean, var, order=2, n_tau=200, schedule=es.Schedule.vp(0.1, 
     moments = es.analytic_moments(gm, basis)
     model = es.presolve_grid(basis, table, moments, schedule, n_times=n_tau)
     return model, gm, schedule
+
+
+def reference_log_density(model, table, moments, x0, cfg):
+    """The model's log-density at x0 through the interpolation-free flow: the
+    node system of ``moments`` is solved at every tau the integrator asks
+    for (memoised per tau), where the model reads its spline of the nodes."""
+    assembler = es.SystemAssembler(model.basis, table, moments)
+
+    @functools.cache
+    def solve(tau):
+        return solve_node(assembler.system(internal_time(model.schedule, tau))).alpha
+
+    with mock.patch.object(generate, "alpha_at", lambda _, tau: solve(float(tau))):
+        return es.log_density(model, x0, cfg)

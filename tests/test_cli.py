@@ -116,6 +116,15 @@ def test_fit_wraps_out_of_range_rows(tmp_path, capsys):
     assert "wrapped 2 points" in capsys.readouterr().err
 
 
+def test_fit_header_only_csv_exit_2_without_warning(tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text("x1\n")
+    assert run("fit", "--data", str(data), "--out", str(tmp_path / "m.json")) == 2
+    err = capsys.readouterr().err
+    assert "no data rows" in err
+    assert "Warning" not in err and "loadtxt" not in err
+
+
 def test_fit_missing_file_exit_code(tmp_path):
     assert run("fit", "--data", str(tmp_path / "absent.csv"),
                "--out", str(tmp_path / "m.json")) == 2

@@ -11,7 +11,7 @@ import eigenscore as es
 from eigenscore.generate import PRIOR_WRAPPED_NORMAL
 from eigenscore.odeint import IntegratorConfig
 from eigenscore.process import tau_at
-from conftest import fit_gaussian_ou, torus_quad_1d, uniform_moments
+from conftest import fit_gaussian_ou, reference_log_density, torus_quad_1d, uniform_moments
 
 
 @pytest.fixture(scope="module")
@@ -85,12 +85,12 @@ def test_pf_ode_gaussian_samples(gaussian_model):
     assert stat.pvalue > 0.01
 
 
-def test_log_density_gaussian_exact(gaussian_model):
-    model, _, _ = gaussian_model
+def test_log_density_gaussian_exact(gaussian_model, gaussian_model_ve_clock):
     x = np.linspace(-1.5, 2.5, 21)[:, None]
-    ld = es.log_density(model, x, IntegratorConfig(rtol=1e-8, atol=1e-10))
     truth = -0.5 * (x[:, 0] - 0.5) ** 2 / 0.25 - 0.5 * math.log(2 * math.pi * 0.25)
-    np.testing.assert_allclose(ld, truth, atol=5e-3)
+    for model in (gaussian_model[0], gaussian_model_ve_clock):
+        ld = es.log_density(model, x, IntegratorConfig(rtol=1e-8, atol=1e-10))
+        np.testing.assert_allclose(ld, truth, atol=5e-3, err_msg=str(model.schedule))
 
 
 def test_log_density_single_point(gaussian_model):
@@ -105,6 +105,19 @@ def test_reverse_sde_gaussian_moments(gaussian_model, gaussian_model_ve_clock):
         x = es.sample_reverse_sde(model, 20_000, 400, rng=np.random.default_rng(1))
         assert x.mean() == pytest.approx(0.5, abs=0.02), model.schedule
         assert x.var() == pytest.approx(0.25, rel=0.1), model.schedule
+
+
+def test_log_density_matches_the_interpolation_free_flow():
+    # the spline of 100 nodes against a solve at every tau of the flow
+    basis = es.trig_basis_1d(25)
+    table = es.product_table(basis)
+    moments = es.analytic_moments(es.bart_simpson(), basis)
+    model = es.presolve_grid(basis, table, moments, es.Schedule.ve(0.01, 50.0), n_times=100)
+    x = np.linspace(-math.pi, math.pi, 41)[:, None]
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-10)
+    ld = es.log_density(model, x, cfg)
+    ref = reference_log_density(model, table, moments, x, cfg)
+    assert np.abs(ld - ref).max() <= 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Quadratic system assembly, preconditioned solves, and the presolved model."""
 
+import dataclasses
 import json
 import math
 
@@ -14,6 +15,7 @@ from eigenscore.solver import (
     reference_loss,
     shrinkage_losses,
     solve_node,
+    spline_slopes,
     trapezoid_grid,
 )
 from conftest import dense_system, fit_gaussian_ou, score_error, uniform_moments
@@ -292,14 +294,52 @@ def test_presolve_grid_diagnostics():
     assert np.all(clamped[~regs] == 0) and np.all(clamped >= 0)
 
 
-def test_alpha_at_interpolates_linearly():
+def _hermite_pieces(model, i):
+    """First and second derivatives of alpha_at's cubic pieces at node i, from
+    the left and from the right: each piece is refit through 4 of its values."""
+    g, out = model.grid, []
+    for lo, hi in ((g[i - 1], g[i]), (g[i], g[i + 1])):
+        taus = np.linspace(lo, hi, 4)
+        ys = np.array([es.alpha_at(model, tau) for tau in taus])
+        c = np.polyfit(taus - g[i], ys, 3)  # (4, n_active), highest power first
+        out.append((c[2], 2.0 * c[1]))
+    return out
+
+
+def test_alpha_at_is_the_not_a_knot_spline():
+    from scipy.interpolate import CubicSpline
+
     model = _small_torus_model()
-    g = model.grid
-    mid = 0.5 * (g[3] + g[4])
-    np.testing.assert_allclose(es.alpha_at(model, mid),
-                               0.5 * (model.alphas[3] + model.alphas[4]), atol=1e-12)
-    np.testing.assert_allclose(es.alpha_at(model, g[7]), model.alphas[7], atol=1e-12)
-    np.testing.assert_allclose(es.alpha_at(model, 1.0), model.alphas[-1], atol=1e-12)
+    g, alphas = model.grid, model.alphas
+    # node values exactly, 1 included
+    for tau, alpha in zip(g, alphas):
+        assert np.array_equal(es.alpha_at(model, tau), alpha)
+    # C2 at interior nodes
+    scale = np.abs(alphas).max()
+    for i in (1, 7, 25, len(g) - 2):
+        (d1l, d2l), (d1r, d2r) = _hermite_pieces(model, i)
+        np.testing.assert_allclose(d1l, d1r, atol=1e-9 * scale / (g[1] - g[0]))
+        np.testing.assert_allclose(d2l, d2r, atol=1e-9 * scale / (g[1] - g[0]) ** 2)
+    # the same spline and slopes as scipy's not-a-knot CubicSpline
+    rng = np.random.default_rng(3)
+    cs = CubicSpline(g, alphas, axis=0)
+    np.testing.assert_allclose(spline_slopes(g, alphas), cs(g, 1), rtol=1e-10, atol=1e-10 * scale)
+    for tau in rng.uniform(0.0, 1.0, 20):
+        np.testing.assert_allclose(es.alpha_at(model, tau), cs(tau), rtol=1e-12, atol=1e-12 * scale)
+    # a cubic alpha(tau) on a non-uniform grid is reproduced; a parabola
+    # through 3 nodes and a line through 2 are what not-a-knot reduces to
+    n = model.basis.n_active
+    coef = rng.standard_normal((4, n))
+    for grid, degree in ((np.sort(np.r_[0.0, rng.uniform(0, 1, 9), 1.0]), 3),
+                         (np.array([0.0, 0.3, 1.0]), 2), (np.array([0.0, 1.0]), 1)):
+        def poly(tau):
+            return sum(coef[p] * tau ** p for p in range(degree + 1))
+
+        cubic = dataclasses.replace(model, grid=grid, alphas=np.array([poly(t) for t in grid]))
+        np.testing.assert_allclose(spline_slopes(grid, cubic.alphas),
+                                   CubicSpline(grid, cubic.alphas, axis=0)(grid, 1), atol=1e-12)
+        for tau in np.r_[grid, rng.uniform(0, 1, 20)]:
+            np.testing.assert_allclose(es.alpha_at(cubic, tau), poly(tau), atol=1e-12)
     # no tau outside [0, 1] is clamped onto the grid, NaN included
     for tau in (math.nan, math.inf, -math.inf, -0.1, 1.5):
         with pytest.raises(es.InvalidInputError, match="outside"):
