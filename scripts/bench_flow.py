@@ -9,8 +9,15 @@ Both packages are loaded into one process. Each model is fit once (cached
 per fit) by the ``after`` checkout and loaded into the ``before`` one through its
 ``model_from_dict``, so both flows read the same node coefficients. Parts:
 
-* ``fits``: whether the two checkouts' own fits of perfbench's workloads give
-  byte-identical ``alphas`` and ``model_to_dict`` output.
+* ``fits``: each checkout's own presolve of perfbench's two fits (pinwheel-2d,
+  100 nodes; bart-1d, 1000 nodes) and of acceptance criterion 8's fit
+  (pinwheel, 1000 nodes): its time over ``FIT_ROUNDS`` interleaved rounds,
+  the number of nodes each solve path took (``floored`` where ``solve_node``
+  calls ``scipy.linalg.eigh``, ``cholesky`` where it calls ``cho_solve``,
+  ``diagonal`` where it calls neither), the largest relative max-norm
+  difference of a node's alpha between the checkouts, on floored and on
+  other nodes, and whether ``regularized``, ``clamped``, ``alphas`` and
+  ``model_to_dict`` output are identical.
 * ``flow``: RHS evaluations (calls of ``generate.flow_rate``) and stage times
   of PF-ODE sampling and of one log-density batch, at the shapes of
   perfbench's workloads (pinwheel-2d: 100 nodes, 2000 samples at rtol 1e-4,
@@ -46,12 +53,15 @@ import time  # noqa: E402
 from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
+import scipy.linalg  # noqa: E402
 
 from bench_kernel import SIDES, WORKLOADS, bench_perfbench, commit_of, load_package  # noqa: E402
 
 TRACED = ("odeint.nfev", "solver.alpha_at_calls", "solver.alpha_at_s", "generate.sample_s",
           "generate.density_s", "generate.sde_s", "cli.loss_study_s", "cli.self_s",
-          "targets.reference_s")
+          "targets.reference_s", "solver.presolve_s", "solver.linalg_s", "solver.nodes",
+          "solver.eigh_calls", "solver.chol_calls")
+FIT_ROUNDS = 3  # interleaved presolve rounds per fit; criterion 8's takes 15-22 s a side
 
 
 def midpoint_grid_2d(n):
@@ -99,25 +109,36 @@ def ou_ve_fit(es, n_times):
     return model, table, moments
 
 
-@functools.cache
-def pinwheel_fit(es, n_times):
+def pinwheel_inputs(es):
+    """Basis, table, moments and presolve keywords of the pinwheel fits."""
     ds = es.toy2d("pinwheel", 20000, np.random.default_rng(3))
     basis = es.trig_basis_nd(2, -125.0)
-    table = es.product_table(basis)
     moments = es.modulation_shrink(es.sample_moments(basis, ds.points))
-    model = es.presolve_grid(basis, table, moments, es.Schedule.ve(0.01, 50.0),
-                             n_times=n_times, domain_map=ds.domain_map)
-    return model, table, moments
+    return basis, es.product_table(basis), moments, {"domain_map": ds.domain_map}
+
+
+def bart_inputs(es):
+    """Basis, table, moments and presolve keywords of the bart fits."""
+    basis = es.trig_basis_1d(25)
+    return basis, es.product_table(basis), es.analytic_moments(es.bart_simpson(), basis), {}
+
+
+def presolve(es, inputs, n_times):
+    basis, table, moments, kwargs = inputs
+    return es.presolve_grid(basis, table, moments, es.Schedule.ve(0.01, 50.0),
+                            n_times=n_times, **kwargs)
+
+
+@functools.cache
+def pinwheel_fit(es, n_times):
+    inputs = pinwheel_inputs(es)
+    return presolve(es, inputs, n_times), inputs[1], inputs[2]
 
 
 @functools.cache
 def bart_fit(es, n_times):
-    basis = es.trig_basis_1d(25)
-    table = es.product_table(basis)
-    moments = es.analytic_moments(es.bart_simpson(), basis)
-    model = es.presolve_grid(basis, table, moments, es.Schedule.ve(0.01, 50.0),
-                             n_times=n_times)
-    return model, table, moments
+    inputs = bart_inputs(es)
+    return presolve(es, inputs, n_times), inputs[1], inputs[2]
 
 
 def both_sides(packages, model):
@@ -126,14 +147,69 @@ def both_sides(packages, model):
     return {"after": model, "before": packages["before"].model_from_dict(d)}
 
 
+def presolve_paths(pkg, inputs, n_times):
+    """The model of ``pkg``'s presolve and the solve path of each node (see
+    the ``fits`` part of the module docstring)."""
+    calls = {"eigh": 0, "cho_solve": 0}
+    paths = []
+    solve_node = pkg.solver.solve_node
+
+    def counting(name):
+        fn = getattr(scipy.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def recording(system):
+        seen = dict(calls)
+        node = solve_node(system)
+        paths.append("floored" if calls["eigh"] > seen["eigh"] else
+                     "cholesky" if calls["cho_solve"] > seen["cho_solve"] else "diagonal")
+        return node
+
+    with mock.patch.object(scipy.linalg, "eigh", counting("eigh")), \
+            mock.patch.object(scipy.linalg, "cho_solve", counting("cho_solve")), \
+            mock.patch.object(pkg.solver, "solve_node", recording):
+        return presolve(pkg, inputs, n_times), paths
+
+
 def bench_fits(packages):
     out = {}
-    for name, fit, n_times in (("pinwheel-2d", pinwheel_fit, 100), ("bart-1d", bart_fit, 1000)):
-        models = {side: fit(packages[side], n_times)[0] for side in SIDES}
+    for name, make_inputs, n_times in (("pinwheel-2d", pinwheel_inputs, 100),
+                                       ("bart-1d", bart_inputs, 1000),
+                                       ("criterion-8", pinwheel_inputs, 1000)):
+        inputs = {side: make_inputs(packages[side]) for side in SIDES}
+        times = {side: [] for side in SIDES}
+        models, paths = {}, {}
+        for r in range(FIT_ROUNDS):
+            for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
+                t0 = time.perf_counter()
+                models[side], paths[side] = presolve_paths(packages[side], inputs[side], n_times)
+                times[side].append(time.perf_counter() - t0)
+        diags = {side: models[side].diagnostics for side in SIDES}
+        before, after = models["before"].alphas, models["after"].alphas
+        diff = np.abs(after - before).max(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # alpha is 0 at late nodes
+            rel = np.where(diff == 0.0, 0.0, diff / np.abs(before).max(axis=1))
+        floored = diags["before"]["regularized"]
         dicts = {side: json.dumps(packages[side].model_to_dict(models[side])) for side in SIDES}
         out[name] = {
-            "alphas_identical": models["before"].alphas.tobytes()
-            == models["after"].alphas.tobytes(),
+            "nodes": n_times,
+            "presolve_seconds": {side: {"median": statistics.median(times[side]),
+                                        "runs": times[side]} for side in SIDES},
+            "solve_paths": {side: {path: paths[side].count(path)
+                                   for path in ("diagonal", "cholesky", "floored")}
+                            for side in SIDES},
+            "max_relative_alpha_difference": {
+                "floored": float(rel[floored].max(initial=0.0)),
+                "other": float(rel[~floored].max(initial=0.0))},
+            "regularized_identical": bool(np.array_equal(
+                diags["before"]["regularized"], diags["after"]["regularized"])),
+            "clamped_identical": bool(np.array_equal(
+                diags["before"]["clamped"], diags["after"]["clamped"])),
+            "alphas_identical": before.tobytes() == after.tobytes(),
             "model_dict_identical": dicts["before"] == dicts["after"],
         }
         print(f"fits {name}: {out[name]}", flush=True)
@@ -255,7 +331,8 @@ def main(argv=None):
     roots = {"before": os.path.abspath(args.before), "after": os.path.abspath(args.after)}
     record = {
         "commits": {side: commit_of(roots[side]) for side in SIDES},
-        "settings": {"rounds": args.rounds, "runs": args.runs, "seed": args.seed,
+        "settings": {"rounds": args.rounds, "fit_rounds": FIT_ROUNDS, "runs": args.runs,
+                     "seed": args.seed,
                      "perfbench_seconds": bench_kernel.PERFBENCH_SECONDS},
         "environment": {"cpu": platform.processor() or platform.machine(),
                         "cpus": os.cpu_count(), "numpy": np.__version__,

@@ -58,7 +58,6 @@ from .solver import (
     SystemAssembler,
     alpha_at,
     load_model,
-    model_eval_batch,
     model_from_dict,
     model_to_dict,
     presolve_grid,

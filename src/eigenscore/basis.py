@@ -440,7 +440,7 @@ class EigenBasis:
         ``alpha`` runs over the active (non-constant) basis functions. Returns
         ``(score (N,d), laplacian (N,))`` without materializing the gradient
         tensor. The flow and the reverse SDE read nothing else, so the energy
-        is not formed; ``solver.model_eval_batch`` gives it. Trig is
+        is not formed; :meth:`eval_batch` contracted with alpha gives it. Trig is
         sum-factorized over the coordinates' harmonics and runs in float32:
         each output is within 1e-5 of its largest magnitude over the points
         (1e-7 to 5e-6 measured), far below the integrators' tolerances. Hermite

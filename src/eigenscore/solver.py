@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedTargetError,
 )
 from .moments import analytic_moments, modulation_shrink, sample_moments
-from .process import Schedule, _check_tau, check_domain, internal_time
+from .process import Schedule, _check_tau, internal_time
 from .targets import AnalyticReference, DomainMap
 
 MODEL_FORMAT_VERSION = 1
@@ -50,6 +50,12 @@ TIKHONOV_EPS = 1e-8
 # indistinguishable from zero; the solver floors them instead of dividing by
 # them (see solve_node).
 SPECTRAL_FLOOR = 3.0
+# Entries of the preconditioned matrix below OFFDIAG_CUTOFF times the
+# geometric mean of their row's and column's diagonal entries are zeroed
+# before the solve (see solve_node). They lie far below the rounding of the
+# diagonal, and left in, they slow the factorizations down with subnormal
+# arithmetic.
+OFFDIAG_CUTOFF = 1e-20
 
 
 @dataclass(frozen=True)
@@ -111,11 +117,12 @@ class NodeSolve:
     """Result of solving one node: coefficients plus solve diagnostics."""
 
     alpha: np.ndarray
-    # LAPACK 1-norm estimate on Cholesky nodes (last digits depend on array
-    # alignment, see solve_node), spectral ratio if regularized
+    # exact max/min ratio of diag(P) on diagonal nodes, LAPACK 1-norm estimate
+    # on Cholesky nodes (last digits depend on array alignment, see
+    # solve_node), spectral ratio if regularized
     condition: float
     regularized: bool
-    clamped: int  # eigenvalues raised to the floor (0 on Cholesky nodes)
+    clamped: int  # eigenvalues raised to the floor (0 unless regularized)
 
 
 def solve_node(system):
@@ -129,44 +136,67 @@ def solve_node(system):
     ones reflected to their magnitude first; directions the data cannot
     resolve are damped instead of amplified.
 
-    If P - delta I has a Cholesky factor and P's condition estimate is within
-    ``CONDITION_LIMIT``, the floor acts nowhere and alpha comes from a
-    Cholesky solve with P. Otherwise alpha comes from the eigendecomposition
-    of P with its spectrum floored at max(delta, ``TIKHONOV_EPS``), and the
-    result is flagged ``regularized``, with ``clamped`` counting the
-    eigenvalues of magnitude below that floor. The reported ``condition`` is
-    P's LAPACK 1-norm estimate on Cholesky nodes and the 2-norm ratio of the
-    floored spectrum on regularized ones. The estimate's last digits depend on
-    how the arrays are aligned in memory, not only on P, so model files that
-    store it are byte-reproducible only within one process; alpha depends on
-    it only through the comparison with ``CONDITION_LIMIT``. If the floored
-    spectrum is still ill-conditioned, or alpha is not finite, an
-    IllConditionedError is raised. Returns a :class:`NodeSolve`.
+    A must be exactly symmetric (``SystemAssembler`` makes it so); any other
+    A, one with a NaN included, raises InvalidInputError. Entries of P with
+    |P_kl| < ``OFFDIAG_CUTOFF`` sqrt|P_kk P_ll| are zeroed first: far below
+    rounding, they would otherwise send the factorizations through subnormal
+    arithmetic. Then one of three paths gives alpha:
+
+    * diagonal: P is diagonal with every entry above delta, and alpha =
+      y / diag(P) / sqrt(-lambdas). ``condition`` is the exact ratio
+      max/min diag(P);
+    * Cholesky: P - delta I has a Cholesky factor, and alpha comes from a
+      Cholesky solve with P. ``condition`` is P's LAPACK 1-norm estimate,
+      whose last digits depend on how the arrays are aligned in memory, not
+      only on P, so model files that store it are byte-reproducible only
+      within one process;
+    * floored: otherwise, or where the condition of either path above
+      exceeds ``CONDITION_LIMIT``, alpha comes from the divide-and-conquer
+      eigendecomposition of P with its spectrum floored at max(delta,
+      ``TIKHONOV_EPS``). The result is flagged ``regularized``, ``clamped``
+      counts the eigenvalues of magnitude below that floor, and
+      ``condition`` is the 2-norm ratio of the floored spectrum.
+
+    alpha depends on the condition only through the comparison with
+    ``CONDITION_LIMIT``. If the floored spectrum is still ill-conditioned,
+    or alpha is not finite, an IllConditionedError is raised. Returns a
+    :class:`NodeSolve`.
     """
-    if not np.allclose(system.A, system.A.T, atol=1e-10):
-        raise InvalidInputError("system matrix must be symmetric")
+    if not np.array_equal(system.A, system.A.T):
+        raise InvalidInputError("system matrix must be exactly symmetric")
     scale = np.sqrt(-system.lambdas)
     P = system.A / np.outer(scale, scale)
     y = -system.b / scale
     delta = SPECTRAL_FLOOR * system.noise_scale
-    try:
-        if delta > 0.0:
-            scipy.linalg.cho_factor(P - delta * np.eye(len(P)), check_finite=False)
-        factor = scipy.linalg.cho_factor(P, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        cond = np.inf
+    d = np.diag(P).copy()
+    root = np.sqrt(np.abs(d))
+    P *= np.abs(P) >= np.outer(OFFDIAG_CUTOFF * root, root)  # entries below the cut-off become 0
+    factor = None
+    if np.count_nonzero(P) == np.count_nonzero(d):  # diagonal
+        cond = float(d.max() / d.min()) if d.min() > delta else np.inf
     else:
-        rcond, _ = lapack.dpocon(factor[0], np.linalg.norm(P, 1))
-        cond = np.inf if rcond == 0 else 1.0 / rcond
+        try:
+            if delta > 0.0:
+                shifted = P.copy()
+                shifted.flat[::len(P) + 1] -= delta
+                scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False)
+            factor = scipy.linalg.cho_factor(P, check_finite=False)
+        except scipy.linalg.LinAlgError:
+            cond = np.inf
+        else:
+            rcond, _ = lapack.dpocon(factor[0], np.linalg.norm(P, 1))
+            cond = np.inf if rcond == 0 else 1.0 / rcond
     regularized = not cond <= CONDITION_LIMIT
     clamped = 0
     if regularized:
-        w, V = scipy.linalg.eigh(P, check_finite=False)
+        w, V = scipy.linalg.eigh(P, driver="evd", overwrite_a=True, check_finite=False)
         floor = max(delta, TIKHONOV_EPS)
         clamped = int(np.count_nonzero(np.abs(w) < floor))
         w_eff = np.maximum(np.abs(w), floor)
         cond = float(w_eff.max() / w_eff.min())
         alpha = (V @ ((V.T @ y) / w_eff)) / scale
+    elif factor is None:
+        alpha = y / d / scale
     else:
         alpha = scipy.linalg.cho_solve(factor, y, check_finite=False) / scale
     if not (cond <= CONDITION_LIMIT and np.all(np.isfinite(alpha))):
@@ -299,15 +329,6 @@ def alpha_at(model, tau):
     r = 1.0 - s
     w = np.array([(1.0 + 2.0 * s) * r * r, h * s * r * r, s * s * (3.0 - 2.0 * s), -h * s * s * r])
     return w @ model._hermite[2 * j:2 * j + 4]
-
-
-def model_eval_batch(model, X, tau):
-    """Energy, score and Laplacian of the fitted model at points X (N, d), in float64."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    check_domain(model.process, X)
-    vals, grads, laps = model.basis.eval_batch(X)
-    alpha = alpha_at(model, tau)
-    return vals[:, 1:] @ alpha, grads[:, :, 1:] @ alpha, laps[:, 1:] @ alpha
 
 
 # ---------------------------------------------------------------------------

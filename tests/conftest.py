@@ -9,7 +9,7 @@ import pytest
 
 import eigenscore as es
 from eigenscore import generate
-from eigenscore.process import internal_time
+from eigenscore.process import check_domain, internal_time
 from eigenscore.solver import solve_node
 
 
@@ -96,6 +96,17 @@ def score_error(basis, alpha, reference, tau, quadrature=es.QuadratureSpec()):
     weights = functools.reduce(np.multiply.outer, [w] * d).ravel()
     diff = basis.eval_batch(nodes)[1][:, :, 1:] @ alpha - reference.relative_score(nodes, tau)
     return float(weights @ (reference.pdf(nodes, tau) * (diff * diff).sum(axis=1)))
+
+
+def model_eval_batch(model, X, tau):
+    """Energy, score and Laplacian of the fitted model at points X (N, d), in
+    float64: ``eval_batch``'s values, gradients and Laplacians contracted
+    with ``alpha_at(model, tau)``."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    check_domain(model.process, X)
+    vals, grads, laps = model.basis.eval_batch(X)
+    alpha = es.alpha_at(model, tau)
+    return vals[:, 1:] @ alpha, grads[:, :, 1:] @ alpha, laps[:, 1:] @ alpha
 
 
 def fit_gaussian_ou(mean, var, order=2, n_tau=200, schedule=es.Schedule.vp(0.1, 20.0)):

@@ -11,7 +11,13 @@ import eigenscore as es
 from eigenscore.generate import PRIOR_WRAPPED_NORMAL
 from eigenscore.odeint import IntegratorConfig
 from eigenscore.process import tau_at
-from conftest import fit_gaussian_ou, reference_log_density, torus_quad_1d, uniform_moments
+from conftest import (
+    fit_gaussian_ou,
+    model_eval_batch,
+    reference_log_density,
+    torus_quad_1d,
+    uniform_moments,
+)
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +58,9 @@ def test_flow_field_divergence_finite_difference(torus_model):
     tau = 0.4
     h = 1e-5
     # the flow's divergence is minus the Laplacian: the derivative of the score
-    _, _, lap = es.model_eval_batch(model, X, tau)
-    fd = (es.model_eval_batch(model, X + h, tau)[1][:, 0]
-          - es.model_eval_batch(model, X - h, tau)[1][:, 0]) / (2 * h)
+    _, _, lap = model_eval_batch(model, X, tau)
+    fd = (model_eval_batch(model, X + h, tau)[1][:, 0]
+          - model_eval_batch(model, X - h, tau)[1][:, 0]) / (2 * h)
     np.testing.assert_allclose(lap, fd, rtol=1e-4, atol=1e-5)
 
 

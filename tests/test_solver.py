@@ -1,11 +1,14 @@
 """Quadratic system assembly, preconditioned solves, and the presolved model."""
 
+import contextlib
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import eigenscore as es
 from eigenscore.process import tau_at
@@ -18,7 +21,13 @@ from eigenscore.solver import (
     spline_slopes,
     trapezoid_grid,
 )
-from conftest import dense_system, fit_gaussian_ou, score_error, uniform_moments
+from conftest import (
+    dense_system,
+    fit_gaussian_ou,
+    model_eval_batch,
+    score_error,
+    uniform_moments,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +74,26 @@ def test_hermite_assembler_matches_direct_assembly():
         A, b = dense_system(basis, table, m, t)
         np.testing.assert_allclose(sys_t.A, A, atol=1e-12)
         np.testing.assert_allclose(sys_t.b, b, atol=1e-12)
+
+
+def _small_pinwheel_assembler():
+    ds = es.toy2d("pinwheel", 2000, np.random.default_rng(3))
+    basis = es.trig_basis_nd(2, -20.0)
+    m = es.modulation_shrink(es.sample_moments(basis, ds.points))
+    return es.SystemAssembler(basis, es.product_table(basis), m)
+
+
+def test_assembled_systems_are_exactly_symmetric():
+    # solve_node accepts only an exactly symmetric A; the assembler's
+    # (A + A.T) / 2 is symmetric bit for bit
+    gm = es.GaussianMixture(weights=np.array([1.0]), means=np.array([[0.2, -0.4]]),
+                            variances=np.array([[0.5, 0.8]]))
+    hermite = es.hermite_univariate_basis(2, 3)
+    for assembler in (_small_pinwheel_assembler(), es.SystemAssembler(
+            hermite, es.product_table(hermite), es.analytic_moments(gm, hermite))):
+        for t in (0.0, 0.05, 0.4, 2.0):
+            A = assembler.system(t).A
+            assert np.array_equal(A, A.T)
 
 
 def test_large_time_limit_recovers_preconditioner():
@@ -196,10 +225,88 @@ def test_solve_node_matches_floored_spectral_solve(make_system, regularized):
 
 
 def test_solve_rejects_asymmetric_matrix():
-    system = es.QuadraticSystem(A=np.array([[1.0, 2.0], [0.0, 1.0]]),
-                                b=np.zeros(2), lambdas=-np.ones(2), t=0.0)
-    with pytest.raises(es.InvalidInputError):
-        solve_node(system)
+    # symmetry is exact: asymmetric by 1e-12, or by a NaN, is asymmetric
+    for A in (np.array([[1.0, 2.0], [0.0, 1.0]]),
+              np.array([[2.0, 1.0 + 1e-12], [1.0, 2.0]]),
+              np.array([[2.0, math.nan], [math.nan, 2.0]])):
+        system = es.QuadraticSystem(A=A, b=np.zeros(2), lambdas=-np.ones(2), t=0.0)
+        with pytest.raises(es.InvalidInputError):
+            solve_node(system)
+
+
+def _solve_counting_paths(system):
+    """solve_node's result and the number of calls of each scipy.linalg
+    routine its paths use: none on the diagonal path, cho_solve on the
+    Cholesky path, eigh on the floored path."""
+    names = ("cho_factor", "cho_solve", "eigh")
+    with contextlib.ExitStack() as stack:
+        mocks = [stack.enter_context(mock.patch.object(
+            scipy.linalg, name, wraps=getattr(scipy.linalg, name))) for name in names]
+        node = solve_node(system)
+    return node, {name: m.call_count for name, m in zip(names, mocks)}
+
+
+@pytest.mark.parametrize("noise_scale", [0.0, 0.01])
+def test_exactly_diagonal_system_is_solved_by_division(noise_scale):
+    d = np.array([2.0, 3.0, 5.0, 0.5])
+    lambdas = -np.array([1.0, 2.0, 4.0, 8.0])
+    b = np.array([0.3, -1.2, 2.0, 0.7])
+    system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=lambdas, t=0.0,
+                                noise_scale=noise_scale)
+    node, calls = _solve_counting_paths(system)
+    assert calls == {"cho_factor": 0, "cho_solve": 0, "eigh": 0}
+    assert not node.regularized and node.clamped == 0
+    np.testing.assert_allclose(node.alpha, -b / d, rtol=1e-15)
+    scale = np.sqrt(-lambdas)
+    p = d / (scale * scale)  # diag(P): the condition is its exact ratio
+    assert node.condition == p.max() / p.min()
+
+
+def test_diagonal_entry_below_the_floor_takes_the_floored_path():
+    # delta = SPECTRAL_FLOOR * 0.01 = 0.03 lies above the entry 0.01
+    d = np.array([1.0, 0.01, 2.0])
+    b = np.array([1.0, 1.0, -1.0])
+    system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=-np.ones(3), t=0.0,
+                                noise_scale=0.01)
+    node, calls = _solve_counting_paths(system)
+    assert calls["eigh"] == 1 and calls["cho_solve"] == 0
+    assert node.regularized and node.clamped == 1
+    delta = es.solver.SPECTRAL_FLOOR * 0.01
+    np.testing.assert_allclose(node.alpha, -b / np.maximum(d, delta), rtol=1e-14)
+    assert node.condition == pytest.approx(2.0 / delta, rel=1e-14)
+
+
+@pytest.mark.parametrize("relative, path", [(1e-25, "diagonal"), (1e-15, "cholesky")])
+def test_off_diagonal_entries_below_the_cutoff_are_zeroed(relative, path):
+    # es.solver.OFFDIAG_CUTOFF is 1e-20 of sqrt(A_kk A_ll) (invariant under
+    # the preconditioning): 1e-25 is dropped, 1e-15 is kept
+    d = np.array([2.0, 3.0, 5.0])
+    lambdas = -np.array([1.0, 2.0, 4.0])
+    A = np.diag(d)
+    A[0, 2] = A[2, 0] = relative * math.sqrt(d[0] * d[2])
+    A[1, 2] = A[2, 1] = -relative * math.sqrt(d[1] * d[2])
+    b = np.array([1.0, -2.0, 3.0])
+    system = es.QuadraticSystem(A=A, b=b, lambdas=lambdas, t=0.0)
+    node, calls = _solve_counting_paths(system)
+    assert calls["eigh"] == 0 and not node.regularized
+    assert calls["cho_solve"] == (path == "cholesky")
+    np.testing.assert_allclose(node.alpha, np.linalg.solve(A, -b), rtol=1e-15)
+
+
+@pytest.mark.parametrize("tau", [0.7, 0.75, 0.8])
+def test_late_nodes_match_the_solve_without_the_cutoff(tau):
+    # where the off-diagonal part of P decays past the cut-off, zeroing it
+    # leaves alpha unchanged to rounding
+    assembler = _small_pinwheel_assembler()
+    system = assembler.system(es.internal_time(es.Schedule.ve(0.01, 50.0), tau))
+    scale = np.sqrt(-system.lambdas)
+    P = system.A / np.outer(scale, scale)
+    root = np.sqrt(np.abs(np.diag(P)))
+    assert np.any((P != 0) & (np.abs(P) < es.solver.OFFDIAG_CUTOFF * np.outer(root, root)))
+    node = solve_node(system)
+    assert not node.regularized
+    oracle = scipy.linalg.solve(P, -system.b / scale) / scale
+    assert np.abs(node.alpha - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 def test_singular_system_raises_ill_conditioned():
@@ -259,7 +366,7 @@ def test_gaussian_relative_score_pointwise():
     m_t = math.exp(-t) * mean
     v_t = math.exp(-2 * t) * var + (1 - math.exp(-2 * t))
     x = np.linspace(-3, 3, 13)[:, None]
-    score = es.model_eval_batch(model, x, tau)[1][:, 0]
+    score = model_eval_batch(model, x, tau)[1][:, 0]
     truth = -(x[:, 0] - m_t) / v_t + x[:, 0]  # grad log(rho_t/pi)
     np.testing.assert_allclose(score, truth, atol=1e-9)
 
@@ -345,7 +452,7 @@ def test_alpha_at_is_the_not_a_knot_spline():
         with pytest.raises(es.InvalidInputError, match="outside"):
             es.alpha_at(model, tau)
         with pytest.raises(es.InvalidInputError, match="outside"):
-            es.model_eval_batch(model, np.zeros((3, 1)), tau)
+            model_eval_batch(model, np.zeros((3, 1)), tau)
 
 
 def test_presolve_requires_two_nodes():
@@ -359,7 +466,7 @@ def test_presolve_requires_two_nodes():
 def test_model_eval_domain_check():
     model = _small_torus_model()
     with pytest.raises(es.DomainError):
-        es.model_eval_batch(model, np.array([[4.0]]), 0.0)
+        model_eval_batch(model, np.array([[4.0]]), 0.0)
 
 
 def test_model_serialization_roundtrip(tmp_path):
@@ -529,7 +636,7 @@ def test_sm_loss_monte_carlo_close_to_quadrature():
     # oracle: the same weighted error as a Monte-Carlo mean over draws from rho_tau
     X = es.wrap_torus(es.sample_gaussian_mixture(ref.marginal(0.5), 400_000,
                                                  np.random.default_rng(3)))
-    diff = es.model_eval_batch(model, X, 0.5)[1] - ref.relative_score(X, 0.5)
+    diff = model_eval_batch(model, X, 0.5)[1] - ref.relative_score(X, 0.5)
     lmc = float(np.mean((diff * diff).sum(axis=1)))
     assert lmc == pytest.approx(lq, rel=0.1, abs=1e-4)
 
