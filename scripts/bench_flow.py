@@ -25,8 +25,11 @@ per fit) by the ``after`` checkout and loaded into the ``before`` one through it
   801 points at rtol 1e-6) and of acceptance criterion 8 (pinwheel, 1000
   nodes, 2000 samples, one 8192-point batch at rtol 1e-3). A stage's time is
   the median over ``--rounds`` interleaved rounds (A then B, then B then A).
+  Each checkout's samples also carry their largest and RMS distance from a
+  reference integrated in internal time at rtol 1e-8 from the same prior draw.
 * ``criterion_8_grid``: RHS evaluations of each of the eight 8192-point
-  batches of criterion 8's 256x256 grid, and the time of one pass over it.
+  batches of criterion 8's 256x256 grid, and the median time of a pass over
+  it over ``GRID_ROUNDS`` interleaved rounds.
 * ``accuracy``: the largest |log-density difference| of each checkout from
   the interpolation-free flow, which solves the node system at every tau the
   integrator asks for, with the RHS evaluations of each (bart 100/200/1000
@@ -62,6 +65,7 @@ TRACED = ("odeint.nfev", "solver.alpha_at_calls", "solver.alpha_at_s", "generate
           "targets.reference_s", "solver.presolve_s", "solver.linalg_s", "solver.nodes",
           "solver.eigh_calls", "solver.chol_calls")
 FIT_ROUNDS = 3  # interleaved presolve rounds per fit; criterion 8's takes 15-22 s a side
+GRID_ROUNDS = 5  # interleaved passes over criterion 8's density grid, 5-9 s each
 
 
 def midpoint_grid_2d(n):
@@ -81,6 +85,32 @@ def counted(pkg, fn):
 
     with mock.patch.object(pkg.generate, "flow_rate", counting):
         return fn(), calls[0]
+
+
+def reference_samples(pkg, model, n, rng):
+    """PF-ODE samples from ``sample_pf_ode``'s prior draw for ``rng``, integrated
+    in internal time t, dx/dt = -score at tau(t), at rtol 1e-8."""
+    schedule = model.schedule
+
+    def velocity(t, Y):
+        alpha = pkg.alpha_at(model, pkg.process.tau_at(schedule, t))
+        return -model.basis.weighted_eval(Y, alpha)[0]
+
+    x1 = pkg.generate._prior_draw(model, n, rng, "uniform")
+    return pkg.integrate_batch(velocity, x1, pkg.internal_time(schedule, 1.0),
+                               pkg.internal_time(schedule, 0.0),
+                               pkg.odeint.IntegratorConfig(rtol=1e-8, atol=1e-10))
+
+
+def distance_to_reference(pkg, model, x, ref):
+    """Largest and RMS Euclidean distance of samples from their reference (on
+    the torus, the shortest way round)."""
+    diff = x - ref
+    if model.process == pkg.basis.TRUNCATED_BM:
+        diff = pkg.wrap_torus(diff)
+    dist = np.sqrt((diff * diff).sum(axis=1))
+    return {"max_distance_to_reference": float(dist.max()),
+            "rms_distance_to_reference": float(np.sqrt((dist * dist).mean()))}
 
 
 def reference_log_density(pkg, model, table, moments, x, cfg):
@@ -252,6 +282,10 @@ def flow_stages(packages, rounds):
                     times[side].append(time.perf_counter() - t0)
             for side in SIDES:
                 row[side]["seconds"] = statistics.median(times[side])
+            if stage == "sample":
+                ref = reference_samples(es, models["after"], 2000, np.random.default_rng(10))
+                for side in SIDES:
+                    row[side].update(distance_to_reference(es, models["after"], results[side], ref))
             row["speedup"] = row["before"]["seconds"] / row["after"]["seconds"]
             row["max_abs_difference"] = float(np.abs(results["before"] - results["after"]).max())
             out[name][stage] = row
@@ -263,22 +297,29 @@ def flow_stages(packages, rounds):
 
 def criterion8_grid(packages):
     """RHS evaluations of each 8192-point batch of criterion 8's 256x256
-    density grid and the time of one pass over the grid, per checkout."""
+    density grid, and the median time of a pass over the grid over
+    ``GRID_ROUNDS`` interleaved rounds, per checkout."""
     es = packages["after"]
     models = both_sides(packages, pinwheel_fit(es, 1000)[0])
     points = midpoint_grid_2d(256)
     cfg = es.odeint.IntegratorConfig(rtol=1e-3, atol=1e-5)
-    out = {}
+
+    def grid_pass(side):
+        return [counted(packages[side], lambda: packages[side].log_density(
+            models[side], points[i:i + 8192], cfg))[1] for i in range(0, len(points), 8192)]
+
+    out = {side: {"rhs_evaluations": grid_pass(side), "runs": []} for side in SIDES}
+    for r in range(GRID_ROUNDS):
+        for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
+            t0 = time.perf_counter()
+            grid_pass(side)
+            out[side]["runs"].append(time.perf_counter() - t0)
     for side in SIDES:
-        pkg, rhs = packages[side], []
-        t0 = time.perf_counter()
-        for i in range(0, len(points), 8192):
-            rhs.append(counted(pkg, lambda: pkg.log_density(models[side], points[i:i + 8192], cfg))[1])
-        out[side] = {"rhs_evaluations": rhs, "total_rhs_evaluations": sum(rhs),
-                     "seconds": time.perf_counter() - t0}
+        out[side]["total_rhs_evaluations"] = sum(out[side]["rhs_evaluations"])
+        out[side]["seconds"] = statistics.median(out[side]["runs"])
     print(f"criterion-8 grid: RHS {out['before']['total_rhs_evaluations']} -> "
           f"{out['after']['total_rhs_evaluations']}, {out['before']['seconds']:.2f} s -> "
-          f"{out['after']['seconds']:.2f} s", flush=True)
+          f"{out['after']['seconds']:.2f} s (medians of {GRID_ROUNDS})", flush=True)
     return out
 
 

@@ -48,6 +48,7 @@ from .process import (
     Schedule,
     internal_time,
     sample_forward,
+    time_rate,
     transition,
     wrap_torus,
 )

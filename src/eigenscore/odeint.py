@@ -84,14 +84,16 @@ def integrate_batch(f, y0, t_from, t_to, cfg=IntegratorConfig()):
     direction = 1.0 if t_end > t else -1.0
     span = abs(t_end - t)
 
-    # initial step from the field magnitude at the start
+    # initial step from the field magnitude at the start; a still field (the
+    # flow at tau = 1, where alpha is zero) gives no scale, and a tiny first
+    # step would spend many accepted steps growing 5x each through it
     f0 = f(t, y)
     if not np.all(np.isfinite(f0)):
         raise _non_finite(f"at t={t}", y)
     scale = cfg.atol + cfg.rtol * np.abs(y)
     d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-    h = 1e-6 * span if d1 == 0 else min(span, max(1e-10 * span, 0.01 * d0 / d1 if d0 > 0 else 1e-4 * span))
+    h = 1e-2 * span if d1 == 0 else min(span, max(1e-10 * span, 0.01 * d0 / d1 if d0 > 0 else 1e-4 * span))
     h *= direction
 
     k = [None] * 7

@@ -8,7 +8,8 @@ e^{tL}, X_t given X_0 = x0 is N(alpha x0, sigma^2 I) (see :func:`transition`):
 * Ornstein-Uhlenbeck: alpha = e^{-t}, sigma^2 = 1 - e^{-2t}.
 
 A schedule is only a clock: it maps the normalized time tau in [0, 1] to t
-(:func:`internal_time`), and either schedule drives either process.
+(:func:`internal_time`, with rate :func:`time_rate`), and either schedule
+drives either process.
 
 * VE: t(tau) = sigma_tau^2 / 2 with sigma_tau = sigma_min (sigma_max/sigma_min)^tau.
 * VP: t(tau) = beta0 tau / 2 + (beta1 - beta0) tau^2 / 4.
@@ -78,6 +79,15 @@ def internal_time(schedule, tau):
         sigma = schedule.sigma_min * (schedule.sigma_max / schedule.sigma_min) ** tau
         return 0.5 * sigma * sigma
     return schedule.beta0 * tau / 2.0 + (schedule.beta1 - schedule.beta0) * tau * tau / 4.0
+
+
+def time_rate(schedule, tau):
+    """dt/dtau, the rate of the schedule's clock at tau: 2 t(tau) ln(sigma_max /
+    sigma_min) for VE, beta0 / 2 + (beta1 - beta0) tau / 2 for VP."""
+    tau = _check_tau(tau)
+    if schedule.kind == VE:
+        return 2.0 * internal_time(schedule, tau) * math.log(schedule.sigma_max / schedule.sigma_min)
+    return schedule.beta0 / 2.0 + (schedule.beta1 - schedule.beta0) * tau / 2.0
 
 
 def tau_at(schedule, t):

@@ -2,15 +2,16 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
 import eigenscore as es
+from eigenscore import generate, odeint
 from eigenscore.generate import PRIOR_WRAPPED_NORMAL
 from eigenscore.odeint import IntegratorConfig
-from eigenscore.process import tau_at
 from conftest import (
     fit_gaussian_ou,
     model_eval_batch,
@@ -65,14 +66,41 @@ def test_flow_field_divergence_finite_difference(torus_model):
 
 
 def test_flow_field_rate_consistency(torus_model):
-    # flow_rate is (-score, -laplacian) of the float32 kernel at tau_at(t)
+    # flow_rate is -t'(tau) (score, laplacian) of the float32 kernel at alpha_at(tau)
     model, _, _ = torus_model
     X = np.linspace(-3, 3, 7)[:, None]
-    t = es.internal_time(model.schedule, 0.3)
-    vel, div = es.flow_rate(model, t, X)
-    alpha = es.alpha_at(model, tau_at(model.schedule, t))
-    score, lap = model.basis.weighted_eval(X, alpha)
-    assert np.array_equal(vel, -score) and np.array_equal(div, -lap)
+    tau = 0.3
+    vel, div = es.flow_rate(model, tau, X)
+    rate = es.time_rate(model.schedule, tau)
+    score, lap = model.basis.weighted_eval(X, es.alpha_at(model, tau))
+    assert np.array_equal(vel, -rate * score) and np.array_equal(div, -rate * lap)
+    # the factor is the clock's dt/dtau: 2 t(tau) ln(sigma_max / sigma_min) on VE
+    assert rate == pytest.approx(2.0 * es.internal_time(model.schedule, tau) * math.log(20.0 / 0.05),
+                                 rel=1e-12)
+
+
+@pytest.mark.parametrize("fixture, max_rhs, max_rejected", [
+    ("torus_model", 204, 9), ("gaussian_model", 122, 9), ("gaussian_model_ve_clock", 174, 8),
+])
+def test_pf_ode_sampling_rejects_few_steps(request, fixture, max_rhs, max_rejected):
+    # on the clock tau the controller's steps follow the flow's own scale. The
+    # bounds are 1.25x the counts measured on tau (163, 97 and 139 RHS
+    # evaluations with 7, 7 and 6 rejected steps); integrating the same draws
+    # in internal time took 409, 151 and 439 with 29, 12 and 31 rejected
+    model = request.getfixturevalue(fixture)
+    model = model[0] if isinstance(model, tuple) else model
+    norms = []
+    error_norm = odeint._error_norm
+
+    def recording(*args):
+        norms.append(error_norm(*args))
+        return norms[-1]
+
+    with mock.patch.object(generate, "flow_rate", wraps=generate.flow_rate) as rate, \
+            mock.patch.object(odeint, "_error_norm", recording):
+        es.sample_pf_ode(model, 500, rng=np.random.default_rng(0))
+    rejected = sum(norm > 1.0 for norm in norms)
+    assert rate.call_count <= max_rhs and rejected <= max_rejected, (rate.call_count, rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +258,7 @@ def test_transport_pushes_data_to_prior(gaussian_model):
     model, gm, _ = gaussian_model
     rng = np.random.default_rng(5)
     x0 = es.sample_gaussian_mixture(gm, 20_000, rng)
-    t0 = es.internal_time(model.schedule, 0.0)
-    t1 = es.internal_time(model.schedule, 1.0)
-    x1 = es.integrate_batch(lambda t, Y: es.flow_rate(model, t, Y)[0],
-                            x0, t0, t1, IntegratorConfig(rtol=1e-6, atol=1e-8))
+    x1 = es.integrate_batch(lambda tau, Y: es.flow_rate(model, tau, Y)[0],
+                            x0, 0.0, 1.0, IntegratorConfig(rtol=1e-6, atol=1e-8))
     stat = kstest(x1[:, 0], "norm")
     assert stat.pvalue > 0.005

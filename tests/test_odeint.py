@@ -1,9 +1,11 @@
 """Adaptive Runge-Kutta integrator: accuracy, batching, tolerances."""
 
+import math
 import re
 
 import numpy as np
 import pytest
+from scipy.special import exp1
 
 import eigenscore as es
 from eigenscore.odeint import IntegratorConfig, integrate_batch
@@ -119,3 +121,19 @@ def test_non_finite_field_fails_fast(bad, t_bad):
     assert t_last <= t_bad
     # the attached state is the last accepted one
     np.testing.assert_allclose(exc.value.state, y0 * np.exp(-t_last), rtol=1e-5)
+
+
+def test_still_start_takes_a_hundredth_of_the_span():
+    # the field is zero until t = 0.5 and y' = e^{-1/(t - 0.5)} y after (smooth),
+    # so log y(1) = e^{-2}/2 - E1(2); with no scale at the start the first step
+    # is span/100 (a first step of span/1e6 took 121 RHS evaluations)
+    times = []
+
+    def f(t, y):
+        times.append(t)
+        return (math.exp(-1.0 / (t - 0.5)) if t > 0.5 else 0.0) * y
+
+    y1 = integrate_batch(f, np.array([[1.0]]), 0.0, 1.0, IntegratorConfig(rtol=1e-8, atol=1e-10))
+    assert y1[0, 0] == pytest.approx(math.exp(0.5 * math.exp(-2.0) - exp1(2.0)), rel=1e-7)
+    assert times[1] == pytest.approx(0.2 * 0.01, rel=1e-12)  # the second stage, t0 + h/5
+    assert len(times) <= 110

@@ -47,6 +47,27 @@ def test_tau_at_inverts_internal_time(sched):
     assert es.internal_time(sched, tau_at(sched, 0.02)) == pytest.approx(0.02, rel=1e-12)
 
 
+@pytest.mark.parametrize("sched", [es.Schedule.ve(0.01, 50.0), es.Schedule.vp(0.1, 20.0)])
+def test_time_rate_is_the_clock_derivative(sched):
+    h = 1e-6
+    for tau in (0.05, 0.3, 0.5, 0.7, 0.95):
+        fd = (es.internal_time(sched, tau + h) - es.internal_time(sched, tau - h)) / (2 * h)
+        assert es.time_rate(sched, tau) == pytest.approx(fd, rel=1e-7)
+
+
+def test_time_rate_at_the_endpoints():
+    ve, vp = es.Schedule.ve(0.01, 50.0), es.Schedule.vp(0.1, 20.0)
+    log_ratio = math.log(50.0 / 0.01)
+    assert es.time_rate(ve, 0.0) == pytest.approx(0.01**2 * log_ratio, rel=1e-12)
+    assert es.time_rate(ve, 1.0) == pytest.approx(50.0**2 * log_ratio, rel=1e-12)
+    assert es.time_rate(vp, 0.0) == pytest.approx(0.1 / 2, rel=1e-12)
+    assert es.time_rate(vp, 1.0) == pytest.approx(20.0 / 2, rel=1e-12)
+    for sched in (ve, vp):
+        for tau in (-1e-9, 1.0 + 1e-9, math.nan):
+            with pytest.raises(es.InvalidInputError):
+                es.time_rate(sched, tau)
+
+
 def test_tau_at_out_of_range():
     s = es.Schedule.vp(0.1, 20.0)
     with pytest.raises(es.InvalidInputError):
