@@ -86,7 +86,8 @@ def time_rate(schedule, tau):
     sigma_min) for VE, beta0 / 2 + (beta1 - beta0) tau / 2 for VP."""
     tau = _check_tau(tau)
     if schedule.kind == VE:
-        return 2.0 * internal_time(schedule, tau) * math.log(schedule.sigma_max / schedule.sigma_min)
+        log_ratio = math.log(schedule.sigma_max / schedule.sigma_min)
+        return 2.0 * internal_time(schedule, tau) * log_ratio
     return schedule.beta0 / 2.0 + (schedule.beta1 - schedule.beta0) * tau / 2.0
 
 

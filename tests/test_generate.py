@@ -75,8 +75,8 @@ def test_flow_field_rate_consistency(torus_model):
     score, lap = model.basis.weighted_eval(X, es.alpha_at(model, tau))
     assert np.array_equal(vel, -rate * score) and np.array_equal(div, -rate * lap)
     # the factor is the clock's dt/dtau: 2 t(tau) ln(sigma_max / sigma_min) on VE
-    assert rate == pytest.approx(2.0 * es.internal_time(model.schedule, tau) * math.log(20.0 / 0.05),
-                                 rel=1e-12)
+    t = es.internal_time(model.schedule, tau)
+    assert rate == pytest.approx(2.0 * t * math.log(20.0 / 0.05), rel=1e-12)
 
 
 @pytest.mark.parametrize("fixture, max_rhs, max_rejected", [
