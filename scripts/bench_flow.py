@@ -12,12 +12,13 @@ per fit) by the ``after`` checkout and loaded into the ``before`` one through it
 * ``fits``: each checkout's own presolve of perfbench's two fits (pinwheel-2d,
   100 nodes; bart-1d, 1000 nodes) and of acceptance criterion 8's fit
   (pinwheel, 1000 nodes): its time over ``FIT_ROUNDS`` interleaved rounds,
-  the number of nodes each solve path took (``floored`` where ``solve_node``
-  calls ``scipy.linalg.eigh``, ``cholesky`` where it calls ``cho_solve``,
-  ``diagonal`` where it calls neither), the largest relative max-norm
-  difference of a node's alpha between the checkouts, on floored and on
-  other nodes, and whether ``regularized``, ``clamped``, ``alphas`` and
-  ``model_to_dict`` output are identical.
+  the number of nodes each solve path took (``floored`` where the node's
+  ``NodeSolve.regularized`` is set, else ``cholesky`` where ``solve_node``
+  calls ``scipy.linalg.cho_solve``, else ``diagonal``), the largest relative
+  max-norm difference of a node's alpha and the largest relative difference
+  of its ``condition`` between the checkouts, on floored and on other nodes,
+  and whether ``regularized``, ``clamped``, ``alphas`` and ``model_to_dict``
+  output are identical.
 * ``flow``: RHS evaluations (calls of ``generate.flow_rate``) and stage times
   of PF-ODE sampling and of one log-density batch, at the shapes of
   perfbench's workloads (pinwheel-2d: 100 nodes, 2000 samples at rtol 1e-4,
@@ -63,7 +64,8 @@ from bench_kernel import SIDES, WORKLOADS, bench_perfbench, commit_of, load_pack
 TRACED = ("odeint.nfev", "solver.alpha_at_calls", "solver.alpha_at_s", "generate.sample_s",
           "generate.density_s", "generate.sde_s", "cli.loss_study_s", "cli.self_s",
           "targets.reference_s", "solver.presolve_s", "solver.linalg_s", "solver.nodes",
-          "solver.eigh_calls", "solver.chol_calls")
+          "solver.eigh_calls", "solver.chol_calls", "solver.regularized_nodes",
+          "solver.self_s")
 FIT_ROUNDS = 3  # interleaved presolve rounds per fit; criterion 8's takes 15-22 s a side
 GRID_ROUNDS = 5  # interleaved passes over criterion 8's density grid, 5-9 s each
 
@@ -180,27 +182,23 @@ def both_sides(packages, model):
 def presolve_paths(pkg, inputs, n_times):
     """The model of ``pkg``'s presolve and the solve path of each node (see
     the ``fits`` part of the module docstring)."""
-    calls = {"eigh": 0, "cho_solve": 0}
+    cho_solves = [0]
     paths = []
     solve_node = pkg.solver.solve_node
+    cho_solve = scipy.linalg.cho_solve
 
-    def counting(name):
-        fn = getattr(scipy.linalg, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting(*args, **kwargs):
+        cho_solves[0] += 1
+        return cho_solve(*args, **kwargs)
 
     def recording(system):
-        seen = dict(calls)
+        seen = cho_solves[0]
         node = solve_node(system)
-        paths.append("floored" if calls["eigh"] > seen["eigh"] else
-                     "cholesky" if calls["cho_solve"] > seen["cho_solve"] else "diagonal")
+        paths.append("floored" if node.regularized else
+                     "cholesky" if cho_solves[0] > seen else "diagonal")
         return node
 
-    with mock.patch.object(scipy.linalg, "eigh", counting("eigh")), \
-            mock.patch.object(scipy.linalg, "cho_solve", counting("cho_solve")), \
+    with mock.patch.object(scipy.linalg, "cho_solve", counting), \
             mock.patch.object(pkg.solver, "solve_node", recording):
         return presolve(pkg, inputs, n_times), paths
 
@@ -223,6 +221,8 @@ def bench_fits(packages):
         diff = np.abs(after - before).max(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):  # alpha is 0 at late nodes
             rel = np.where(diff == 0.0, 0.0, diff / np.abs(before).max(axis=1))
+        cond = {side: diags[side]["condition"] for side in SIDES}
+        rel_cond = np.abs(cond["after"] - cond["before"]) / cond["before"]
         floored = diags["before"]["regularized"]
         dicts = {side: json.dumps(packages[side].model_to_dict(models[side])) for side in SIDES}
         out[name] = {
@@ -235,6 +235,9 @@ def bench_fits(packages):
             "max_relative_alpha_difference": {
                 "floored": float(rel[floored].max(initial=0.0)),
                 "other": float(rel[~floored].max(initial=0.0))},
+            "max_relative_condition_difference": {
+                "floored": float(rel_cond[floored].max(initial=0.0)),
+                "other": float(rel_cond[~floored].max(initial=0.0))},
             "regularized_identical": bool(np.array_equal(
                 diags["before"]["regularized"], diags["after"]["regularized"])),
             "clamped_identical": bool(np.array_equal(

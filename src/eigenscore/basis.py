@@ -566,19 +566,6 @@ class ProductTable:
     n_basis: int
     n_extended: int
 
-    @cached_property
-    def _pair_keys(self):
-        return self.k * self.n_basis + self.l
-
-    def get(self, k, l):
-        """Extended indices and coefficients of the expansion of phi_k phi_l."""
-        k, l = min(k, l), max(k, l)
-        key = k * self.n_basis + l
-        lo, hi = np.searchsorted(self._pair_keys, [key, key + 1])
-        if lo == hi:
-            raise CapacityError(f"no product expansion stored for pair {(k, l)}")
-        return self.h[lo:hi], self.beta[lo:hi]
-
 
 def _trig_lookup(ext, freq, kind):
     """Extended indices of canonical trig terms: 0 for the constant (kind 0),

@@ -106,7 +106,6 @@ class SystemAssembler:
     def system(self, t):
         """A_t and b_t[k] = lam_k e^{lam_k t} theta_k over the active basis."""
         A = (self.S @ np.exp(self.lam_ext * t)).reshape(self.n, self.n)
-        A = (A + A.T) / 2.0
         b = self.lam_active * np.exp(self.lam_active * t) * self.theta_active
         return QuadraticSystem(A=A, b=b, lambdas=self.lam_active, t=float(t),
                                noise_scale=self.noise_scale)
@@ -119,7 +118,9 @@ class NodeSolve:
     alpha: np.ndarray
     # exact max/min ratio of diag(P) on diagonal nodes, LAPACK 1-norm estimate
     # on Cholesky nodes (last digits depend on array alignment, see
-    # solve_node), spectral ratio if regularized
+    # solve_node), 2-norm ratio of the floored spectrum if regularized: the
+    # eigenvalues of P from divide and conquer on its tridiagonal form, or
+    # diag(P) where P is diagonal
     condition: float
     regularized: bool
     clamped: int  # eigenvalues raised to the floor (0 unless regularized)
@@ -151,28 +152,41 @@ def solve_node(system):
       only on P, so model files that store it are byte-reproducible only
       within one process;
     * floored: otherwise, or where the condition of either path above
-      exceeds ``CONDITION_LIMIT``, alpha comes from the divide-and-conquer
-      eigendecomposition of P with its spectrum floored at max(delta,
-      ``TIKHONOV_EPS``). The result is flagged ``regularized``, ``clamped``
-      counts the eigenvalues of magnitude below that floor, and
-      ``condition`` is the 2-norm ratio of the floored spectrum.
+      exceeds ``CONDITION_LIMIT``, the spectrum of P is floored at
+      max(delta, ``TIKHONOV_EPS``). A diagonal P is floored entrywise. Any
+      other P is reduced to tridiagonal form, P = Q T Q', by Householder
+      reflectors (LAPACK ``dsytrd``); divide and conquer (``dstevd``) gives
+      T = Z diag(w) Z', and u = Q Z diag(1 / max(|w|, floor)) Z' Q' y, with
+      y and u carried through the reflectors one vector each (``dormqr``),
+      so the eigenvector matrix Q Z of P is never formed. The result is
+      flagged ``regularized``, ``clamped`` counts the eigenvalues of
+      magnitude below the floor, and ``condition`` is the 2-norm ratio of
+      the floored spectrum.
 
     alpha depends on the condition only through the comparison with
     ``CONDITION_LIMIT``. If the floored spectrum is still ill-conditioned,
-    or alpha is not finite, an IllConditionedError is raised. Returns a
-    :class:`NodeSolve`.
+    alpha is not finite, or a LAPACK routine of the floored path reports
+    failure, an IllConditionedError is raised. Returns a :class:`NodeSolve`.
     """
     if not np.array_equal(system.A, system.A.T):
         raise InvalidInputError("system matrix must be exactly symmetric")
     scale = np.sqrt(-system.lambdas)
-    P = system.A / np.outer(scale, scale)
+    P = np.multiply.outer(scale, scale)
+    np.divide(system.A, P, out=P)
     y = -system.b / scale
     delta = SPECTRAL_FLOOR * system.noise_scale
     d = np.diag(P).copy()
-    root = np.sqrt(np.abs(d))
-    P *= np.abs(P) >= np.outer(OFFDIAG_CUTOFF * root, root)  # entries below the cut-off become 0
+    ratio = np.abs(P)
+    root = np.sqrt(ratio.diagonal())
+    # |P_kl| / sqrt|P_kk P_ll|: inf in a row or column with a zero diagonal
+    # entry, which keeps its entries, or nan where P_kl is 0 already
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio /= root
+        ratio /= root[:, None]
+    P *= ratio >= OFFDIAG_CUTOFF
+    diagonal = np.count_nonzero(P) == np.count_nonzero(d)
     factor = None
-    if np.count_nonzero(P) == np.count_nonzero(d):  # diagonal
+    if diagonal:
         cond = float(d.max() / d.min()) if d.min() > delta else np.inf
     else:
         try:
@@ -189,12 +203,15 @@ def solve_node(system):
     regularized = not cond <= CONDITION_LIMIT
     clamped = 0
     if regularized:
-        w, V = scipy.linalg.eigh(P, driver="evd", overwrite_a=True, check_finite=False)
         floor = max(delta, TIKHONOV_EPS)
-        clamped = int(np.count_nonzero(np.abs(w) < floor))
+        if diagonal:
+            w, u = d, y / np.maximum(np.abs(d), floor)
+        else:
+            w, u = _floored_solve(P, y, floor)
         w_eff = np.maximum(np.abs(w), floor)
+        clamped = int(np.count_nonzero(np.abs(w) < floor))
         cond = float(w_eff.max() / w_eff.min())
-        alpha = (V @ ((V.T @ y) / w_eff)) / scale
+        alpha = u / scale
     elif factor is None:
         alpha = y / d / scale
     else:
@@ -204,6 +221,38 @@ def solve_node(system):
             f"preconditioned system is singular (condition ~ {cond:.3e})", cond
         )
     return NodeSolve(alpha, cond, regularized, clamped)
+
+
+def _floored_solve(P, y, floor):
+    """Eigenvalues w of the symmetric P (n >= 2) and u = V diag(1 / max(|w|,
+    floor)) V' y, with P = V diag(w) V', without forming V = Q Z.
+
+    ``dsytrd`` reduces P to tridiagonal T = Q' P Q and stores Q's reflectors
+    below T's subdiagonal: the first row and column of Q are those of the
+    identity, and the reflectors of Q's trailing block sit in ``dormqr``'s
+    QR layout in ``c[1:, :-1]``. ``dstevd`` gives T = Z diag(w) Z'.
+    """
+    n = len(P)
+    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+    # P is symmetric, so P.T is P in the column-major order LAPACK reads (no copy)
+    c, d, e, tau, info = lapack.dsytrd(P.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    _check_lapack("dsytrd", info)
+    reflectors = np.asfortranarray(c[1:, :-1])
+
+    def reflect(trans, v):  # Q'v for trans "T", Qv for "N"
+        out, _, info = lapack.dormqr("L", trans, reflectors, tau, v[1:, None], 1)
+        _check_lapack("dormqr", info)
+        return np.concatenate([v[:1], out[:, 0]])
+
+    w, Z, info = lapack.dstevd(d, e)
+    _check_lapack("dstevd", info)
+    u = reflect("N", Z @ ((Z.T @ reflect("T", y)) / np.maximum(np.abs(w), floor)))
+    return w, u
+
+
+def _check_lapack(name, info):
+    if info != 0:
+        raise IllConditionedError(f"LAPACK {name} failed (info = {info})", np.inf)
 
 
 # ---------------------------------------------------------------------------

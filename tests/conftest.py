@@ -61,11 +61,22 @@ def uniform_moments(basis):
                            gamma=np.ones_like(theta), n_samples=0)
 
 
+def pair_expansion(table, k, l):
+    """Extended indices and coefficients of the expansion of phi_k phi_l in
+    the product table, whose entries are sorted by pair k <= l."""
+    k, l = min(k, l), max(k, l)
+    key = k * table.n_basis + l
+    lo, hi = np.searchsorted(table.k * table.n_basis + table.l, [key, key + 1])
+    if lo == hi:
+        raise es.CapacityError(f"no product expansion stored for pair {(k, l)}")
+    return table.h[lo:hi], table.beta[lo:hi]
+
+
 def dense_system(basis, table, moments, t):
     """Dense A_t and b_t over the active basis, one pair of functions at a time.
 
     A_t[k,l] = sum_h ((lam_h - lam_k - lam_l)/2) e^{lam_h t} beta_h^{(k,l)} theta_h
-    over the expansion ``table.get(k, l)`` of phi_k phi_l, and
+    over the expansion ``pair_expansion(table, k, l)`` of phi_k phi_l, and
     b_t[k] = lam_k e^{lam_k t} theta_k. Hermite pairs on disjoint coordinates
     have no stored expansion: their carre-du-champ vanishes.
     """
@@ -76,7 +87,7 @@ def dense_system(basis, table, moments, t):
         for l in range(k, n + 1):
             if basis.process == es.OU and basis.functions.dims[k] != basis.functions.dims[l]:
                 continue  # Hermite functions of disjoint coordinates
-            h, beta = table.get(k, l)
+            h, beta = pair_expansion(table, k, l)
             A[k - 1, l - 1] = A[l - 1, k - 1] = np.sum(
                 (lam_ext[h] - lam[k] - lam[l]) / 2.0 * np.exp(lam_ext[h] * t) * beta * theta[h])
     b = lam[1:] * np.exp(lam[1:] * t) * theta[1:n + 1]

@@ -22,7 +22,7 @@ from eigenscore.solver import QuadratureSpec, reference_loss, shrinkage_losses
 from eigenscore.targets import _TOYS, AnalyticReference
 from eigenscore.process import OU, TRUNCATED_BM, tau_at
 
-from conftest import energy_distance_pvalue, fit_gaussian_ou, uniform_moments
+from conftest import energy_distance_pvalue, fit_gaussian_ou, pair_expansion, uniform_moments
 
 
 def _report(criterion, ok, detail):
@@ -86,7 +86,7 @@ def test_criterion_01_spectral_correctness():
     ext = basis_t.eval_values(xs, extended=True)
     err_prod_t = 0.0
     for k, l in [(1, 1), (3, 7), (20, 31), (49, 50), (99, 100), (2, 98)]:
-        h, beta = tab_t.get(k, l)
+        h, beta = pair_expansion(tab_t, k, l)
         err_prod_t = max(err_prod_t,
                          float(np.max(np.abs(vals[:, k] * vals[:, l] - ext[:, h] @ beta))))
     # Hermite product identity at order 50: individual expansion terms reach
@@ -97,7 +97,7 @@ def test_criterion_01_spectral_correctness():
     eh = basis_h.eval_values(xh, extended=True)
     err_prod_h = 0.0
     for k, l in [(1, 2), (10, 10), (25, 40), (50, 50)]:
-        h, beta = tab_h.get(k, l)
+        h, beta = pair_expansion(tab_h, k, l)
         scale = np.max(np.abs(eh[:, h] * beta), axis=1) + 1.0
         err_prod_h = max(err_prod_h,
                          float(np.max(np.abs(vh[:, k] * vh[:, l] - eh[:, h] @ beta) / scale)))

@@ -11,7 +11,7 @@ from eigenscore.basis import (
     hermite_eval,
     hermite_order_expansion,
 )
-from conftest import torus_quad_1d
+from conftest import pair_expansion, torus_quad_1d
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ def _pointwise_product_identity(basis, table, X, atol):
             # a Hermite product on two coordinates leaves the univariate span
             if basis.process == es.OU and _disjoint(funcs, k, l):
                 continue
-            h, coefs = table.get(k, l)
+            h, coefs = pair_expansion(table, k, l)
             lhs = vals_b[:, k] * vals_b[:, l]
             rhs = vals_e[:, h] @ coefs
             np.testing.assert_allclose(lhs, rhs, atol=atol)

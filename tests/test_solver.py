@@ -85,7 +85,8 @@ def _small_pinwheel_assembler():
 
 def test_assembled_systems_are_exactly_symmetric():
     # solve_node accepts only an exactly symmetric A; the assembler's
-    # (A + A.T) / 2 is symmetric bit for bit
+    # mirrored rows (k, l) and (l, k) of S hold the same terms in the same
+    # order, so their sums agree bit for bit
     gm = es.GaussianMixture(weights=np.array([1.0]), means=np.array([[0.2, -0.4]]),
                             variances=np.array([[0.5, 0.8]]))
     hermite = es.hermite_univariate_basis(2, 3)
@@ -224,6 +225,52 @@ def test_solve_node_matches_floored_spectral_solve(make_system, regularized):
     assert np.linalg.norm(node.alpha - oracle) <= 1e-9 * np.linalg.norm(oracle)
 
 
+@pytest.mark.parametrize("tau", [0.05, 0.3, 0.5])
+def test_floored_pinwheel_nodes_match_the_spectral_solve(tau):
+    # the tridiagonal path against a full eigendecomposition of P, at nodes
+    # where the floor acts on much of the spectrum
+    system = _small_pinwheel_assembler().system(
+        es.internal_time(es.Schedule.ve(0.01, 50.0), tau))
+    node, calls = _solve_counting_paths(system)
+    assert node.regularized and node.clamped > 0 and calls["dsytrd"] == 1
+    oracle = _spectral_oracle(system, es.solver.SPECTRAL_FLOOR * system.noise_scale)
+    assert np.abs(node.alpha - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("spectrum, noise_scale", [
+    pytest.param([0.01, 1.0, 2.0], 0.01, id="below-the-floor"),
+    pytest.param([-0.5, 1.0, 2.0], 0.01, id="negative-eigenvalue"),
+    pytest.param([0.0, 1.0, 2.0], 0.0, id="tikhonov-floor"),
+])
+def test_small_floored_systems(n, spectrum, noise_scale):
+    # n = 1 is diagonal and floored entrywise; n = 2 and 3 are rotated and
+    # take the tridiagonal path, whose reflector block is 1x1 and 2x2
+    w = np.array(spectrum[:n])
+    system = _system_with_spectrum(w, noise_scale)
+    node, calls = _solve_counting_paths(system)
+    assert node.regularized and calls["dsytrd"] == (n > 1)
+    floor = max(es.solver.SPECTRAL_FLOOR * noise_scale, es.solver.TIKHONOV_EPS)
+    assert node.clamped == np.count_nonzero(np.abs(w) < floor)
+    w_eff = np.maximum(np.abs(w), floor)
+    assert node.condition == pytest.approx(w_eff.max() / w_eff.min(), rel=1e-12)
+    oracle = _spectral_oracle(system, floor)
+    assert np.abs(node.alpha - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_failed_tridiagonal_eigensolve_raises_ill_conditioned():
+    system = _system_with_spectrum([-0.5, 0.2, 1.0], 0.01)
+    dstevd = scipy.linalg.lapack.dstevd
+
+    def failing(*args, **kwargs):
+        w, z, _ = dstevd(*args, **kwargs)
+        return w, z, 2
+
+    with mock.patch.object(scipy.linalg.lapack, "dstevd", failing), \
+            pytest.raises(es.IllConditionedError, match="dstevd"):
+        solve_node(system)
+
+
 def test_solve_rejects_asymmetric_matrix():
     # symmetry is exact: asymmetric by 1e-12, or by a NaN, is asymmetric
     for A in (np.array([[1.0, 2.0], [0.0, 1.0]]),
@@ -235,15 +282,17 @@ def test_solve_rejects_asymmetric_matrix():
 
 
 def _solve_counting_paths(system):
-    """solve_node's result and the number of calls of each scipy.linalg
-    routine its paths use: none on the diagonal path, cho_solve on the
-    Cholesky path, eigh on the floored path."""
-    names = ("cho_factor", "cho_solve", "eigh")
+    """solve_node's result and the number of calls of each LAPACK routine its
+    paths start with: none on the diagonal path (floored or not), cho_solve
+    on the Cholesky path, the tridiagonal reduction dsytrd on the floored
+    path of a non-diagonal P."""
+    routines = ((scipy.linalg, "cho_factor"), (scipy.linalg, "cho_solve"),
+                (scipy.linalg.lapack, "dsytrd"))
     with contextlib.ExitStack() as stack:
         mocks = [stack.enter_context(mock.patch.object(
-            scipy.linalg, name, wraps=getattr(scipy.linalg, name))) for name in names]
+            module, name, wraps=getattr(module, name))) for module, name in routines]
         node = solve_node(system)
-    return node, {name: m.call_count for name, m in zip(names, mocks)}
+    return node, {name: m.call_count for (_, name), m in zip(routines, mocks)}
 
 
 @pytest.mark.parametrize("noise_scale", [0.0, 0.01])
@@ -254,7 +303,7 @@ def test_exactly_diagonal_system_is_solved_by_division(noise_scale):
     system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=lambdas, t=0.0,
                                 noise_scale=noise_scale)
     node, calls = _solve_counting_paths(system)
-    assert calls == {"cho_factor": 0, "cho_solve": 0, "eigh": 0}
+    assert calls == {"cho_factor": 0, "cho_solve": 0, "dsytrd": 0}
     assert not node.regularized and node.clamped == 0
     np.testing.assert_allclose(node.alpha, -b / d, rtol=1e-15)
     scale = np.sqrt(-lambdas)
@@ -269,7 +318,8 @@ def test_diagonal_entry_below_the_floor_takes_the_floored_path():
     system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=-np.ones(3), t=0.0,
                                 noise_scale=0.01)
     node, calls = _solve_counting_paths(system)
-    assert calls["eigh"] == 1 and calls["cho_solve"] == 0
+    # floored entrywise: no factorization or decomposition runs
+    assert calls == {"cho_factor": 0, "cho_solve": 0, "dsytrd": 0}
     assert node.regularized and node.clamped == 1
     delta = es.solver.SPECTRAL_FLOOR * 0.01
     np.testing.assert_allclose(node.alpha, -b / np.maximum(d, delta), rtol=1e-14)
@@ -288,7 +338,7 @@ def test_off_diagonal_entries_below_the_cutoff_are_zeroed(relative, path):
     b = np.array([1.0, -2.0, 3.0])
     system = es.QuadraticSystem(A=A, b=b, lambdas=lambdas, t=0.0)
     node, calls = _solve_counting_paths(system)
-    assert calls["eigh"] == 0 and not node.regularized
+    assert calls["dsytrd"] == 0 and not node.regularized
     assert calls["cho_solve"] == (path == "cholesky")
     np.testing.assert_allclose(node.alpha, np.linalg.solve(A, -b), rtol=1e-15)
 
