@@ -230,7 +230,8 @@ def _floored_solve(P, y, floor):
     ``dsytrd`` reduces P to tridiagonal T = Q' P Q and stores Q's reflectors
     below T's subdiagonal: the first row and column of Q are those of the
     identity, and the reflectors of Q's trailing block sit in ``dormqr``'s
-    QR layout in ``c[1:, :-1]``. ``dstevd`` gives T = Z diag(w) Z'.
+    QR layout in ``c[1:, :-1]``. ``dstevd`` gives T = Z diag(w) Z'. P is
+    overwritten.
     """
     n = len(P)
     lwork, _ = lapack.dsytrd_lwork(n, lower=1)
