@@ -12,7 +12,6 @@ from .basis import (
     basis_from_dict,
     basis_to_dict,
     hermite_eval,
-    hermite_order_expansion,
     hermite_univariate_basis,
     product_table,
     trig_basis_1d,

@@ -15,7 +15,10 @@ Bases carry an *extended* family, a superset large enough that any product of
 two basis members expands exactly, ``phi_k phi_l = sum_h beta_h phi_h``.
 :func:`product_table` builds that expansion, vectorised over all pairs
 ``k <= l``, as one sparse COO tensor of ``(k, l, h, beta)`` entries (a
-:class:`ProductTable`); the solver assembles every ``A_t`` from it.
+:class:`ProductTable`); the solver assembles every ``A_t`` from it. Both
+families expand by closed forms that list only true terms: product-to-sum
+identities for trig, the Hermite linearization formula in exact integer
+binomials for OU.
 """
 
 from __future__ import annotations
@@ -51,48 +54,28 @@ def hermite_eval(max_order, x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("hermite_eval requires finite x")
-    out = np.empty(x.shape + (max_order + 1,))
+    return _hermite_recurrence(max_order, x, 0.0)
+
+
+def _hermite_recurrence(max_order, mean, var):
+    """Expectations E phi_0(X) .. E phi_max_order(X) of X ~ N(mean, var),
+    elementwise over the broadcast of ``mean`` and ``var``; the order axis is
+    appended last.
+
+    Stein's identity E[X g(X)] = mean E g(X) + var E g'(X), with
+    ``phi_l' = sqrt(l) phi_{l-1}``, turns the values' recurrence into
+    ``theta_{l+1} = (mean theta_l - sqrt(l) (1 - var) theta_{l-1}) / sqrt(l+1)``.
+    At var = 0 it is that recurrence at x = mean, bit for bit.
+    """
+    mean = np.asarray(mean, dtype=float)
+    c = 1.0 - np.asarray(var, dtype=float)
+    out = np.empty(np.broadcast_shapes(mean.shape, c.shape) + (max_order + 1,))
     out[..., 0] = 1.0
     if max_order >= 1:
-        out[..., 1] = x
+        out[..., 1] = mean
     for l in range(1, max_order):
-        out[..., l + 1] = (x * out[..., l] - math.sqrt(l) * out[..., l - 1]) / math.sqrt(l + 1)
+        out[..., l + 1] = (mean * out[..., l] - math.sqrt(l) * c * out[..., l - 1]) / math.sqrt(l + 1)
     return out
-
-
-def hermite_order_expansion(basis_max, extended_max):
-    """Expansion coefficients of phi_k * phi_l over orders 0..extended_max.
-
-    Returns an array ``B`` with ``B[k, l, h] = beta_h^{(k, l)}`` for
-    ``k, l <= basis_max``, built by the order-raising dynamic program
-    ``beta^{(k, l+1)} = sqrt((k+1)/(l+1)) beta^{(k+1, l)}
-    + sqrt(k/(l+1)) beta^{(k-1, l)} - sqrt(l/(l+1)) beta^{(k, l-1)}``
-    started from the one-hot vectors ``beta^{(k, 0)}``.
-    """
-    if extended_max < 2 * basis_max:
-        raise CapacityError(
-            f"extended_max={extended_max} cannot hold products of order "
-            f"{basis_max} functions; need at least {2 * basis_max}"
-        )
-    n_ext = extended_max + 1
-    # levels[l] holds beta^{(k, l)} for k = 0..(2*basis_max - l)
-    prev2 = None
-    prev = np.eye(2 * basis_max + 1, n_ext)
-    levels = [prev]
-    for l in range(basis_max):
-        kmax = 2 * basis_max - (l + 1)
-        cur = np.zeros((kmax + 1, n_ext))
-        k = np.arange(kmax + 1, dtype=float)[:, None]
-        cur += np.sqrt((k + 1.0) / (l + 1.0)) * prev[1 : kmax + 2]
-        cur[1:] += np.sqrt(k[1:] / (l + 1.0)) * prev[0:kmax]
-        if l >= 1:
-            cur -= math.sqrt(l / (l + 1.0)) * prev2[: kmax + 1]
-        prev2, prev = prev, cur
-        levels.append(cur)
-    B = np.zeros((basis_max + 1, basis_max + 1, n_ext))
-    for l in range(basis_max + 1):
-        B[:, l, :] = levels[l][: basis_max + 1]
-    return B
 
 
 # ---------------------------------------------------------------------------
@@ -636,25 +619,32 @@ def _trig_terms(basis, k, l):
 
 
 def _hermite_terms(basis, k, l):
-    """Order expansion of the pairs (k, l) of univariate Hermite functions.
+    """Linearization of the pairs (k, l) of univariate Hermite functions.
 
-    Pairs on disjoint coordinates get no terms; the others expand along their
-    shared coordinate, order 0 being the constant.
+    ``phi_m phi_n = sum_{j=0}^{min(m, n)} beta_j phi_{m+n-2j}`` with
+    ``beta_j = sqrt(C(m, j) C(n, j) C(m+n-2j, m-j))`` (DLMF 18.18.22 for
+    ``phi_n = He_n / sqrt(n!)``). Every beta_j is positive, so a pair lists
+    exactly its min(m, n) + 1 true terms, by ascending order, each rounded
+    once from exact integer binomials. Pairs on disjoint coordinates get no
+    terms; the others expand along their shared coordinate, order 0 being the
+    constant.
     """
     fam, ext = basis.functions, basis.extended
     dims, orders = fam.dims, fam.orders
-    B = hermite_order_expansion(fam.max_order, ext.max_order)
     ok, ol = orders[k], orders[l]
     shared = (ok == 0) | (ol == 0) | (dims[k] == dims[l])
     k, l, ok, ol = k[shared], l[shared], ok[shared], ol[shared]
     coord = np.where(ok > 0, dims[k], dims[l])
-    vec = B[np.minimum(ok, ol), np.maximum(ok, ol)]
-    mag = np.abs(vec)
-    pair, h_order = np.nonzero(mag > 1e-14 * np.maximum(1.0, mag.max(axis=1))[:, None])
+    m, n = np.minimum(ok, ol), np.maximum(ok, ol)
+    pair = np.repeat(np.arange(len(k)), m + 1)
+    i = np.arange(len(pair)) - np.repeat(np.cumsum(m + 1) - (m + 1), m + 1)
+    m, n, j = m[pair], n[pair], m[pair] - i
+    beta = np.array([math.sqrt(math.comb(a, c) * math.comb(b, c) * math.comb(a + b - 2 * c, a - c))
+                     for a, b, c in zip(m.tolist(), n.tolist(), j.tolist())])
     ext_of = np.full((basis.dimension, ext.max_order + 1), -1)
     ext_of[ext.dims, ext.orders] = np.arange(len(basis.extended))
     ext_of[:, 0] = ext_of[0, 0]  # order 0 on any coordinate is the constant
-    return k[pair], l[pair], ext_of[coord[pair], h_order], vec[pair, h_order]
+    return k[pair], l[pair], ext_of[coord[pair], m + n - 2 * j], beta
 
 
 def product_table(basis):

@@ -51,7 +51,6 @@ from .solver import (
 )
 from .targets import (
     AnalyticReference,
-    DomainMap,
     bart_simpson,
     sample_gaussian_mixture,
     toy2d,
@@ -201,7 +200,6 @@ def cmd_fit(args):
         moments = modulation_shrink(moments)
     model = presolve_grid(
         basis, table, moments, schedule, n_times=args.grid_size,
-        domain_map=DomainMap.identity(d),
         provenance={
             "seed": args.seed,
             "dataset_hash": dataset_hash(data),

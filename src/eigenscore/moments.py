@@ -6,21 +6,20 @@ basis functions themselves. The first entry is the constant function, pinned
 to (1, variance 0, gamma 1). Sample moments are streamed over blocks of data
 rows whose values take ``BLOCK_BYTES`` (see :func:`sample_block_rows`), so
 their memory does not grow with the number of points times the extended
-basis size.
+basis size. Analytic moments of Gaussian mixtures are closed forms: the
+characteristic function for trig, the Gaussian moment recurrence for Hermite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import OU, SQRT2, TRUNCATED_BM, block_rows, hermite_eval
+from .basis import OU, SQRT2, TRUNCATED_BM, _hermite_recurrence, block_rows
 from .errors import InvalidInputError, UnsupportedTargetError
 from .process import check_domain
 
-GH_NODES = 200  # Gauss-Hermite nodes per mixture component for analytic Hermite moments
 # Bytes of float64 values in one sample_moments block (82 rows of the 1581
 # extended pinwheel functions). Not the flow kernel's budget: a row here also
 # carries its phases and complex powers, and in a sweep on a 2-vCPU Xeon the
@@ -69,7 +68,8 @@ def sample_moments(basis, data):
     ``data`` is (N, d). The values are evaluated ``sample_block_rows(basis)``
     rows at a time; each block's means and centred sums of squares are merged
     into the running ones by Chan's pairwise update, so the (N, m) value
-    matrix is never formed.
+    matrix is never formed. Raises InvalidInputError if the moments are not
+    finite because the basis values overflow at the data.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] != basis.dimension:
@@ -83,15 +83,20 @@ def sample_moments(basis, data):
     sq_dev = np.zeros(len(basis.extended))  # sum of squared deviations from theta_hat
     seen = 0
     b = sample_block_rows(basis)
-    for start in range(0, n, b):
-        vals = basis.eval_values(data[start:start + b], extended=True)
-        rows = len(vals)
-        mean = vals.mean(axis=0)
-        delta = mean - theta_hat
-        seen += rows
-        theta_hat += delta * (rows / seen)
-        sq_dev += ((vals - mean) ** 2).sum(axis=0) + delta**2 * ((seen - rows) * rows / seen)
+    # Hermite values overflow at far-out points; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, b):
+            vals = basis.eval_values(data[start:start + b], extended=True)
+            rows = len(vals)
+            mean = vals.mean(axis=0)
+            delta = mean - theta_hat
+            seen += rows
+            theta_hat += delta * (rows / seen)
+            sq_dev += ((vals - mean) ** 2).sum(axis=0) + delta**2 * ((seen - rows) * rows / seen)
     var_hat = sq_dev / (n * n)
+    if not (np.isfinite(theta_hat).all() and np.isfinite(var_hat).all()):
+        raise InvalidInputError(
+            "basis values overflow at the data: the sample moments are not finite")
     theta_hat[0], var_hat[0] = 1.0, 0.0  # constant function has no noise
     return MomentVector(
         theta_hat=theta_hat,
@@ -119,8 +124,9 @@ def analytic_moments(target, basis):
     """Closed-form eigenfunction expectations of a Gaussian mixture.
 
     Trig moments come from the Gaussian characteristic function (valid on the
-    torus by 2 pi periodicity); Hermite moments from Gauss-Hermite quadrature
-    per mixture component. Variances are zero and gamma is 1 throughout.
+    torus by 2 pi periodicity); Hermite moments from the Gaussian moment
+    recurrence of each component and coordinate, with no quadrature.
+    Variances are zero and gamma is 1 throughout.
     """
     w, mu, var = target.weights, target.means, target.variances
     fam = basis.extended
@@ -131,11 +137,8 @@ def analytic_moments(target, basis):
         osc = np.stack([np.cos(phase), np.sin(phase)], axis=-1) * decay[:, :, None]
         theta = np.concatenate([[0.0], SQRT2 * (w @ osc.reshape(len(w), -1))])
     elif basis.process == OU:
-        # per component and coordinate, every order at the standardized nodes
-        nodes, weights = np.polynomial.hermite_e.hermegauss(GH_NODES)
-        weights = weights / math.sqrt(2.0 * math.pi)
-        x = mu[:, None, :] + np.sqrt(var)[:, None, :] * nodes[:, None]  # (J, nodes, d)
-        expect = np.einsum("q,jqdk->jdk", weights, hermite_eval(fam.max_order, x))
+        # every order of every component and coordinate: (J, d, max_order + 1)
+        expect = _hermite_recurrence(fam.max_order, mu, var)
         theta = w @ expect[:, fam.dims, fam.orders]
     else:
         raise UnsupportedTargetError(f"no analytic moments for process {basis.process!r}")

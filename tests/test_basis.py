@@ -1,6 +1,7 @@
 """Eigenbasis construction, evaluation, and product expansions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import eigenscore as es
 from eigenscore.basis import (
     _half_lattice,
     hermite_eval,
-    hermite_order_expansion,
 )
 from conftest import pair_expansion, torus_quad_1d
 
@@ -124,17 +124,66 @@ def test_hermite_product_identity():
     _pointwise_product_identity(basis, table, X, 1e-10)
 
 
-def test_hermite_order_expansion_matches_quadrature():
-    # oracle: beta_h^{(k,l)} = E_pi[phi_k phi_l phi_h] via Gauss-Hermite
-    B = hermite_order_expansion(4, 8)
+def test_hermite_product_table_matches_quadrature():
+    # oracle: beta_h^{(k,l)} = E_pi[phi_k phi_l phi_h] via Gauss-Hermite, 0 where
+    # the table stores no term
+    basis = es.hermite_univariate_basis(1, 4)
+    table = es.product_table(basis)
     nodes, weights = np.polynomial.hermite_e.hermegauss(60)
     weights = weights / math.sqrt(2 * math.pi)
     H = hermite_eval(8, nodes)
     for k in range(5):
         for l in range(5):
-            for h in range(9):
-                beta = float((H[:, k] * H[:, l] * H[:, h]) @ weights)
-                assert abs(B[k, l, h] - beta) < 1e-9
+            h, coefs = pair_expansion(table, k, l)
+            stored = dict(zip(basis.extended.orders[h].tolist(), coefs.tolist()))
+            for order in range(9):
+                beta = float((H[:, k] * H[:, l] * H[:, order]) @ weights)
+                assert abs(stored.get(order, 0.0) - beta) < 1e-9
+
+
+def _he_linearization(n):
+    """Exact integers c[l][k][h] with He_k He_l = sum_h c[l][k][h] He_h, for
+    k, l <= n, from the recurrences x He_k = He_{k+1} + k He_{k-1} and
+    He_{l+1} = x He_l - l He_{l-1}: c[l+1][k] = c[l][k+1] + k c[l][k-1] - l c[l-1][k]."""
+    width = 2 * n + 1
+    levels = [[[int(h == k) for h in range(width)] for k in range(width)]]
+    for l in range(n):
+        prev, prev2 = levels[-1], levels[l - 1] if l else None
+        levels.append([[prev[k + 1][h] + (k * prev[k - 1][h] if k else 0)
+                        - (l * prev2[k][h] if l else 0) for h in range(width)]
+                       for k in range(width - l - 1)])
+    return levels
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (1, 12), (1, 39), (1, 50), (2, 4), (3, 4)])
+def test_hermite_product_table_is_exact(d, n):
+    """Every stored term is a true nonzero term within 1e-14 relative, and no
+    true term is missing: beta_h = c_h sqrt(h! / (k! l!)) in the
+    normalization phi_n = He_n / sqrt(n!), with c_h exact."""
+    basis = es.hermite_univariate_basis(d, n)
+    table = es.product_table(basis)
+    funcs, ext = basis.functions, basis.extended
+    c = _he_linearization(n)
+    expected = {}
+    for k in range(len(funcs)):
+        for l in range(k, len(funcs)):
+            if _disjoint(funcs, k, l):
+                continue
+            ok, ol = int(funcs.orders[k]), int(funcs.orders[l])
+            coord = funcs.dims[k] if ok else funcs.dims[l]
+            for order, ch in enumerate(c[ol][ok]):
+                if ch:
+                    h = 0 if order == 0 else int(np.flatnonzero(
+                        (ext.dims == coord) & (ext.orders == order))[0])
+                    sq = Fraction(ch * ch * math.factorial(order),
+                                  math.factorial(ok) * math.factorial(ol))
+                    expected[k, l, h] = math.copysign(math.sqrt(sq), ch)
+    got = dict(zip(zip(table.k.tolist(), table.l.tolist(), table.h.tolist()),
+                   table.beta.tolist()))
+    assert len(got) == len(table.beta)
+    assert set(got) == set(expected)
+    rel = max(abs(got[key] - v) / abs(v) for key, v in expected.items())
+    assert rel < 1e-14
 
 
 def test_hermite_cross_coordinate_pairs_are_gamma_zero():
@@ -145,11 +194,6 @@ def test_hermite_cross_coordinate_pairs_are_gamma_zero():
     for k in range(len(funcs)):
         for l in range(k, len(funcs)):
             assert ((k, l) in stored) == (not _disjoint(funcs, k, l))
-
-
-def test_product_table_capacity_error():
-    with pytest.raises(es.CapacityError):
-        hermite_order_expansion(4, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -220,12 +220,14 @@ def test_loss_study_bad_flags_exit_2(tmp_path, flags):
      "bad-cell.csv: line 3: 'abc' is not a number"),
     (("fit", "--data", "{short_row}", "--grid-size", "10"),
      "short-row.csv: line 4 has 1 columns, line 2 has 2"),
+    (("fit", "--data", "{far_row}", "--grid-size", "10", "--process", "OU", "--order", "2"),
+     "basis values overflow at the data"),
 ], ids=["gen-data-n0", "gen-data-n-1", "loss-study-n-5", "fit-sigma-min-nan",
         "fit-sigma-max-inf", "fit-beta1-nan", "sample-rtol-inf", "sample-rtol-nan",
         "sample-atol-nan", "density-atol-inf", "sample-ou-wrapped-normal",
         "pf-ode-n-steps", "pf-ode-n-steps-config", "reverse-sde-rtol", "reverse-sde-atol",
         "fit-ve-beta0", "fit-vp-sigma-min", "loss-study-ve-beta1", "loss-study-vp-sigma-max",
-        "fit-data-not-a-number", "fit-data-short-row"])
+        "fit-data-not-a-number", "fit-data-short-row", "fit-ou-overflow"])
 def test_bad_values_exit_2(fitted, ou_model, tmp_path, capsys, argv, message):
     _, data, model = fitted
     out = tmp_path / "out.csv"
@@ -234,8 +236,11 @@ def test_bad_values_exit_2(fitted, ou_model, tmp_path, capsys, argv, message):
     bad_cell, short_row = tmp_path / "bad-cell.csv", tmp_path / "short-row.csv"
     bad_cell.write_text("x1\n0.1\nabc\n0.3\n")
     short_row.write_text("x1,x2\n0.1,0.2\n0.3,0.4\n0.5\n")
+    far_row = tmp_path / "far-row.csv"
+    np.savetxt(far_row, np.append(np.random.default_rng(8).standard_normal(100), 1e160),
+               header="x1", comments="")
     argv = [a.format(data=data, model=model, ou_model=ou_model, config=config,
-                     bad_cell=bad_cell, short_row=short_row) for a in argv]
+                     bad_cell=bad_cell, short_row=short_row, far_row=far_row) for a in argv]
     assert run(*argv, "--out", str(out)) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

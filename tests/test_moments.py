@@ -1,6 +1,7 @@
 """Moment estimation and the modulation shrinkage estimator."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,6 +162,45 @@ def test_analytic_moments_hermite_vs_monte_carlo():
                             variances=np.array([[0.49]]))
     _check_analytic_vs_monte_carlo(gm, es.hermite_univariate_basis(1, 4), seed=7)
     _check_analytic_vs_monte_carlo(TWO_COMPONENTS_2D, es.hermite_univariate_basis(2, 3), seed=17)
+
+
+def _exact_hermite_moment(order, mean, var):
+    """E phi_order(X) for X ~ N(mean, var), from the exact finite sum
+    E He_n(X) = sum_k n! / (k! (n-2k)!) ((var - 1)/2)^k mean^(n-2k) in
+    rational arithmetic, divided by sqrt(n!) once at the end."""
+    mean, half = Fraction(mean), (Fraction(var) - 1) / 2
+    s = sum(Fraction(math.factorial(order), math.factorial(k) * math.factorial(order - 2 * k))
+            * half**k * mean ** (order - 2 * k) for k in range(order // 2 + 1))
+    return math.copysign(math.sqrt(s * s / math.factorial(order)), s)
+
+
+@pytest.mark.parametrize("mean, var", [(0.5, 0.49), (-1.3, 1.0), (0.8, 2.5)],
+                         ids=["var-below-1", "var-1", "var-above-1"])
+def test_analytic_hermite_moments_match_the_exact_sum(mean, var):
+    gm = es.GaussianMixture(weights=np.array([1.0]), means=np.array([[mean]]),
+                            variances=np.array([[var]]))
+    basis = es.hermite_univariate_basis(1, 50)  # extended orders 0..100
+    theta = es.analytic_moments(gm, basis).theta_hat
+    exact = np.array([_exact_hermite_moment(n, mean, var) for n in basis.extended.orders.tolist()])
+    assert np.all(np.abs(theta - exact) <= 1e-14 * np.maximum(1.0, np.abs(exact)))
+
+
+def test_analytic_hermite_moments_of_a_2d_mixture_match_the_exact_sum():
+    gm = TWO_COMPONENTS_2D
+    ext = es.hermite_univariate_basis(2, 50).extended
+    theta = es.analytic_moments(gm, es.hermite_univariate_basis(2, 50)).theta_hat
+    exact = np.array([sum(w * _exact_hermite_moment(n, mu[j], v[j])
+                          for w, mu, v in zip(gm.weights, gm.means, gm.variances))
+                      for j, n in zip(ext.dims.tolist(), ext.orders.tolist())])
+    assert np.all(np.abs(theta - exact) <= 1e-14 * np.maximum(1.0, np.abs(exact)))
+
+
+def test_sample_moments_reject_overflowing_basis_values():
+    """Hermite values of order 4 overflow at 1e160: a typed error, no warning
+    (pytest turns RuntimeWarnings into errors)."""
+    data = np.vstack([np.random.default_rng(8).standard_normal((100, 1)), [[1e160]]])
+    with pytest.raises(es.InvalidInputError, match="basis values overflow at the data"):
+        es.sample_moments(es.hermite_univariate_basis(1, 2), data)
 
 
 def test_moment_vector_validation():

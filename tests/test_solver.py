@@ -46,6 +46,18 @@ def test_invariant_measure_gives_diagonal_system():
         np.testing.assert_allclose(system.b, 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [39, 45, 50])
+def test_hermite_invariant_measure_gives_diagonal_system(n):
+    """The same for high Hermite orders: A_t = diag(1..n) needs the constant
+    term beta_0 = 1 of every phi_k^2 and no spurious term."""
+    basis = es.hermite_univariate_basis(1, n)
+    assembler = es.SystemAssembler(basis, es.product_table(basis), uniform_moments(basis))
+    for t in (0.0, 0.3, 2.0):
+        system = assembler.system(t)
+        np.testing.assert_allclose(system.A, np.diag(np.arange(1.0, n + 1)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(system.b, 0.0, rtol=0, atol=1e-12)
+
+
 def test_system_assembler_matches_direct_assembly():
     basis = es.trig_basis_1d(5)
     table = es.product_table(basis)
