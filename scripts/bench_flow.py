@@ -14,7 +14,10 @@ per fit) by the ``after`` checkout and loaded into the ``before`` one through it
   (pinwheel, 1000 nodes): its time over ``FIT_ROUNDS`` interleaved rounds,
   the number of nodes each solve path took (``floored`` where the node's
   ``NodeSolve.regularized`` is set, else ``cholesky`` where ``solve_node``
-  calls ``scipy.linalg.cho_solve``, else ``diagonal``), the largest relative
+  calls ``scipy.linalg.cho_solve`` or LAPACK's ``dpotrs``, else
+  ``diagonal``), the number of Cholesky factorizations of the fit
+  (``scipy.linalg.cho_factor`` or ``dpotrf`` calls, including the failed
+  trials of floored nodes), the largest relative
   max-norm difference of a node's alpha and the largest relative difference
   of its ``condition`` between the checkouts, on floored and on other nodes,
   and whether ``regularized``, ``clamped``, ``alphas`` and ``model_to_dict``
@@ -47,6 +50,7 @@ BLAS and OpenMP are pinned to one thread, as in perfbench.
 import bench_kernel  # pins BLAS and OpenMP to one thread before numpy loads
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import functools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -58,6 +62,7 @@ from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
 import scipy.linalg  # noqa: E402
+import scipy.linalg.lapack  # noqa: E402
 
 from bench_kernel import SIDES, WORKLOADS, bench_perfbench, commit_of, load_package  # noqa: E402
 
@@ -179,28 +184,41 @@ def both_sides(packages, model):
     return {"after": model, "before": packages["before"].model_from_dict(d)}
 
 
+# Cholesky solves and factorizations, as solve_node calls them: through
+# scipy.linalg's wrappers, or LAPACK directly (which the wrappers do not call)
+CHOLESKY_SOLVES = ((scipy.linalg, "cho_solve"), (scipy.linalg.lapack, "dpotrs"))
+CHOLESKY_FACTORIZATIONS = ((scipy.linalg, "cho_factor"), (scipy.linalg.lapack, "dpotrf"))
+
+
 def presolve_paths(pkg, inputs, n_times):
-    """The model of ``pkg``'s presolve and the solve path of each node (see
-    the ``fits`` part of the module docstring)."""
-    cho_solves = [0]
+    """The model of ``pkg``'s presolve, the solve path of each node and the
+    number of Cholesky factorizations (see the ``fits`` part of the module
+    docstring)."""
+    counts = {"solves": 0, "factorizations": 0}
     paths = []
     solve_node = pkg.solver.solve_node
-    cho_solve = scipy.linalg.cho_solve
 
-    def counting(*args, **kwargs):
-        cho_solves[0] += 1
-        return cho_solve(*args, **kwargs)
+    def counting(kind, fn):
+        def wrapper(*args, **kwargs):
+            counts[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
     def recording(system):
-        seen = cho_solves[0]
+        seen = counts["solves"]
         node = solve_node(system)
         paths.append("floored" if node.regularized else
-                     "cholesky" if cho_solves[0] > seen else "diagonal")
+                     "cholesky" if counts["solves"] > seen else "diagonal")
         return node
 
-    with mock.patch.object(scipy.linalg, "cho_solve", counting), \
-            mock.patch.object(pkg.solver, "solve_node", recording):
-        return presolve(pkg, inputs, n_times), paths
+    with contextlib.ExitStack() as stack:
+        for kind, routines in (("solves", CHOLESKY_SOLVES),
+                               ("factorizations", CHOLESKY_FACTORIZATIONS)):
+            for module, name in routines:
+                stack.enter_context(mock.patch.object(
+                    module, name, counting(kind, getattr(module, name))))
+        stack.enter_context(mock.patch.object(pkg.solver, "solve_node", recording))
+        return presolve(pkg, inputs, n_times), paths, counts["factorizations"]
 
 
 def bench_fits(packages):
@@ -210,11 +228,12 @@ def bench_fits(packages):
                                        ("criterion-8", pinwheel_inputs, 1000)):
         inputs = {side: make_inputs(packages[side]) for side in SIDES}
         times = {side: [] for side in SIDES}
-        models, paths = {}, {}
+        models, paths, factorizations = {}, {}, {}
         for r in range(FIT_ROUNDS):
             for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
                 t0 = time.perf_counter()
-                models[side], paths[side] = presolve_paths(packages[side], inputs[side], n_times)
+                models[side], paths[side], factorizations[side] = presolve_paths(
+                    packages[side], inputs[side], n_times)
                 times[side].append(time.perf_counter() - t0)
         diags = {side: models[side].diagnostics for side in SIDES}
         before, after = models["before"].alphas, models["after"].alphas
@@ -232,6 +251,7 @@ def bench_fits(packages):
             "solve_paths": {side: {path: paths[side].count(path)
                                    for path in ("diagonal", "cholesky", "floored")}
                             for side in SIDES},
+            "cholesky_factorizations": factorizations,
             "max_relative_alpha_difference": {
                 "floored": float(rel[floored].max(initial=0.0)),
                 "other": float(rel[~floored].max(initial=0.0))},

@@ -105,8 +105,9 @@ class SystemAssembler:
 
     def system(self, t):
         """A_t and b_t[k] = lam_k e^{lam_k t} theta_k over the active basis."""
-        A = (self.S @ np.exp(self.lam_ext * t)).reshape(self.n, self.n)
-        b = self.lam_active * np.exp(self.lam_active * t) * self.theta_active
+        growth = np.exp(self.lam_ext * t)  # the active basis is its entries 1..n
+        A = (self.S @ growth).reshape(self.n, self.n)
+        b = self.lam_active * growth[1:self.n + 1] * self.theta_active
         return QuadraticSystem(A=A, b=b, lambdas=self.lam_active, t=float(t),
                                noise_scale=self.noise_scale)
 
@@ -147,10 +148,14 @@ def solve_node(system):
       y / diag(P) / sqrt(-lambdas). ``condition`` is the exact ratio
       max/min diag(P);
     * Cholesky: P - delta I has a Cholesky factor, and alpha comes from a
-      Cholesky solve with P. ``condition`` is P's LAPACK 1-norm estimate,
-      whose last digits depend on how the arrays are aligned in memory, not
-      only on P, so model files that store it are byte-reproducible only
-      within one process;
+      Cholesky solve with P, by LAPACK ``dpotrf`` and ``dpotrs``. Where
+      Gershgorin's bound on lambda_min(P), from the column sums of |P|,
+      proves that P - delta I has a factor, P is factored once; otherwise
+      P - delta I is factored on trial first (see ``_cholesky``).
+      ``condition`` is the 1-norm estimate of ``dpocon``, whose last digits
+      depend on how the arrays are aligned in memory, not only on P, so
+      model files that store it are byte-reproducible only within one
+      process;
     * floored: otherwise, or where the condition of either path above
       exceeds ``CONDITION_LIMIT``, the spectrum of P is floored at
       max(delta, ``TIKHONOV_EPS``). A diagonal P is floored entrywise. Any
@@ -164,9 +169,10 @@ def solve_node(system):
       the floored spectrum.
 
     alpha depends on the condition only through the comparison with
-    ``CONDITION_LIMIT``. If the floored spectrum is still ill-conditioned,
-    alpha is not finite, or a LAPACK routine of the floored path reports
-    failure, an IllConditionedError is raised. Returns a :class:`NodeSolve`.
+    ``CONDITION_LIMIT``. If the floored spectrum is still ill-conditioned
+    (the message gives the path, the largest |w|, the floor and the clamped
+    count), alpha is not finite, or a LAPACK routine reports an error, an
+    IllConditionedError is raised. Returns a :class:`NodeSolve`.
     """
     if not np.array_equal(system.A, system.A.T):
         raise InvalidInputError("system matrix must be exactly symmetric")
@@ -189,38 +195,76 @@ def solve_node(system):
     if diagonal:
         cond = float(d.max() / d.min()) if d.min() > delta else np.inf
     else:
-        try:
-            if delta > 0.0:
-                shifted = P.copy()
-                shifted.flat[::len(P) + 1] -= delta
-                scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False)
-            factor = scipy.linalg.cho_factor(P, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            cond = np.inf
-        else:
-            rcond, _ = lapack.dpocon(factor[0], np.linalg.norm(P, 1))
-            cond = np.inf if rcond == 0 else 1.0 / rcond
+        factor, cond = _cholesky(P, d, delta, work=ratio)
     regularized = not cond <= CONDITION_LIMIT
     clamped = 0
     if regularized:
         floor = max(delta, TIKHONOV_EPS)
         if diagonal:
+            path = "diagonal floored"
             w, u = d, y / np.maximum(np.abs(d), floor)
         else:
+            path = "tridiagonal floored"
             w, u = _floored_solve(P, y, floor)
         w_eff = np.maximum(np.abs(w), floor)
         clamped = int(np.count_nonzero(np.abs(w) < floor))
         cond = float(w_eff.max() / w_eff.min())
+        if not cond <= CONDITION_LIMIT:
+            raise IllConditionedError(
+                f"the floored spectrum on the {path} path is still ill-conditioned "
+                f"(condition ~ {cond:.3e}): largest |w| {np.abs(w).max():.3e}, floor "
+                f"{floor:.3e}, {clamped} of {len(w)} eigenvalues clamped", cond)
         alpha = u / scale
     elif factor is None:
+        path = "diagonal"
         alpha = y / d / scale
     else:
-        alpha = scipy.linalg.cho_solve(factor, y, check_finite=False) / scale
-    if not (cond <= CONDITION_LIMIT and np.all(np.isfinite(alpha))):
+        path = "Cholesky"
+        u, info = lapack.dpotrs(factor, y)
+        _check_lapack("dpotrs", info)
+        alpha = u / scale
+    if not np.all(np.isfinite(alpha)):
         raise IllConditionedError(
-            f"preconditioned system is singular (condition ~ {cond:.3e})", cond
-        )
+            f"the {path} path gave non-finite coefficients (condition ~ {cond:.3e})", cond)
     return NodeSolve(alpha, cond, regularized, clamped)
+
+
+def _cholesky(P, d, delta, work):
+    """Cholesky factor of P, in LAPACK's upper layout, and the condition
+    estimate 1/rcond of ``dpocon``; (None, inf) where P - delta I or P has no
+    Cholesky factor. ``d`` is diag(P); ``work``, an array of P's shape, is
+    overwritten.
+
+    The column sums s_j of |P| give P's 1-norm max_j s_j for ``dpocon`` and
+    Gershgorin's bound lambda_min(P) >= min_j (2 P_jj - s_j). Where that bound
+    clears delta by ``(n + 3)^2 eps max_j s_j``, P - delta I has a Cholesky
+    factor in floating point, so its trial factorization is skipped: the
+    margin covers the rounding of the sums and of the shift (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, eq. (4.4)) and
+    the nonpositive pivots Cholesky can meet in floating point, which
+    Theorem 10.7 there (after Demmel 1989) rules out once lambda_min exceeds
+    n gamma_{n+1} / (1 - gamma_{n+1}) max_j P_jj, barring underflow.
+    """
+    n = len(P)
+    colsum = np.abs(P, out=work).sum(axis=0)
+    # P is symmetric, so work.T, column-major, holds P - delta I and then P in
+    # the order LAPACK reads: it factors them in place (no copy)
+    if delta > 0.0 and not (2.0 * d - colsum).min() - delta > (
+            (n + 3) ** 2 * np.finfo(float).eps * colsum.max()):
+        np.copyto(work, P)
+        work.flat[::n + 1] -= delta
+        _, info = lapack.dpotrf(work.T, clean=0, overwrite_a=1)
+        if info > 0:
+            return None, np.inf
+        _check_lapack("dpotrf", info)
+    np.copyto(work, P)
+    factor, info = lapack.dpotrf(work.T, clean=0, overwrite_a=1)
+    if info > 0:
+        return None, np.inf
+    _check_lapack("dpotrf", info)
+    rcond, info = lapack.dpocon(factor, colsum.max())
+    _check_lapack("dpocon", info)
+    return factor, np.inf if rcond == 0 else 1.0 / rcond
 
 
 def _floored_solve(P, y, floor):

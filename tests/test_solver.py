@@ -109,6 +109,20 @@ def test_assembled_systems_are_exactly_symmetric():
             assert np.array_equal(A, A.T)
 
 
+def test_linear_term_reads_the_basis_entries_of_the_growth_factors():
+    # b_t reuses e^{lam_h t} of the extended family, whose first entries are
+    # the basis: bit for bit the b_t of the basis's own exponentials
+    gm = es.GaussianMixture(weights=np.array([1.0]), means=np.array([[0.2, -0.4]]),
+                            variances=np.array([[0.5, 0.8]]))
+    hermite = es.hermite_univariate_basis(2, 3)
+    for assembler in (_small_pinwheel_assembler(), es.SystemAssembler(
+            hermite, es.product_table(hermite), es.analytic_moments(gm, hermite))):
+        lam = assembler.lam_active
+        for t in (0.0, 0.05, 0.4, 2.0):
+            b = lam * np.exp(lam * t) * assembler.theta_active
+            assert assembler.system(t).b.tobytes() == b.tobytes()
+
+
 def test_large_time_limit_recovers_preconditioner():
     basis = es.trig_basis_1d(4)
     table = es.product_table(basis)
@@ -294,17 +308,18 @@ def test_solve_rejects_asymmetric_matrix():
 
 
 def _solve_counting_paths(system):
-    """solve_node's result and the number of calls of each LAPACK routine its
-    paths start with: none on the diagonal path (floored or not), cho_solve
-    on the Cholesky path, the tridiagonal reduction dsytrd on the floored
-    path of a non-diagonal P."""
-    routines = ((scipy.linalg, "cho_factor"), (scipy.linalg, "cho_solve"),
-                (scipy.linalg.lapack, "dsytrd"))
+    """solve_node's result and the number of calls of the LAPACK routines its
+    paths run: none on the diagonal path (floored or not), the Cholesky
+    factorization dpotrf (of P - delta I, of P, or both) and the Cholesky
+    solve dpotrs on the Cholesky path, the tridiagonal reduction dsytrd on
+    the floored path of a non-diagonal P."""
+    routines = ("dpotrf", "dpotrs", "dsytrd")
+    lapack = scipy.linalg.lapack
     with contextlib.ExitStack() as stack:
         mocks = [stack.enter_context(mock.patch.object(
-            module, name, wraps=getattr(module, name))) for module, name in routines]
+            lapack, name, wraps=getattr(lapack, name))) for name in routines]
         node = solve_node(system)
-    return node, {name: m.call_count for (_, name), m in zip(routines, mocks)}
+    return node, {name: m.call_count for name, m in zip(routines, mocks)}
 
 
 @pytest.mark.parametrize("noise_scale", [0.0, 0.01])
@@ -315,7 +330,7 @@ def test_exactly_diagonal_system_is_solved_by_division(noise_scale):
     system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=lambdas, t=0.0,
                                 noise_scale=noise_scale)
     node, calls = _solve_counting_paths(system)
-    assert calls == {"cho_factor": 0, "cho_solve": 0, "dsytrd": 0}
+    assert calls == {"dpotrf": 0, "dpotrs": 0, "dsytrd": 0}
     assert not node.regularized and node.clamped == 0
     np.testing.assert_allclose(node.alpha, -b / d, rtol=1e-15)
     scale = np.sqrt(-lambdas)
@@ -331,7 +346,7 @@ def test_diagonal_entry_below_the_floor_takes_the_floored_path():
                                 noise_scale=0.01)
     node, calls = _solve_counting_paths(system)
     # floored entrywise: no factorization or decomposition runs
-    assert calls == {"cho_factor": 0, "cho_solve": 0, "dsytrd": 0}
+    assert calls == {"dpotrf": 0, "dpotrs": 0, "dsytrd": 0}
     assert node.regularized and node.clamped == 1
     delta = es.solver.SPECTRAL_FLOOR * 0.01
     np.testing.assert_allclose(node.alpha, -b / np.maximum(d, delta), rtol=1e-14)
@@ -351,8 +366,55 @@ def test_off_diagonal_entries_below_the_cutoff_are_zeroed(relative, path):
     system = es.QuadraticSystem(A=A, b=b, lambdas=lambdas, t=0.0)
     node, calls = _solve_counting_paths(system)
     assert calls["dsytrd"] == 0 and not node.regularized
-    assert calls["cho_solve"] == (path == "cholesky")
+    assert calls["dpotrs"] == (path == "cholesky")
     np.testing.assert_allclose(node.alpha, np.linalg.solve(A, -b), rtol=1e-15)
+
+
+def _preconditioned(system):
+    scale = np.sqrt(-system.lambdas)
+    return system.A / np.outer(scale, scale)
+
+
+def test_node_the_gershgorin_bound_certifies_is_factored_once():
+    # column sums of |P| leave lambda_min(P) >= 2 * 1 - 1.2 = 0.8, far above
+    # delta = 0.03: P - delta I is not factored on trial, P is factored once
+    A = np.diag([1.0, 2.0, 3.0]) + 0.1 * (1.0 - np.eye(3))
+    b = np.array([1.0, -2.0, 3.0])
+    system = es.QuadraticSystem(A=A, b=b, lambdas=-np.ones(3), t=0.0, noise_scale=0.01)
+    node, calls = _solve_counting_paths(system)
+    assert calls == {"dpotrf": 1, "dpotrs": 1, "dsytrd": 0} and not node.regularized
+    np.testing.assert_allclose(node.alpha, np.linalg.solve(A, -b), rtol=1e-14)
+
+
+def test_positive_definite_node_the_bound_misses_is_factored_twice():
+    # lambda_min(P) = 0.1 clears delta = 0.03, but the rotation spreads P's
+    # off-diagonal mass so that Gershgorin's bound does not: the trial
+    # factorization of P - delta I runs, then that of P
+    system = _system_with_spectrum([0.1, 1.0, 2.0], 0.01)
+    P = _preconditioned(system)
+    assert (2.0 * np.diag(P) - np.abs(P).sum(axis=0)).min() < 0.03
+    node, calls = _solve_counting_paths(system)
+    assert calls == {"dpotrf": 2, "dpotrs": 1, "dsytrd": 0} and not node.regularized
+    oracle = _spectral_oracle(system, 0.03)  # the floor does not act
+    np.testing.assert_allclose(node.alpha, oracle, rtol=1e-12)
+
+
+def test_certified_nodes_of_a_sampled_fit_pass_the_trial_factorization():
+    # a node with one factorization that the floor left alone skipped the
+    # trial (delta > 0): there, P - delta I must have a Cholesky factor
+    assembler = _small_pinwheel_assembler()
+    schedule = es.Schedule.ve(0.01, 50.0)
+    factorizations = []
+    for tau in np.linspace(0.0, 1.0, 51):
+        system = assembler.system(es.internal_time(schedule, tau))
+        node, calls = _solve_counting_paths(system)
+        if calls["dpotrf"] == 1 and not node.regularized:
+            P = _preconditioned(system)
+            delta = es.solver.SPECTRAL_FLOOR * system.noise_scale
+            scipy.linalg.cho_factor(P - delta * np.eye(len(P)))  # LinAlgError if not
+        factorizations.append(calls["dpotrf"])
+    # certified nodes, trial-and-factor nodes and failed trials all occur
+    assert {0, 1, 2} <= set(factorizations)
 
 
 @pytest.mark.parametrize("tau", [0.7, 0.75, 0.8])
@@ -371,19 +433,36 @@ def test_late_nodes_match_the_solve_without_the_cutoff(tau):
     assert np.abs(node.alpha - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
+def _assert_still_ill_conditioned(system, path, largest, clamped):
+    """solve_node raises IllConditionedError, naming the floored path, the
+    largest |w|, the floor (Tikhonov's for exact moments) and the clamped
+    count."""
+    with pytest.raises(es.IllConditionedError) as info:
+        solve_node(system)
+    message = str(info.value)
+    assert f"on the {path} floored path" in message
+    assert f"largest |w| {largest}, floor 1.000e-08, {clamped} eigenvalues clamped" in message
+    assert info.value.condition_estimate > es.solver.CONDITION_LIMIT
+
+
 def test_singular_system_raises_ill_conditioned():
     # so badly scaled that the spectrum stays ill-conditioned once floored
     system = es.QuadraticSystem(A=np.diag([1e20, 0.0]), b=np.ones(2),
                                 lambdas=-np.ones(2), t=0.0)
-    with pytest.raises(es.IllConditionedError):
-        solve_node(system)
+    _assert_still_ill_conditioned(system, "diagonal", "1.000e+20", "1 of 2")
+
+
+def test_ill_conditioned_spectrum_on_the_tridiagonal_path_raises():
+    # no eigenvalue below the floor, but the largest is 1e13 times the least
+    _assert_still_ill_conditioned(_system_with_spectrum([1e13, 1.0, 2.0], 0.0),
+                                  "tridiagonal", "1.000e+13", "0 of 3")
 
 
 @pytest.mark.parametrize("noise_scale", [0.0, 0.01])
 def test_non_finite_linear_term_raises(noise_scale):
     system = es.QuadraticSystem(A=np.eye(2), b=np.array([np.nan, 1.0]),
                                 lambdas=-np.ones(2), t=0.0, noise_scale=noise_scale)
-    with pytest.raises(es.IllConditionedError):
+    with pytest.raises(es.IllConditionedError, match="non-finite coefficients"):
         solve_node(system)
 
 
