@@ -201,31 +201,27 @@ def solve_node(system):
     if regularized:
         floor = max(delta, TIKHONOV_EPS)
         if diagonal:
-            path = "diagonal floored"
             w, u = d, y / np.maximum(np.abs(d), floor)
         else:
-            path = "tridiagonal floored"
             w, u = _floored_solve(P, y, floor)
         w_eff = np.maximum(np.abs(w), floor)
         clamped = int(np.count_nonzero(np.abs(w) < floor))
         cond = float(w_eff.max() / w_eff.min())
         if not cond <= CONDITION_LIMIT:
+            path = "diagonal" if diagonal else "tridiagonal"
             raise IllConditionedError(
-                f"the floored spectrum on the {path} path is still ill-conditioned "
+                f"the floored spectrum on the {path} floored path is still ill-conditioned "
                 f"(condition ~ {cond:.3e}): largest |w| {np.abs(w).max():.3e}, floor "
                 f"{floor:.3e}, {clamped} of {len(w)} eigenvalues clamped", cond)
         alpha = u / scale
     elif factor is None:
-        path = "diagonal"
         alpha = y / d / scale
     else:
-        path = "Cholesky"
         u, info = lapack.dpotrs(factor, y)
         _check_lapack("dpotrs", info)
         alpha = u / scale
     if not np.all(np.isfinite(alpha)):
-        raise IllConditionedError(
-            f"the {path} path gave non-finite coefficients (condition ~ {cond:.3e})", cond)
+        raise IllConditionedError(f"non-finite coefficients (condition ~ {cond:.3e})", cond)
     return NodeSolve(alpha, cond, regularized, clamped)
 
 
@@ -238,12 +234,13 @@ def _cholesky(P, d, delta, work):
     The column sums s_j of |P| give P's 1-norm max_j s_j for ``dpocon`` and
     Gershgorin's bound lambda_min(P) >= min_j (2 P_jj - s_j). Where that bound
     clears delta by ``(n + 3)^2 eps max_j s_j``, P - delta I has a Cholesky
-    factor in floating point, so its trial factorization is skipped: the
+    factor in floating point, so its trial factorization is skipped. The
     margin covers the rounding of the sums and of the shift (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, eq. (4.4)) and
-    the nonpositive pivots Cholesky can meet in floating point, which
-    Theorem 10.7 there (after Demmel 1989) rules out once lambda_min exceeds
-    n gamma_{n+1} / (1 - gamma_{n+1}) max_j P_jj, barring underflow.
+    and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 4) and
+    the nonpositive pivots Cholesky can meet in floating point: Theorem 10.7
+    there (after Demmel 1989) rules them out for a symmetric B once
+    lambda_min(D^-1 B D^-1) > n gamma_{n+1} / (1 - gamma_{n+1}), D^2 = diag(B),
+    so once lambda_min(B) exceeds that times max_j B_jj, barring underflow.
     """
     n = len(P)
     colsum = np.abs(P, out=work).sum(axis=0)
