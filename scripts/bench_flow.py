@@ -11,17 +11,19 @@ per fit) by the ``after`` checkout and loaded into the ``before`` one through it
 
 * ``fits``: each checkout's own presolve of perfbench's two fits (pinwheel-2d,
   100 nodes; bart-1d, 1000 nodes) and of acceptance criterion 8's fit
-  (pinwheel, 1000 nodes): its time over ``FIT_ROUNDS`` interleaved rounds,
-  the number of nodes each solve path took (``floored`` where the node's
-  ``NodeSolve.regularized`` is set, else ``cholesky`` where ``solve_node``
-  calls ``scipy.linalg.cho_solve`` or LAPACK's ``dpotrs``, else
-  ``diagonal``), the number of Cholesky factorizations of the fit
-  (``scipy.linalg.cho_factor`` or ``dpotrf`` calls, including the failed
-  trials of floored nodes), the largest relative
-  max-norm difference of a node's alpha and the largest relative difference
-  of its ``condition`` between the checkouts, on floored and on other nodes,
-  and whether ``regularized``, ``clamped``, ``alphas`` and ``model_to_dict``
-  output are identical.
+  (pinwheel, 1000 nodes): its median time and quartiles over the fit's
+  interleaved rounds (``FITS``), the number of nodes each solve path took
+  (``filtered`` where ``solve_node`` calls LAPACK's ``zsytrf``, else
+  ``floored`` where it calls ``dsytrd``, the tridiagonal path of the hard
+  noise floor of older checkouts, else ``cholesky`` where it calls
+  ``scipy.linalg.cho_solve`` or ``dpotrs``, else ``diagonal``), the number
+  of calls of each factorization routine of the fit (failed trial
+  factorizations included), the largest relative max-norm difference of a
+  node's alpha and the largest relative difference of its ``condition``
+  between the checkouts, on the nodes the ``before`` checkout regularized
+  and on the others, and whether ``regularized``, ``clamped`` (null unless
+  both checkouts record it), ``alphas`` and ``model_to_dict`` output are
+  identical.
 * ``flow``: RHS evaluations (calls of ``generate.flow_rate``) and stage times
   of PF-ODE sampling and of one log-density batch, at the shapes of
   perfbench's workloads (pinwheel-2d: 100 nodes, 2000 samples at rtol 1e-4,
@@ -71,7 +73,6 @@ TRACED = ("odeint.nfev", "solver.alpha_at_calls", "solver.alpha_at_s", "generate
           "targets.reference_s", "solver.presolve_s", "solver.linalg_s", "solver.nodes",
           "solver.eigh_calls", "solver.chol_calls", "solver.regularized_nodes",
           "solver.self_s")
-FIT_ROUNDS = 3  # interleaved presolve rounds per fit; criterion 8's takes 15-22 s a side
 GRID_ROUNDS = 5  # interleaved passes over criterion 8's density grid, 5-9 s each
 
 
@@ -184,17 +185,25 @@ def both_sides(packages, model):
     return {"after": model, "before": packages["before"].model_from_dict(d)}
 
 
-# Cholesky solves and factorizations, as solve_node calls them: through
-# scipy.linalg's wrappers, or LAPACK directly (which the wrappers do not call)
+# Cholesky solves and the factorizations of every checkout's node solves, as
+# solve_node calls them: through scipy.linalg's wrappers, or LAPACK directly
+# (which the wrappers do not call); dsytrd is the tridiagonal reduction of the
+# hard noise floor
 CHOLESKY_SOLVES = ((scipy.linalg, "cho_solve"), (scipy.linalg.lapack, "dpotrs"))
-CHOLESKY_FACTORIZATIONS = ((scipy.linalg, "cho_factor"), (scipy.linalg.lapack, "dpotrf"))
+FACTORIZATIONS = ((scipy.linalg, "cho_factor"), (scipy.linalg.lapack, "dpotrf"),
+                  (scipy.linalg.lapack, "dsytrd"), (scipy.linalg.lapack, "zsytrf"))
+# (name, inputs, nodes, interleaved presolve rounds): perfbench's fits take up
+# to 1.2 s a side, criterion 8's 5-22 s
+FITS = (("pinwheel-2d", pinwheel_inputs, 100, 10),
+        ("bart-1d", bart_inputs, 1000, 10),
+        ("criterion-8", pinwheel_inputs, 1000, 3))
 
 
 def presolve_paths(pkg, inputs, n_times):
     """The model of ``pkg``'s presolve, the solve path of each node and the
-    number of Cholesky factorizations (see the ``fits`` part of the module
+    calls of each factorization routine (see the ``fits`` part of the module
     docstring)."""
-    counts = {"solves": 0, "factorizations": 0}
+    counts = dict.fromkeys(["cholesky_solves"] + [name for _, name in FACTORIZATIONS], 0)
     paths = []
     solve_node = pkg.solver.solve_node
 
@@ -205,31 +214,34 @@ def presolve_paths(pkg, inputs, n_times):
         return wrapper
 
     def recording(system):
-        seen = counts["solves"]
+        seen = dict(counts)
         node = solve_node(system)
-        paths.append("floored" if node.regularized else
-                     "cholesky" if counts["solves"] > seen else "diagonal")
+        paths.append("filtered" if counts["zsytrf"] > seen["zsytrf"] else
+                     "floored" if counts["dsytrd"] > seen["dsytrd"] else
+                     "cholesky" if counts["cholesky_solves"] > seen["cholesky_solves"] else
+                     "diagonal")
         return node
 
     with contextlib.ExitStack() as stack:
-        for kind, routines in (("solves", CHOLESKY_SOLVES),
-                               ("factorizations", CHOLESKY_FACTORIZATIONS)):
-            for module, name in routines:
-                stack.enter_context(mock.patch.object(
-                    module, name, counting(kind, getattr(module, name))))
+        for module, name in CHOLESKY_SOLVES:
+            stack.enter_context(mock.patch.object(
+                module, name, counting("cholesky_solves", getattr(module, name))))
+        for module, name in FACTORIZATIONS:
+            stack.enter_context(mock.patch.object(
+                module, name, counting(name, getattr(module, name))))
         stack.enter_context(mock.patch.object(pkg.solver, "solve_node", recording))
-        return presolve(pkg, inputs, n_times), paths, counts["factorizations"]
+        model = presolve(pkg, inputs, n_times)
+    del counts["cholesky_solves"]
+    return model, paths, counts
 
 
 def bench_fits(packages):
     out = {}
-    for name, make_inputs, n_times in (("pinwheel-2d", pinwheel_inputs, 100),
-                                       ("bart-1d", bart_inputs, 1000),
-                                       ("criterion-8", pinwheel_inputs, 1000)):
+    for name, make_inputs, n_times, rounds in FITS:
         inputs = {side: make_inputs(packages[side]) for side in SIDES}
         times = {side: [] for side in SIDES}
         models, paths, factorizations = {}, {}, {}
-        for r in range(FIT_ROUNDS):
+        for r in range(rounds):
             for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
                 t0 = time.perf_counter()
                 models[side], paths[side], factorizations[side] = presolve_paths(
@@ -242,26 +254,29 @@ def bench_fits(packages):
             rel = np.where(diff == 0.0, 0.0, diff / np.abs(before).max(axis=1))
         cond = {side: diags[side]["condition"] for side in SIDES}
         rel_cond = np.abs(cond["after"] - cond["before"]) / cond["before"]
-        floored = diags["before"]["regularized"]
+        regularized = diags["before"]["regularized"]
         dicts = {side: json.dumps(packages[side].model_to_dict(models[side])) for side in SIDES}
+        quartiles = {side: statistics.quantiles(times[side], n=4) for side in SIDES}
         out[name] = {
             "nodes": n_times,
             "presolve_seconds": {side: {"median": statistics.median(times[side]),
+                                        "quartiles": [quartiles[side][0], quartiles[side][2]],
                                         "runs": times[side]} for side in SIDES},
             "solve_paths": {side: {path: paths[side].count(path)
-                                   for path in ("diagonal", "cholesky", "floored")}
+                                   for path in ("diagonal", "cholesky", "floored", "filtered")}
                             for side in SIDES},
-            "cholesky_factorizations": factorizations,
+            "factorizations": factorizations,
             "max_relative_alpha_difference": {
-                "floored": float(rel[floored].max(initial=0.0)),
-                "other": float(rel[~floored].max(initial=0.0))},
+                "before_regularized": float(rel[regularized].max(initial=0.0)),
+                "other": float(rel[~regularized].max(initial=0.0))},
             "max_relative_condition_difference": {
-                "floored": float(rel_cond[floored].max(initial=0.0)),
-                "other": float(rel_cond[~floored].max(initial=0.0))},
+                "before_regularized": float(rel_cond[regularized].max(initial=0.0)),
+                "other": float(rel_cond[~regularized].max(initial=0.0))},
             "regularized_identical": bool(np.array_equal(
                 diags["before"]["regularized"], diags["after"]["regularized"])),
             "clamped_identical": bool(np.array_equal(
-                diags["before"]["clamped"], diags["after"]["clamped"])),
+                diags["before"]["clamped"], diags["after"]["clamped"]))
+            if all("clamped" in diags[side] for side in SIDES) else None,
             "alphas_identical": before.tobytes() == after.tobytes(),
             "model_dict_identical": dicts["before"] == dicts["after"],
         }
@@ -395,7 +410,9 @@ def main(argv=None):
     roots = {"before": os.path.abspath(args.before), "after": os.path.abspath(args.after)}
     record = {
         "commits": {side: commit_of(roots[side]) for side in SIDES},
-        "settings": {"rounds": args.rounds, "fit_rounds": FIT_ROUNDS, "runs": args.runs,
+        "settings": {"rounds": args.rounds,
+                     "fit_rounds": {name: rounds for name, _, _, rounds in FITS},
+                     "runs": args.runs,
                      "seed": args.seed,
                      "perfbench_seconds": bench_kernel.PERFBENCH_SECONDS},
         "environment": {"cpu": platform.processor() or platform.machine(),

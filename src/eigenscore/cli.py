@@ -210,10 +210,9 @@ def cmd_fit(args):
     save_model(model, args.out)
     health = _solve_health(model.diagnostics)
     print(f"fit complete: {len(model.grid)} grid nodes, "
-          f"{int(model.diagnostics['regularized'].sum())} regularized; max condition "
+          f"{int(model.diagnostics['regularized'].sum())} filtered; max condition "
           f"{_fmt(health['max_condition_cholesky'])} (1-norm estimate, Cholesky nodes), "
-          f"{_fmt(health['max_condition_regularized'])} (spectral ratio, regularized nodes); "
-          f"{health['clamped_total']} clamped eigenvalues")
+          f"{_fmt(health['max_condition_filtered'])} (bound, filtered nodes)")
     _write_provenance(args.out, {
         "command": "fit",
         "seed": args.seed,
@@ -225,15 +224,16 @@ def cmd_fit(args):
 
 
 def _solve_health(diag):
-    """Condition maxima by solve kind, which report different norms, and the clamped total."""
+    """Condition maxima by solve kind, which report different quantities: the
+    1-norm estimate of the Cholesky nodes (the exact ratio on diagonal ones)
+    and the 2-norm bound of the filtered nodes."""
     regs = diag["regularized"]
 
     def top(cond):
         return float(cond.max()) if cond.size else None
 
     return {"max_condition_cholesky": top(diag["condition"][~regs]),
-            "max_condition_regularized": top(diag["condition"][regs]),
-            "clamped_total": int(diag["clamped"].sum())}
+            "max_condition_filtered": top(diag["condition"][regs])}
 
 
 def _fmt(value):

@@ -79,9 +79,9 @@ def integrate_batch(f, y0, t_from, t_to, cfg=IntegratorConfig()):
     The embedded error estimate assumes f is smooth within a step. Across a
     jump in f'' it under-reports: y' = max(t - 0.5, 0)^2 y on [0, 1] at
     rtol 1e-8, atol 1e-10 ends 3.4e-7 relative off e^{1/24}. alpha(tau) has
-    such kinks wherever the hard noise floor of ``solver.solve_node`` starts
-    or stops acting on an eigenvalue, so the flow's tolerances there promise
-    more than they deliver.
+    such kinks only where ``solver.solve_node`` switches an analytic-moment
+    node between its exact and filtered paths; the filter of sampled moments
+    is analytic in tau.
     """
     y = np.array(y0, dtype=float)
     t = float(t_from)

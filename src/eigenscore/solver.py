@@ -11,11 +11,13 @@ with beta^{(k,l)} the product expansion phi_k phi_l = sum_h beta_h phi_h.
 Both are linear in the moments theta; :class:`SystemAssembler` is the one
 construction of them, built once per set of moments for every t. The
 stationary point alpha = -A_t^{-1} b_t is solved at each time node in the
-symmetric preconditioning Lambda^{-1/2} A_t Lambda^{-1/2}, Lambda =
+symmetric preconditioning P = Lambda^{-1/2} A_t Lambda^{-1/2}, Lambda =
 diag(-lam_k), which tends to the identity as t grows (A_t -> Lambda).
-Eigenvalues of the preconditioned matrix below a noise floor are raised to
-it (see solve_node); the per-node diagnostics are the condition estimate,
-whether the floor acted, and how many eigenvalues it raised.
+With estimated moments, P's inverse is replaced by the rational filter
+g(P) = Re[(1 - i)(P - zI)^{-1}], z = delta(-1 + i), whose noise floor delta
+damps the directions the data cannot resolve (see solve_node); the per-node
+diagnostics are the condition number or its bound and whether the filter
+solved the node.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ CONDITION_LIMIT = 1e12
 TIKHONOV_EPS = 1e-8
 # Eigenvalues of the preconditioned matrix below SPECTRAL_FLOOR times the
 # average standard error of the estimated moments are statistically
-# indistinguishable from zero; the solver floors them instead of dividing by
+# indistinguishable from zero; the solver filters them instead of dividing by
 # them (see solve_node).
 SPECTRAL_FLOOR = 3.0
 # Entries of the preconditioned matrix below OFFDIAG_CUTOFF times the
@@ -117,26 +119,30 @@ class NodeSolve:
     """Result of solving one node: coefficients plus solve diagnostics."""
 
     alpha: np.ndarray
-    # exact max/min ratio of diag(P) on diagonal nodes, LAPACK 1-norm estimate
-    # on Cholesky nodes (last digits depend on array alignment, see
-    # solve_node), 2-norm ratio of the floored spectrum if regularized: the
-    # eigenvalues of P from divide and conquer on its tridiagonal form, or
-    # diag(P) where P is diagonal
+    # exact max/min ratio of diag(P) on diagonal nodes, LAPACK's 1-norm
+    # estimate on Cholesky nodes (last digits depend on array alignment, see
+    # solve_node), the bound (||P||_1 + sqrt(2) delta) / delta on the
+    # 2-norm condition of P - zI on filtered nodes
     condition: float
-    regularized: bool
-    clamped: int  # eigenvalues raised to the floor (0 unless regularized)
+    regularized: bool  # the filter solved this node
 
 
 def solve_node(system):
     """Minimizer of alpha'A alpha + 2 b'alpha via the symmetric preconditioning.
 
-    With Lambda = diag(-lambdas), the system is solved as P u = y with
+    With Lambda = diag(-lambdas), the system is P u = y with
     P = Lambda^{-1/2} A Lambda^{-1/2}, y = -Lambda^{-1/2} b and
-    alpha = Lambda^{-1/2} u. Eigenvalues of P below the floor
-    delta = ``SPECTRAL_FLOOR * noise_scale`` (0 for exact moments) carry no
-    statistically significant signal, so they are raised to delta, negative
-    ones reflected to their magnitude first; directions the data cannot
-    resolve are damped instead of amplified.
+    alpha = Lambda^{-1/2} u. With estimated moments, eigenvalues of P below
+    the noise floor delta = ``SPECTRAL_FLOOR * noise_scale`` carry no
+    statistically significant signal, so u = g(P) y with the one-pole filter
+
+        g(w) = (w + 2 delta) / ((w + delta)^2 + delta^2) = Re[(1 - i) / (w - z)],
+
+    z = delta (-1 + i), instead of P^{-1} y: g(0) = 1/delta, g(w) = (1/w)(1 -
+    2 delta^2/w^2 + ...) for w >> delta, and g(-2 delta) = 0, so directions
+    the data cannot resolve are damped instead of amplified (filter factors:
+    Hansen, *Rank-Deficient and Discrete Ill-Posed Problems*, SIAM 1998).
+    g is analytic on the real line, so alpha is smooth in t.
 
     A must be exactly symmetric (``SystemAssembler`` makes it so); any other
     A, one with a NaN included, raises InvalidInputError. Entries of P with
@@ -144,35 +150,30 @@ def solve_node(system):
     rounding, they would otherwise send the factorizations through subnormal
     arithmetic. Then one of three paths gives alpha:
 
-    * diagonal: P is diagonal with every entry above delta, and alpha =
-      y / diag(P) / sqrt(-lambdas). ``condition`` is the exact ratio
-      max/min diag(P);
-    * Cholesky: P - delta I has a Cholesky factor, and alpha comes from a
-      Cholesky solve with P, by LAPACK ``dpotrf`` and ``dpotrs``. Where
-      Gershgorin's bound on lambda_min(P), from the column sums of |P|,
-      proves that P - delta I has a factor, P is factored once; otherwise
-      P - delta I is factored on trial first (see ``_cholesky``).
-      ``condition`` is the 1-norm estimate of ``dpocon``, whose last digits
-      depend on how the arrays are aligned in memory, not only on P, so
-      model files that store it are byte-reproducible only within one
-      process;
-    * floored: otherwise, or where the condition of either path above
-      exceeds ``CONDITION_LIMIT``, the spectrum of P is floored at
-      max(delta, ``TIKHONOV_EPS``). A diagonal P is floored entrywise. Any
-      other P is reduced to tridiagonal form, P = Q T Q', by Householder
-      reflectors (LAPACK ``dsytrd``); divide and conquer (``dstevd``) gives
-      T = Z diag(w) Z', and u = Q Z diag(1 / max(|w|, floor)) Z' Q' y, with
-      y and u carried through the reflectors one vector each (``dormqr``),
-      so the eigenvector matrix Q Z of P is never formed. The result is
-      flagged ``regularized``, ``clamped`` counts the eigenvalues of
-      magnitude below the floor, and ``condition`` is the 2-norm ratio of
-      the floored spectrum.
+    * diagonal (exact moments, delta = 0): P is diagonal with positive
+      entries, and alpha = y / diag(P) / sqrt(-lambdas). ``condition`` is the
+      exact ratio max/min diag(P);
+    * Cholesky (exact moments): alpha comes from a Cholesky solve with P, by
+      LAPACK ``dpotrf`` and ``dpotrs``. ``condition`` is the 1-norm estimate
+      of ``dpocon``, whose last digits depend on how the arrays are aligned
+      in memory, not only on P, so model files that store it are
+      byte-reproducible only within one process;
+    * filtered: delta > 0, or with exact moments where P is not positive
+      definite or the condition of the path above exceeds
+      ``CONDITION_LIMIT``, in which case delta = ``TIKHONOV_EPS``. A diagonal
+      P is filtered entrywise. For any other P, one complex symmetric LDL'
+      factorization of P - zI (Bunch and Kaufman, Math. Comp. 31, 1977;
+      LAPACK ``zsytrf`` and ``zsytrs``) gives u = Re[(P - zI)^{-1} (1 - i) y].
+      The result is flagged ``regularized``. Every eigenvalue of P - zI has
+      modulus at least delta, so ``condition`` is the bound (||P||_1 +
+      sqrt(2) delta) / delta on its 2-norm condition, from the column sums
+      of |P|; it depends on P alone.
 
     alpha depends on the condition only through the comparison with
-    ``CONDITION_LIMIT``. If the floored spectrum is still ill-conditioned
-    (the message gives the path, the largest |w|, the floor and the clamped
-    count), alpha is not finite, or a LAPACK routine reports an error, an
-    IllConditionedError is raised. Returns a :class:`NodeSolve`.
+    ``CONDITION_LIMIT``. If the filtered bound exceeds it (the message names
+    the path and gives ||P||_1, delta and the bound), alpha is not finite, or
+    a LAPACK routine reports an error, an IllConditionedError is raised.
+    Returns a :class:`NodeSolve`.
     """
     if not np.array_equal(system.A, system.A.T):
         raise InvalidInputError("system matrix must be exactly symmetric")
@@ -191,105 +192,71 @@ def solve_node(system):
         ratio /= root[:, None]
     P *= ratio >= OFFDIAG_CUTOFF
     diagonal = np.count_nonzero(P) == np.count_nonzero(d)
-    factor = None
-    if diagonal:
-        cond = float(d.max() / d.min()) if d.min() > delta else np.inf
-    else:
-        factor, cond = _cholesky(P, d, delta, work=ratio)
-    regularized = not cond <= CONDITION_LIMIT
-    clamped = 0
-    if regularized:
-        floor = max(delta, TIKHONOV_EPS)
+    # ||P||_1 from the column sums of |P|; ratio is spent and becomes the work array
+    norm = np.abs(d).max() if diagonal else np.abs(P, out=ratio).sum(axis=0).max()
+    u = None
+    if delta == 0.0:  # exact moments: the filter takes only ill-conditioned nodes
         if diagonal:
-            w, u = d, y / np.maximum(np.abs(d), floor)
+            cond = float(d.max() / d.min()) if d.min() > 0.0 else np.inf
         else:
-            w, u = _floored_solve(P, y, floor)
-        w_eff = np.maximum(np.abs(w), floor)
-        clamped = int(np.count_nonzero(np.abs(w) < floor))
-        cond = float(w_eff.max() / w_eff.min())
+            factor, cond = _cholesky(P, norm, work=ratio)
+        if cond <= CONDITION_LIMIT and diagonal:
+            u = y / d
+        elif cond <= CONDITION_LIMIT:
+            u, info = lapack.dpotrs(factor, y)
+            _check_lapack("dpotrs", info)
+        delta = TIKHONOV_EPS
+    regularized = u is None
+    if regularized:
+        cond = float((norm + math.sqrt(2.0) * delta) / delta)
         if not cond <= CONDITION_LIMIT:
-            path = "diagonal" if diagonal else "tridiagonal"
             raise IllConditionedError(
-                f"the floored spectrum on the {path} floored path is still ill-conditioned "
-                f"(condition ~ {cond:.3e}): largest |w| {np.abs(w).max():.3e}, floor "
-                f"{floor:.3e}, {clamped} of {len(w)} eigenvalues clamped", cond)
-        alpha = u / scale
-    elif factor is None:
-        alpha = y / d / scale
-    else:
-        u, info = lapack.dpotrs(factor, y)
-        _check_lapack("dpotrs", info)
-        alpha = u / scale
+                f"the {'diagonal' if diagonal else 'LDL'} filtered path is ill-conditioned: "
+                f"||P||_1 {norm:.3e}, delta {delta:.3e}, condition bound {cond:.3e}", cond)
+        if diagonal:
+            shifted = d + delta
+            u = y * ((shifted + delta) / (shifted * shifted + delta * delta))
+        else:
+            u = _filtered_solve(P, y, delta)
+    alpha = u / scale
     if not np.all(np.isfinite(alpha)):
         raise IllConditionedError(f"non-finite coefficients (condition ~ {cond:.3e})", cond)
-    return NodeSolve(alpha, cond, regularized, clamped)
+    return NodeSolve(alpha, cond, regularized)
 
 
-def _cholesky(P, d, delta, work):
+def _cholesky(P, norm, work):
     """Cholesky factor of P, in LAPACK's upper layout, and the condition
-    estimate 1/rcond of ``dpocon``; (None, inf) where P - delta I or P has no
-    Cholesky factor. ``d`` is diag(P); ``work``, an array of P's shape, is
-    overwritten.
-
-    The column sums s_j of |P| give P's 1-norm max_j s_j for ``dpocon`` and
-    Gershgorin's bound lambda_min(P) >= min_j (2 P_jj - s_j). Where that bound
-    clears delta by ``(n + 3)^2 eps max_j s_j``, P - delta I has a Cholesky
-    factor in floating point, so its trial factorization is skipped. The
-    margin covers the rounding of the sums and of the shift (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 4) and
-    the nonpositive pivots Cholesky can meet in floating point: Theorem 10.7
-    there (after Demmel 1989) rules them out for a symmetric B once
-    lambda_min(D^-1 B D^-1) > n gamma_{n+1} / (1 - gamma_{n+1}), D^2 = diag(B),
-    so once lambda_min(B) exceeds that times max_j B_jj, barring underflow.
-    """
-    n = len(P)
-    colsum = np.abs(P, out=work).sum(axis=0)
-    # P is symmetric, so work.T, column-major, holds P - delta I and then P in
-    # the order LAPACK reads: it factors them in place (no copy)
-    if delta > 0.0 and not (2.0 * d - colsum).min() - delta > (
-            (n + 3) ** 2 * np.finfo(float).eps * colsum.max()):
-        np.copyto(work, P)
-        work.flat[::n + 1] -= delta
-        _, info = lapack.dpotrf(work.T, clean=0, overwrite_a=1)
-        if info > 0:
-            return None, np.inf
-        _check_lapack("dpotrf", info)
+    estimate 1/rcond of ``dpocon`` from P's 1-norm ``norm``; (None, inf)
+    where P has no Cholesky factor. ``work``, an array of P's shape, is
+    overwritten."""
     np.copyto(work, P)
+    # P is symmetric, so work.T, column-major, holds P in the order LAPACK
+    # reads: it is factored in place (no copy)
     factor, info = lapack.dpotrf(work.T, clean=0, overwrite_a=1)
     if info > 0:
         return None, np.inf
     _check_lapack("dpotrf", info)
-    rcond, info = lapack.dpocon(factor, colsum.max())
+    rcond, info = lapack.dpocon(factor, norm)
     _check_lapack("dpocon", info)
     return factor, np.inf if rcond == 0 else 1.0 / rcond
 
 
-def _floored_solve(P, y, floor):
-    """Eigenvalues w of the symmetric P (n >= 2) and u = V diag(1 / max(|w|,
-    floor)) V' y, with P = V diag(w) V', without forming V = Q Z.
-
-    ``dsytrd`` reduces P to tridiagonal T = Q' P Q and stores Q's reflectors
-    below T's subdiagonal: the first row and column of Q are those of the
-    identity, and the reflectors of Q's trailing block sit in ``dormqr``'s
-    QR layout in ``c[1:, :-1]``. ``dstevd`` gives T = Z diag(w) Z'. P is
-    overwritten.
-    """
+def _filtered_solve(P, y, delta):
+    """u = Re[(P - zI)^{-1} (1 - i) y], z = delta (-1 + i), for the symmetric
+    P, by one complex symmetric LDL' factorization."""
     n = len(P)
-    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
-    # P is symmetric, so P.T is P in the column-major order LAPACK reads (no copy)
-    c, d, e, tau, info = lapack.dsytrd(P.T, lower=1, lwork=int(lwork), overwrite_a=1)
-    _check_lapack("dsytrd", info)
-    reflectors = np.asfortranarray(c[1:, :-1])
-
-    def reflect(trans, v):  # Q'v for trans "T", Qv for "N"
-        out, _, info = lapack.dormqr("L", trans, reflectors, tau, v[1:, None], 1)
-        _check_lapack("dormqr", info)
-        return np.concatenate([v[:1], out[:, 0]])
-
-    w, Z, info = lapack.dstevd(d, e)
-    _check_lapack("dstevd", info)
-    u = reflect("N", Z @ ((Z.T @ reflect("T", y)) / np.maximum(np.abs(w), floor)))
-    return w, u
+    M = P.astype(complex)
+    M.flat[::n + 1] -= delta * complex(-1.0, 1.0)
+    # the blocked algorithm's workspace: zsytrf's default, n, runs the
+    # unblocked one, at half the speed on 400 x 400 systems
+    lwork, info = lapack.zsytrf_lwork(n)
+    _check_lapack("zsytrf_lwork", info)
+    # M is symmetric, so M.T is M in the column-major order LAPACK reads (no copy)
+    ldl, ipiv, info = lapack.zsytrf(M.T, lwork=int(lwork.real), overwrite_a=1)
+    _check_lapack("zsytrf", info)
+    x, info = lapack.zsytrs(ldl, ipiv, (complex(1.0, -1.0) * y)[:, None], overwrite_b=1)
+    _check_lapack("zsytrs", info)
+    return x[:, 0].real
 
 
 def _check_lapack(name, info):
@@ -329,9 +296,8 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
                   domain_map=None, provenance=None):
     """Solve the system on an even tau grid covering [0, 1].
 
-    Stores per-node condition estimates, the flags of the nodes where the
-    spectral floor acted and the number of eigenvalues it raised (see
-    :func:`solve_node`) in the model diagnostics.
+    Stores per-node condition numbers or bounds and the flags of the nodes
+    the filter solved (see :func:`solve_node`) in the model diagnostics.
     """
     if n_times < 2:
         raise InvalidInputError("n_times must be >= 2")
@@ -340,7 +306,6 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
     alphas = np.empty((n_times, basis.n_active))
     conds = np.empty(n_times)
     regs = np.zeros(n_times, dtype=bool)
-    clamped = np.zeros(n_times, dtype=int)
     for g, tau in enumerate(grid):
         system = assembler.system(internal_time(schedule, tau))
         try:
@@ -352,7 +317,6 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
         alphas[g] = node.alpha
         conds[g] = node.condition
         regs[g] = node.regularized
-        clamped[g] = node.clamped
     if domain_map is None:
         domain_map = DomainMap.identity(basis.dimension)
     return ScoreModel(
@@ -361,11 +325,7 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
         grid=grid,
         alphas=alphas,
         domain_map=domain_map,
-        diagnostics={
-            "condition": conds,
-            "regularized": regs,
-            "clamped": clamped,
-        },
+        diagnostics={"condition": conds, "regularized": regs},
         provenance=dict(provenance or {}),
     )
 
@@ -530,19 +490,13 @@ def model_to_dict(model):
 
 
 def _diagnostics_to_dict(diag):
-    out = {"condition": diag["condition"].tolist(),
-           "regularized": diag["regularized"].astype(int).tolist()}
-    if "clamped" in diag:
-        out["clamped"] = diag["clamped"].tolist()
-    return out
+    return {"condition": diag["condition"].tolist(),
+            "regularized": diag["regularized"].astype(int).tolist()}
 
 
 def _diagnostics_from_dict(d):
-    diag = {"condition": np.asarray(d["condition"], dtype=float),
+    return {"condition": np.asarray(d["condition"], dtype=float),
             "regularized": np.asarray(d["regularized"], dtype=bool)}
-    if "clamped" in d:  # absent from files written before the count existed
-        diag["clamped"] = np.asarray(d["clamped"], dtype=int)
-    return diag
 
 
 def model_from_dict(d):
@@ -550,9 +504,9 @@ def model_from_dict(d):
 
     Raises InvalidInputError for missing keys, ``alphas`` that are non-finite
     or not (len(grid), n_active), a grid that does not increase strictly from
-    0 to 1, and diagnostics whose lengths differ from the grid's. The
-    ``clamped`` diagnostic is optional, since older files lack it; other
-    diagnostics, which older files carry, are ignored.
+    0 to 1, and diagnostics whose lengths differ from the grid's. Other
+    diagnostics, which older files carry (``clamped`` among them), are
+    ignored.
     """
     if not isinstance(d, dict):
         raise InvalidInputError("a model must be a JSON object")

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, determinism, provenance."""
 
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,8 +75,19 @@ def test_fit_writes_model_and_provenance(fitted):
     assert m.provenance["n_samples"] == 400
 
 
-def test_fit_summary_separates_condition_by_solve_kind(fitted, tmp_path, capsys):
+def test_fit_summary_separates_condition_by_solve_kind(fitted, tmp_path, capsys, monkeypatch):
+    # a mixed fit: nodes past tau = 0.5 are solved as if their moments were
+    # exact (Cholesky or diagonal), the earlier ones by the filter
     root, data, _ = fitted
+    solve_node = es.solver.solve_node
+    t_half = es.internal_time(es.Schedule.ve(0.01, 50.0), 0.5)
+
+    def mixed(system):
+        if system.t > t_half:
+            system = dataclasses.replace(system, noise_scale=0.0)
+        return solve_node(system)
+
+    monkeypatch.setattr(es.solver, "solve_node", mixed)
     out = str(tmp_path / "model.json")
     assert run("fit", "--data", data, "--out", out, "--max-freq", "8",
                "--grid-size", "60", "--seed", "3") == 0
@@ -85,14 +98,43 @@ def test_fit_summary_separates_condition_by_solve_kind(fitted, tmp_path, capsys)
     health = json.load(open(out + ".provenance.json"))["solve_health"]
     assert health == {
         "max_condition_cholesky": float(diag["condition"][~regs].max()),
-        "max_condition_regularized": float(diag["condition"][regs].max()),
-        "clamped_total": int(diag["clamped"].sum()),
+        "max_condition_filtered": float(diag["condition"][regs].max()),
     }
-    assert health["clamped_total"] > 0
-    assert (f"{regs.sum()} regularized; max condition "
+    assert (f"{regs.sum()} filtered; max condition "
             f"{health['max_condition_cholesky']:.3e} (1-norm estimate, Cholesky nodes), "
-            f"{health['max_condition_regularized']:.3e} (spectral ratio, regularized nodes); "
-            f"{health['clamped_total']} clamped eigenvalues") in line
+            f"{health['max_condition_filtered']:.3e} (bound, filtered nodes)") in line
+
+
+def test_model_file_with_a_clamped_count_still_loads(fitted, tmp_path):
+    # files written while the hard noise floor counted clamped eigenvalues
+    # carry a "clamped" diagnostic: it is ignored
+    _, _, model = fitted
+    d = json.load(open(model))
+    d["diagnostics"]["clamped"] = [2] * len(d["grid"])
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(d))
+    assert set(es.load_model(old).diagnostics) == {"condition", "regularized"}
+    assert run("density", "--model", str(old), "--grid-n", "21",
+               "--out", str(tmp_path / "dens.csv")) == 0
+
+
+def test_order_40_ou_fit_exits_3_naming_the_filtered_bound(tmp_path, capsys):
+    # sampled Hermite moments of order up to 80 make ||P||_1 at tau = 0 some
+    # 1e16 times the noise floor: the filter's condition bound exceeds the limit
+    data = str(tmp_path / "bart.csv")
+    assert run("gen-data", "--target", "bart-simpson", "--n", "2000", "--seed", "0",
+               "--out", data) == 0
+    capsys.readouterr()
+    assert run("fit", "--data", data, "--out", str(tmp_path / "m.json"), "--process", "OU",
+               "--order", "40", "--schedule", "VP", "--grid-size", "50") == 3
+    err = capsys.readouterr().err
+    match = re.search(r"solve failed at tau=0\.000000: the LDL filtered path is "
+                      r"ill-conditioned: \|\|P\|\|_1 (\S+), delta (\S+), condition bound (\S+)",
+                      err)
+    assert match, err
+    norm, delta, bound = map(float, match.groups())
+    assert bound == pytest.approx((norm + math.sqrt(2.0) * delta) / delta, rel=1e-3)
+    assert bound > es.solver.CONDITION_LIMIT
 
 
 def test_fit_shrinkage_changes_model(fitted, tmp_path):
