@@ -164,10 +164,11 @@ def test_solve_matches_numpy_solve_for_exact_moments():
     assert np.max(np.abs((system.A @ node.alpha + system.b) / (-system.lambdas))) < 1e-10
 
 
-def test_filter_departs_from_the_exact_solve_by_its_factor():
-    # large t: P is near the identity, all eigenvalues sit far above the
-    # noise floor, and the filter g(w) = (1/w)(1 - 2 delta^2 / ((w + delta)^2 +
-    # delta^2)) moves u = g(P) y from P^{-1} y by at most that factor at w_min
+def test_noise_floor_inactive_when_spectrum_is_healthy():
+    # large t: P is near the identity and all eigenvalues sit far above the
+    # noise floor, so the floor barely acts: the filter
+    # g(w) = (1/w)(1 - 2 delta^2 / ((w + delta)^2 + delta^2)) moves
+    # u = g(P) y from P^{-1} y by at most that factor at w_min
     basis = es.trig_basis_1d(4)
     table = es.product_table(basis)
     rng = np.random.default_rng(14)
@@ -183,7 +184,8 @@ def test_filter_departs_from_the_exact_solve_by_its_factor():
     assert w_min > 5.0 * delta
     exact = np.linalg.solve(system.A, -system.b) * scale
     factor = 2.0 * delta**2 / ((w_min + delta) ** 2 + delta**2)
-    assert np.linalg.norm(node.alpha * scale - exact) <= (1.0 + 1e-9) * factor * np.linalg.norm(exact)
+    bound = (1.0 + 1e-9) * factor * np.linalg.norm(exact)
+    assert np.linalg.norm(node.alpha * scale - exact) <= bound
 
 
 def test_noise_floor_damps_unresolved_directions():
@@ -267,7 +269,7 @@ FILTERED_SYSTEMS = [
 
 
 @pytest.mark.parametrize("make_system", FILTERED_SYSTEMS)
-def test_solve_node_matches_filtered_spectral_solve(make_system):
+def test_solve_node_matches_floored_spectral_solve(make_system):
     system = make_system()
     w = np.linalg.eigvalsh(_preconditioned(system))
     if system.noise_scale == 0.0:
@@ -277,7 +279,8 @@ def test_solve_node_matches_filtered_spectral_solve(make_system):
     node = solve_node(system)
     assert node.regularized
     oracle = _filter_oracle(system, delta)
-    assert np.linalg.norm(node.alpha - oracle) <= _oracle_tolerance(node, 1e-9) * np.linalg.norm(oracle)
+    bound = _oracle_tolerance(node, 1e-9) * np.linalg.norm(oracle)
+    assert np.linalg.norm(node.alpha - oracle) <= bound
 
 
 @pytest.mark.parametrize("make_system", FILTERED_SYSTEMS)
@@ -294,7 +297,7 @@ def test_filtered_condition_bounds_the_condition_of_the_shifted_matrix(make_syst
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.3, 0.5])
-def test_filtered_pinwheel_nodes_match_the_spectral_solve(tau):
+def test_floored_pinwheel_nodes_match_the_spectral_solve(tau):
     # the complex LDL' path against a full eigendecomposition of P, at nodes
     # where the spectrum reaches below the noise floor
     system = _small_pinwheel_assembler().system(
@@ -313,7 +316,7 @@ def test_filtered_pinwheel_nodes_match_the_spectral_solve(tau):
     pytest.param([-0.5, 1.0, 2.0], 0.01, id="negative-eigenvalue"),
     pytest.param([0.0, 1.0, 2.0], 0.0, id="tikhonov-floor"),
 ])
-def test_small_filtered_systems(n, spectrum, noise_scale):
+def test_small_floored_systems(n, spectrum, noise_scale):
     # n = 1 is diagonal and filtered entrywise; n = 2 and 3 are rotated and
     # take the complex LDL' path
     w = np.array(spectrum[:n])
@@ -323,7 +326,8 @@ def test_small_filtered_systems(n, spectrum, noise_scale):
     delta = max(es.solver.SPECTRAL_FLOOR * noise_scale, es.solver.TIKHONOV_EPS)
     assert node.condition == pytest.approx(_filter_bound(system, delta), rel=1e-12)
     oracle = _filter_oracle(system, delta)
-    assert np.abs(node.alpha - oracle).max() <= _oracle_tolerance(node, 1e-12) * np.abs(oracle).max()
+    bound = _oracle_tolerance(node, 1e-12) * np.abs(oracle).max()
+    assert np.abs(node.alpha - oracle).max() <= bound
 
 
 def test_diagonal_filter_identities():
@@ -385,18 +389,27 @@ def _solve_counting_paths(system):
     return node, {name: m.call_count for name, m in zip(routines, mocks)}
 
 
-def test_exactly_diagonal_system_is_solved_by_division():
+@pytest.mark.parametrize("noise_scale", [0.0, 0.01])
+def test_exactly_diagonal_system_is_solved_by_division(noise_scale):
+    # exact moments divide by diag(P); estimated ones divide by 1/g(diag(P))
     d = np.array([2.0, 3.0, 5.0, 0.5])
     lambdas = -np.array([1.0, 2.0, 4.0, 8.0])
     b = np.array([0.3, -1.2, 2.0, 0.7])
-    system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=lambdas, t=0.0)
+    system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=lambdas, t=0.0,
+                                noise_scale=noise_scale)
     node, calls = _solve_counting_paths(system)
     assert calls == {"dpotrf": 0, "dpotrs": 0, "zsytrf": 0}
-    assert not node.regularized
-    np.testing.assert_allclose(node.alpha, -b / d, rtol=1e-15)
     scale = np.sqrt(-lambdas)
-    p = d / (scale * scale)  # diag(P): the condition is its exact ratio
-    assert node.condition == p.max() / p.min()
+    p = d / (scale * scale)  # diag(P)
+    delta = es.solver.SPECTRAL_FLOOR * noise_scale
+    assert node.regularized is (noise_scale > 0.0)
+    if noise_scale == 0.0:
+        np.testing.assert_allclose(node.alpha, -b / d, rtol=1e-15)
+        assert node.condition == p.max() / p.min()  # the exact ratio
+    else:
+        np.testing.assert_allclose(node.alpha, -b / scale * _filter(p, delta) / scale, rtol=1e-15)
+        assert node.condition == pytest.approx((p.max() + math.sqrt(2.0) * delta) / delta,
+                                               rel=1e-15)
 
 
 @pytest.mark.parametrize("relative, path", [(1e-25, "diagonal"), (1e-15, "cholesky")])
