@@ -14,16 +14,13 @@ per fit) by the ``after`` checkout and loaded into the ``before`` one through it
   (pinwheel, 1000 nodes): its median time and quartiles over the fit's
   interleaved rounds (``FITS``), the number of nodes each solve path took
   (``filtered`` where ``solve_node`` calls LAPACK's ``zsytrf``, else
-  ``floored`` where it calls ``dsytrd``, the tridiagonal path of the hard
-  noise floor of older checkouts, else ``cholesky`` where it calls
-  ``scipy.linalg.cho_solve`` or ``dpotrs``, else ``diagonal``), the number
-  of calls of each factorization routine of the fit (failed trial
-  factorizations included), the largest relative max-norm difference of a
-  node's alpha and the largest relative difference of its ``condition``
-  between the checkouts, on the nodes the ``before`` checkout regularized
-  and on the others, and whether ``regularized``, ``clamped`` (null unless
-  both checkouts record it), ``alphas`` and ``model_to_dict`` output are
-  identical.
+  ``cholesky`` where it calls ``dpotrs``, the exact-moment path of older
+  checkouts, else ``diagonal``), the number of calls of each factorization
+  routine of the fit, the largest relative max-norm difference of a node's
+  alpha and the largest relative difference of its ``condition`` between
+  the checkouts, on the nodes the ``before`` checkout regularized and on
+  the others, and whether ``regularized``, ``alphas`` and ``model_to_dict``
+  output are identical.
 * ``flow``: RHS evaluations (calls of ``generate.flow_rate``) and stage times
   of PF-ODE sampling and of one log-density batch, at the shapes of
   perfbench's workloads (pinwheel-2d: 100 nodes, 2000 samples at rtol 1e-4,
@@ -63,7 +60,6 @@ import time  # noqa: E402
 from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
-import scipy.linalg  # noqa: E402
 import scipy.linalg.lapack  # noqa: E402
 
 from bench_kernel import SIDES, WORKLOADS, bench_perfbench, commit_of, load_package  # noqa: E402
@@ -185,13 +181,10 @@ def both_sides(packages, model):
     return {"after": model, "before": packages["before"].model_from_dict(d)}
 
 
-# Cholesky solves and the factorizations of every checkout's node solves, as
-# solve_node calls them: through scipy.linalg's wrappers, or LAPACK directly
-# (which the wrappers do not call); dsytrd is the tridiagonal reduction of the
-# hard noise floor
-CHOLESKY_SOLVES = ((scipy.linalg, "cho_solve"), (scipy.linalg.lapack, "dpotrs"))
-FACTORIZATIONS = ((scipy.linalg, "cho_factor"), (scipy.linalg.lapack, "dpotrf"),
-                  (scipy.linalg.lapack, "dsytrd"), (scipy.linalg.lapack, "zsytrf"))
+# the factorizations of the node solves of the checkouts compared: the
+# Cholesky path of exact moments (dpotrf, solved by dpotrs) of older
+# checkouts, and the filter's complex LDL' (zsytrf)
+FACTORIZATIONS = ("dpotrf", "zsytrf")
 # (name, inputs, nodes, interleaved presolve rounds): perfbench's fits take up
 # to 1.2 s a side, criterion 8's 5-22 s
 FITS = (("pinwheel-2d", pinwheel_inputs, 100, 10),
@@ -203,7 +196,7 @@ def presolve_paths(pkg, inputs, n_times):
     """The model of ``pkg``'s presolve, the solve path of each node and the
     calls of each factorization routine (see the ``fits`` part of the module
     docstring)."""
-    counts = dict.fromkeys(["cholesky_solves"] + [name for _, name in FACTORIZATIONS], 0)
+    counts = dict.fromkeys(("dpotrs",) + FACTORIZATIONS, 0)
     paths = []
     solve_node = pkg.solver.solve_node
 
@@ -217,21 +210,18 @@ def presolve_paths(pkg, inputs, n_times):
         seen = dict(counts)
         node = solve_node(system)
         paths.append("filtered" if counts["zsytrf"] > seen["zsytrf"] else
-                     "floored" if counts["dsytrd"] > seen["dsytrd"] else
-                     "cholesky" if counts["cholesky_solves"] > seen["cholesky_solves"] else
+                     "cholesky" if counts["dpotrs"] > seen["dpotrs"] else
                      "diagonal")
         return node
 
+    lapack = scipy.linalg.lapack
     with contextlib.ExitStack() as stack:
-        for module, name in CHOLESKY_SOLVES:
+        for name in counts:
             stack.enter_context(mock.patch.object(
-                module, name, counting("cholesky_solves", getattr(module, name))))
-        for module, name in FACTORIZATIONS:
-            stack.enter_context(mock.patch.object(
-                module, name, counting(name, getattr(module, name))))
+                lapack, name, counting(name, getattr(lapack, name))))
         stack.enter_context(mock.patch.object(pkg.solver, "solve_node", recording))
         model = presolve(pkg, inputs, n_times)
-    del counts["cholesky_solves"]
+    del counts["dpotrs"]
     return model, paths, counts
 
 
@@ -263,7 +253,7 @@ def bench_fits(packages):
                                         "quartiles": [quartiles[side][0], quartiles[side][2]],
                                         "runs": times[side]} for side in SIDES},
             "solve_paths": {side: {path: paths[side].count(path)
-                                   for path in ("diagonal", "cholesky", "floored", "filtered")}
+                                   for path in ("diagonal", "cholesky", "filtered")}
                             for side in SIDES},
             "factorizations": factorizations,
             "max_relative_alpha_difference": {
@@ -274,9 +264,6 @@ def bench_fits(packages):
                 "other": float(rel_cond[~regularized].max(initial=0.0))},
             "regularized_identical": bool(np.array_equal(
                 diags["before"]["regularized"], diags["after"]["regularized"])),
-            "clamped_identical": bool(np.array_equal(
-                diags["before"]["clamped"], diags["after"]["clamped"]))
-            if all("clamped" in diags[side] for side in SIDES) else None,
             "alphas_identical": before.tobytes() == after.tobytes(),
             "model_dict_identical": dicts["before"] == dicts["after"],
         }

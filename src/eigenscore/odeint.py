@@ -78,10 +78,9 @@ def integrate_batch(f, y0, t_from, t_to, cfg=IntegratorConfig()):
 
     The embedded error estimate assumes f is smooth within a step. Across a
     jump in f'' it under-reports: y' = max(t - 0.5, 0)^2 y on [0, 1] at
-    rtol 1e-8, atol 1e-10 ends 3.4e-7 relative off e^{1/24}. alpha(tau) has
-    such kinks only where ``solver.solve_node`` switches an analytic-moment
-    node between its exact and filtered paths; the filter of sampled moments
-    is analytic in tau.
+    rtol 1e-8, atol 1e-10 ends 3.4e-7 relative off e^{1/24}. The flow's
+    alpha(tau) has no such jump: ``solver.solve_node`` solves every node by
+    one filter, analytic in tau, and ``solver.alpha_at`` reads a C2 spline.
     """
     y = np.array(y0, dtype=float)
     t = float(t_from)

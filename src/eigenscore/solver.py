@@ -13,11 +13,12 @@ construction of them, built once per set of moments for every t. The
 stationary point alpha = -A_t^{-1} b_t is solved at each time node in the
 symmetric preconditioning P = Lambda^{-1/2} A_t Lambda^{-1/2}, Lambda =
 diag(-lam_k), which tends to the identity as t grows (A_t -> Lambda).
-With estimated moments, P's inverse is replaced by the rational filter
-g(P) = Re[(1 - i)(P - zI)^{-1}], z = delta(-1 + i), whose noise floor delta
-damps the directions the data cannot resolve (see solve_node); the per-node
-diagnostics are the condition number or its bound and whether the filter
-solved the node.
+P's inverse is replaced by the rational filter g(P) = Re[(1 - i)(P -
+zI)^{-1}], z = delta(-1 + i), whose floor delta damps the directions below
+it: the noise floor of estimated moments, which the data cannot resolve, or
+``TIKHONOV_EPS`` with exact moments (see solve_node); the per-node
+diagnostics are the bound on the condition of P - zI and whether delta is
+the noise floor.
 """
 
 from __future__ import annotations
@@ -119,12 +120,10 @@ class NodeSolve:
     """Result of solving one node: coefficients plus solve diagnostics."""
 
     alpha: np.ndarray
-    # exact max/min ratio of diag(P) on diagonal nodes, LAPACK's 1-norm
-    # estimate on Cholesky nodes (last digits depend on array alignment, see
-    # solve_node), the bound (||P||_1 + sqrt(2) delta) / delta on the
-    # 2-norm condition of P - zI on filtered nodes
+    # the bound (||P||_1 + sqrt(2) delta) / delta on the 2-norm condition of
+    # P - zI (see solve_node); it depends on P and delta alone
     condition: float
-    regularized: bool  # the filter solved this node
+    regularized: bool  # delta is the noise floor of sampled moments
 
 
 def solve_node(system):
@@ -132,48 +131,38 @@ def solve_node(system):
 
     With Lambda = diag(-lambdas), the system is P u = y with
     P = Lambda^{-1/2} A Lambda^{-1/2}, y = -Lambda^{-1/2} b and
-    alpha = Lambda^{-1/2} u. With estimated moments, eigenvalues of P below
-    the noise floor delta = ``SPECTRAL_FLOOR * noise_scale`` carry no
-    statistically significant signal, so u = g(P) y with the one-pole filter
+    alpha = Lambda^{-1/2} u. Every node is solved as u = g(P) y with the
+    one-pole filter
 
         g(w) = (w + 2 delta) / ((w + delta)^2 + delta^2) = Re[(1 - i) / (w - z)],
 
     z = delta (-1 + i), instead of P^{-1} y: g(0) = 1/delta, g(w) = (1/w)(1 -
     2 delta^2/w^2 + ...) for w >> delta, and g(-2 delta) = 0, so directions
-    the data cannot resolve are damped instead of amplified (filter factors:
-    Hansen, *Rank-Deficient and Discrete Ill-Posed Problems*, SIAM 1998).
-    g is analytic on the real line, so alpha is smooth in t.
+    below delta are damped instead of amplified (filter factors: Hansen,
+    *Rank-Deficient and Discrete Ill-Posed Problems*, SIAM 1998). g is
+    analytic on the real line, so alpha is smooth in t. With estimated
+    moments, delta = ``SPECTRAL_FLOOR * noise_scale``: eigenvalues of P below
+    it carry no statistically significant signal, and the node is flagged
+    ``regularized``. With exact moments (``noise_scale == 0``), delta =
+    ``TIKHONOV_EPS``, which moves alpha from P^{-1} y by 2 delta^2/w^2
+    relative in the direction of an eigenvalue w >> delta.
 
     A must be exactly symmetric (``SystemAssembler`` makes it so); any other
     A, one with a NaN included, raises InvalidInputError. Entries of P with
     |P_kl| < ``OFFDIAG_CUTOFF`` sqrt|P_kk P_ll| are zeroed first: far below
-    rounding, they would otherwise send the factorizations through subnormal
-    arithmetic. Then one of three paths gives alpha:
+    rounding, they would otherwise send the factorization through subnormal
+    arithmetic. A diagonal P is then filtered entrywise. For any other P,
+    one complex symmetric LDL' factorization of P - zI (Bunch and Kaufman,
+    Math. Comp. 31, 1977; LAPACK ``zsytrf`` and ``zsytrs``) gives
+    u = Re[(P - zI)^{-1} (1 - i) y].
 
-    * diagonal (exact moments, delta = 0): P is diagonal with positive
-      entries, and alpha = y / diag(P) / sqrt(-lambdas). ``condition`` is the
-      exact ratio max/min diag(P);
-    * Cholesky (exact moments): alpha comes from a Cholesky solve with P, by
-      LAPACK ``dpotrf`` and ``dpotrs``. ``condition`` is the 1-norm estimate
-      of ``dpocon``, whose last digits depend on how the arrays are aligned
-      in memory, not only on P, so model files that store it are
-      byte-reproducible only within one process;
-    * filtered: delta > 0, or with exact moments where P is not positive
-      definite or the condition of the path above exceeds
-      ``CONDITION_LIMIT``, in which case delta = ``TIKHONOV_EPS``. A diagonal
-      P is filtered entrywise. For any other P, one complex symmetric LDL'
-      factorization of P - zI (Bunch and Kaufman, Math. Comp. 31, 1977;
-      LAPACK ``zsytrf`` and ``zsytrs``) gives u = Re[(P - zI)^{-1} (1 - i) y].
-      The result is flagged ``regularized``. Every eigenvalue of P - zI has
-      modulus at least delta, so ``condition`` is the bound (||P||_1 +
-      sqrt(2) delta) / delta on its 2-norm condition, from the column sums
-      of |P|; it depends on P alone.
-
-    alpha depends on the condition only through the comparison with
-    ``CONDITION_LIMIT``. If the filtered bound exceeds it (the message names
-    the path and gives ||P||_1, delta and the bound), alpha is not finite, or
-    a LAPACK routine reports an error, an IllConditionedError is raised.
-    Returns a :class:`NodeSolve`.
+    Every eigenvalue of P - zI has modulus at least delta, so ``condition``
+    is the bound (||P||_1 + sqrt(2) delta) / delta on its 2-norm condition,
+    from the column sums of |P|; it depends on P and delta alone, so model
+    files are byte-reproducible across processes. If the bound exceeds
+    ``CONDITION_LIMIT`` (the message names the path and gives ||P||_1, delta
+    and the bound), alpha is not finite, or a LAPACK routine reports an
+    error, an IllConditionedError is raised. Returns a :class:`NodeSolve`.
     """
     if not np.array_equal(system.A, system.A.T):
         raise InvalidInputError("system matrix must be exactly symmetric")
@@ -181,7 +170,8 @@ def solve_node(system):
     P = np.multiply.outer(scale, scale)
     np.divide(system.A, P, out=P)
     y = -system.b / scale
-    delta = SPECTRAL_FLOOR * system.noise_scale
+    regularized = system.noise_scale > 0.0
+    delta = SPECTRAL_FLOOR * system.noise_scale if regularized else TIKHONOV_EPS
     d = np.diag(P).copy()
     ratio = np.abs(P)
     root = np.sqrt(ratio.diagonal())
@@ -194,51 +184,20 @@ def solve_node(system):
     diagonal = np.count_nonzero(P) == np.count_nonzero(d)
     # ||P||_1 from the column sums of |P|; ratio is spent and becomes the work array
     norm = np.abs(d).max() if diagonal else np.abs(P, out=ratio).sum(axis=0).max()
-    u = None
-    if delta == 0.0:  # exact moments: the filter takes only ill-conditioned nodes
-        if diagonal:
-            cond = float(d.max() / d.min()) if d.min() > 0.0 else np.inf
-        else:
-            factor, cond = _cholesky(P, norm, work=ratio)
-        if cond <= CONDITION_LIMIT and diagonal:
-            u = y / d
-        elif cond <= CONDITION_LIMIT:
-            u, info = lapack.dpotrs(factor, y)
-            _check_lapack("dpotrs", info)
-        delta = TIKHONOV_EPS
-    regularized = u is None
-    if regularized:
-        cond = float((norm + math.sqrt(2.0) * delta) / delta)
-        if not cond <= CONDITION_LIMIT:
-            raise IllConditionedError(
-                f"the {'diagonal' if diagonal else 'LDL'} filtered path is ill-conditioned: "
-                f"||P||_1 {norm:.3e}, delta {delta:.3e}, condition bound {cond:.3e}", cond)
-        if diagonal:
-            shifted = d + delta
-            u = y * ((shifted + delta) / (shifted * shifted + delta * delta))
-        else:
-            u = _filtered_solve(P, y, delta)
+    cond = float((norm + math.sqrt(2.0) * delta) / delta)
+    if not cond <= CONDITION_LIMIT:
+        raise IllConditionedError(
+            f"the {'diagonal' if diagonal else 'LDL'} filtered path is ill-conditioned: "
+            f"||P||_1 {norm:.3e}, delta {delta:.3e}, condition bound {cond:.3e}", cond)
+    if diagonal:
+        shifted = d + delta
+        u = y * ((shifted + delta) / (shifted * shifted + delta * delta))
+    else:
+        u = _filtered_solve(P, y, delta)
     alpha = u / scale
     if not np.all(np.isfinite(alpha)):
         raise IllConditionedError(f"non-finite coefficients (condition ~ {cond:.3e})", cond)
     return NodeSolve(alpha, cond, regularized)
-
-
-def _cholesky(P, norm, work):
-    """Cholesky factor of P, in LAPACK's upper layout, and the condition
-    estimate 1/rcond of ``dpocon`` from P's 1-norm ``norm``; (None, inf)
-    where P has no Cholesky factor. ``work``, an array of P's shape, is
-    overwritten."""
-    np.copyto(work, P)
-    # P is symmetric, so work.T, column-major, holds P in the order LAPACK
-    # reads: it is factored in place (no copy)
-    factor, info = lapack.dpotrf(work.T, clean=0, overwrite_a=1)
-    if info > 0:
-        return None, np.inf
-    _check_lapack("dpotrf", info)
-    rcond, info = lapack.dpocon(factor, norm)
-    _check_lapack("dpocon", info)
-    return factor, np.inf if rcond == 0 else 1.0 / rcond
 
 
 def _filtered_solve(P, y, delta):
@@ -296,8 +255,8 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
                   domain_map=None, provenance=None):
     """Solve the system on an even tau grid covering [0, 1].
 
-    Stores per-node condition numbers or bounds and the flags of the nodes
-    the filter solved (see :func:`solve_node`) in the model diagnostics.
+    Stores per-node condition bounds and whether delta is the noise floor
+    of sampled moments (see :func:`solve_node`) in the model diagnostics.
     """
     if n_times < 2:
         raise InvalidInputError("n_times must be >= 2")
@@ -427,9 +386,10 @@ class ReferenceLoss:
 def reference_loss(basis, table, reference, tau, quadrature):
     """The :class:`ReferenceLoss` of ``basis`` at ``tau`` on the reference's clock:
     A and its minimizer from the solve a fit makes with the reference's exact
-    :func:`analytic_moments` (no floor acts), J there by the trapezoid rule of
-    ``quadrature``. Raises UnsupportedTargetError without an
-    :class:`AnalyticReference` and InvalidInputError for one of another process."""
+    :func:`analytic_moments` (the filter at delta = ``TIKHONOV_EPS``), J there
+    by the trapezoid rule of ``quadrature``. Raises UnsupportedTargetError
+    without an :class:`AnalyticReference` and InvalidInputError for one of
+    another process."""
     if not isinstance(reference, AnalyticReference):
         raise UnsupportedTargetError("no ground-truth score reference available")
     if reference.process != basis.process:

@@ -1,6 +1,5 @@
 """Quadratic system assembly, preconditioned solves, and the presolved model."""
 
-import contextlib
 import dataclasses
 import json
 import math
@@ -210,6 +209,13 @@ def _filter(w, delta):
     return (w + 2.0 * delta) / ((w + delta) ** 2 + delta**2)
 
 
+def _delta(noise_scale):
+    """solve_node's floor: the noise floor of sampled moments, TIKHONOV_EPS for exact ones."""
+    if noise_scale > 0.0:
+        return es.solver.SPECTRAL_FLOOR * noise_scale
+    return es.solver.TIKHONOV_EPS
+
+
 def _preconditioned(system):
     scale = np.sqrt(-system.lambdas)
     return system.A / np.outer(scale, scale)
@@ -265,19 +271,21 @@ FILTERED_SYSTEMS = [
                  id="negative-eigenvalue"),
     pytest.param(lambda: _system_with_spectrum([1e-13, 0.5, 1.0, 2.0, 4.0], 0.0),
                  id="exact-condition-above-limit"),
+    # exact moments are filtered at TIKHONOV_EPS whatever P's condition
+    pytest.param(lambda: _system_with_spectrum([1e-10, 0.5, 1.0, 2.0, 4.0], 0.0),
+                 id="exact-condition-below-limit"),
 ]
 
 
 @pytest.mark.parametrize("make_system", FILTERED_SYSTEMS)
 def test_solve_node_matches_floored_spectral_solve(make_system):
     system = make_system()
-    w = np.linalg.eigvalsh(_preconditioned(system))
     if system.noise_scale == 0.0:
-        # positive definite, yet too ill-conditioned for the exact solve
-        assert w.min() > 0.0 and w.max() / w.min() > es.solver.CONDITION_LIMIT
-    delta = max(es.solver.SPECTRAL_FLOOR * system.noise_scale, es.solver.TIKHONOV_EPS)
+        # positive definite: exact moments take the filter all the same
+        assert np.linalg.eigvalsh(_preconditioned(system)).min() > 0.0
+    delta = _delta(system.noise_scale)
     node = solve_node(system)
-    assert node.regularized
+    assert node.regularized is (system.noise_scale > 0.0)
     oracle = _filter_oracle(system, delta)
     bound = _oracle_tolerance(node, 1e-9) * np.linalg.norm(oracle)
     assert np.linalg.norm(node.alpha - oracle) <= bound
@@ -288,7 +296,7 @@ def test_filtered_condition_bounds_the_condition_of_the_shifted_matrix(make_syst
     # every eigenvalue of P - zI, z = delta (-1 + i), has modulus >= delta,
     # and its largest is at most ||P||_1 + sqrt(2) delta
     system = make_system()
-    delta = max(es.solver.SPECTRAL_FLOOR * system.noise_scale, es.solver.TIKHONOV_EPS)
+    delta = _delta(system.noise_scale)
     node = solve_node(system)
     P = _preconditioned(system)
     shifted = P - delta * complex(-1.0, 1.0) * np.eye(len(P))
@@ -305,7 +313,7 @@ def test_floored_pinwheel_nodes_match_the_spectral_solve(tau):
     delta = es.solver.SPECTRAL_FLOOR * system.noise_scale
     assert np.linalg.eigvalsh(_preconditioned(system)).min() < delta
     node, calls = _solve_counting_paths(system)
-    assert node.regularized and calls == {"dpotrf": 0, "dpotrs": 0, "zsytrf": 1}
+    assert node.regularized and calls == 1
     oracle = _filter_oracle(system, delta)
     assert np.abs(node.alpha - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
@@ -322,8 +330,8 @@ def test_small_floored_systems(n, spectrum, noise_scale):
     w = np.array(spectrum[:n])
     system = _system_with_spectrum(w, noise_scale)
     node, calls = _solve_counting_paths(system)
-    assert node.regularized and calls["zsytrf"] == (n > 1)
-    delta = max(es.solver.SPECTRAL_FLOOR * noise_scale, es.solver.TIKHONOV_EPS)
+    assert node.regularized is (noise_scale > 0.0) and calls == (n > 1)
+    delta = _delta(noise_scale)
     assert node.condition == pytest.approx(_filter_bound(system, delta), rel=1e-12)
     oracle = _filter_oracle(system, delta)
     bound = _oracle_tolerance(node, 1e-12) * np.abs(oracle).max()
@@ -340,7 +348,7 @@ def test_diagonal_filter_identities():
     system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=-np.ones(4), t=0.0,
                                 noise_scale=0.01)
     node, calls = _solve_counting_paths(system)
-    assert calls == {"dpotrf": 0, "dpotrs": 0, "zsytrf": 0}
+    assert calls == 0
     assert node.regularized
     alpha = node.alpha
     assert alpha[0] == pytest.approx(-b[0] / delta, rel=1e-15)
@@ -375,41 +383,32 @@ def test_solve_rejects_asymmetric_matrix():
 
 
 def _solve_counting_paths(system):
-    """solve_node's result and the number of calls of the LAPACK routines its
-    paths run: none on the diagonal paths (exact or filtered), the Cholesky
-    factorization dpotrf (once, exact moments only) and the Cholesky solve
-    dpotrs on the Cholesky path, the complex LDL' factorization zsytrf on
-    the filtered path of a non-diagonal P."""
-    routines = ("dpotrf", "dpotrs", "zsytrf")
+    """solve_node's result and the number of its calls of the complex LDL'
+    factorization zsytrf: one for a non-diagonal P, none for a diagonal P,
+    which is filtered entrywise."""
     lapack = scipy.linalg.lapack
-    with contextlib.ExitStack() as stack:
-        mocks = [stack.enter_context(mock.patch.object(
-            lapack, name, wraps=getattr(lapack, name))) for name in routines]
+    with mock.patch.object(lapack, "zsytrf", wraps=lapack.zsytrf) as zsytrf:
         node = solve_node(system)
-    return node, {name: m.call_count for name, m in zip(routines, mocks)}
+    return node, zsytrf.call_count
 
 
 @pytest.mark.parametrize("noise_scale", [0.0, 0.01])
 def test_exactly_diagonal_system_is_solved_by_division(noise_scale):
-    # exact moments divide by diag(P); estimated ones divide by 1/g(diag(P))
+    # both divide by 1/g(diag(P)), exact moments at delta = TIKHONOV_EPS (the
+    # alpha of which lies some 5e-14 from -b / d), estimated ones at the noise floor
     d = np.array([2.0, 3.0, 5.0, 0.5])
     lambdas = -np.array([1.0, 2.0, 4.0, 8.0])
     b = np.array([0.3, -1.2, 2.0, 0.7])
     system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=lambdas, t=0.0,
                                 noise_scale=noise_scale)
     node, calls = _solve_counting_paths(system)
-    assert calls == {"dpotrf": 0, "dpotrs": 0, "zsytrf": 0}
+    assert calls == 0
     scale = np.sqrt(-lambdas)
     p = d / (scale * scale)  # diag(P)
-    delta = es.solver.SPECTRAL_FLOOR * noise_scale
+    delta = _delta(noise_scale)
     assert node.regularized is (noise_scale > 0.0)
-    if noise_scale == 0.0:
-        np.testing.assert_allclose(node.alpha, -b / d, rtol=1e-15)
-        assert node.condition == p.max() / p.min()  # the exact ratio
-    else:
-        np.testing.assert_allclose(node.alpha, -b / scale * _filter(p, delta) / scale, rtol=1e-15)
-        assert node.condition == pytest.approx((p.max() + math.sqrt(2.0) * delta) / delta,
-                                               rel=1e-15)
+    np.testing.assert_allclose(node.alpha, -b / scale * _filter(p, delta) / scale, rtol=1e-15)
+    assert node.condition == pytest.approx((p.max() + math.sqrt(2.0) * delta) / delta, rel=1e-15)
 
 
 @pytest.mark.parametrize("relative, path", [(1e-25, "diagonal"), (1e-15, "cholesky")])
@@ -424,8 +423,7 @@ def test_off_diagonal_entries_below_the_cutoff_are_zeroed(relative, path):
     b = np.array([1.0, -2.0, 3.0])
     system = es.QuadraticSystem(A=A, b=b, lambdas=lambdas, t=0.0)
     node, calls = _solve_counting_paths(system)
-    assert calls["zsytrf"] == 0 and not node.regularized
-    assert calls["dpotrs"] == (path == "cholesky")
+    assert calls == (path == "cholesky") and not node.regularized
     np.testing.assert_allclose(node.alpha, np.linalg.solve(A, -b), rtol=1e-15)
 
 
@@ -480,20 +478,26 @@ def test_non_finite_linear_term_raises(noise_scale):
 
 
 def test_zero_matrix_recovered_by_tikhonov():
+    # P = 0 is diagonal: alpha = -b g(0) = -b / TIKHONOV_EPS
     system = es.QuadraticSystem(A=np.zeros((2, 2)), b=np.ones(2),
                                 lambdas=-np.ones(2), t=0.0)
     node = solve_node(system)
-    assert node.regularized and np.all(np.isfinite(node.alpha))
+    assert not node.regularized and np.all(np.isfinite(node.alpha))
+    np.testing.assert_allclose(node.alpha, -system.b / es.solver.TIKHONOV_EPS, rtol=1e-15)
 
 
 def test_tikhonov_fallback_flags_regularization():
-    # rank-1 matrix: singular, but the filter at delta = TIKHONOV_EPS solves it
+    # rank-1 matrix: singular, but the filter at delta = TIKHONOV_EPS solves
+    # it; exact moments are never flagged, since delta is no noise floor
     A = np.outer(np.ones(2), np.ones(2))
     system = es.QuadraticSystem(A=A, b=np.array([1.0, 1.0]),
                                 lambdas=-np.ones(2), t=0.0)
     node = solve_node(system)
-    assert node.regularized
+    assert not node.regularized
     assert np.all(np.isfinite(node.alpha))
+    oracle = _filter_oracle(system, es.solver.TIKHONOV_EPS)
+    bound = _oracle_tolerance(node, 1e-12) * np.abs(oracle).max()
+    assert np.abs(node.alpha - oracle).max() <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +563,22 @@ def test_presolve_grid_diagnostics():
         system = assembler.system(es.internal_time(model.schedule, tau))
         assert cond == pytest.approx(_filter_bound(system, delta), rel=1e-12)
         oracle = _filter_oracle(system, delta)
+        assert np.abs(alpha - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_exact_bart_presolve_matches_dense_solves():
+    # exact moments at delta = TIKHONOV_EPS: at every node of bart's presolve
+    # the filter moves alpha from -A^{-1} b by no more than rounding
+    basis = es.trig_basis_1d(25)
+    table = es.product_table(basis)
+    moments = es.analytic_moments(es.bart_simpson(), basis)
+    schedule = es.Schedule.ve(0.01, 50.0)
+    model = es.presolve_grid(basis, table, moments, schedule, n_times=1000)
+    assert not model.diagnostics["regularized"].any()
+    assembler = es.SystemAssembler(basis, table, moments)
+    for tau, alpha in zip(model.grid, model.alphas):
+        system = assembler.system(es.internal_time(schedule, tau))
+        oracle = np.linalg.solve(system.A, -system.b)
         assert np.abs(alpha - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
@@ -662,15 +682,24 @@ basis = es.trig_basis_nd(2, -125.0)
 m = es.modulation_shrink(es.sample_moments(basis, ds.points))
 model = es.presolve_grid(basis, es.product_table(basis), m, es.Schedule.ve(0.01, 50.0),
                          n_times=50, domain_map=ds.domain_map)
-sys.stdout.write(json.dumps(es.model_to_dict(model)))
+bart = es.trig_basis_1d(25)
+exact = es.presolve_grid(bart, es.product_table(bart), es.analytic_moments(es.bart_simpson(), bart),
+                         es.Schedule.ve(0.01, 50.0), n_times=200)
+gm = es.GaussianMixture(weights=np.array([0.5, 0.5]), means=np.array([[-1.0, 0.5], [1.0, -0.5]]),
+                        variances=np.array([[0.3, 0.4], [0.5, 0.2]]))
+mixture = es.presolve_grid(basis, es.product_table(basis), es.analytic_moments(gm, basis),
+                           es.Schedule.ve(0.01, 50.0), n_times=30)
+sys.stdout.write(json.dumps([es.model_to_dict(fit) for fit in (model, exact, mixture)]))
 """
 
 
 def test_sampled_model_files_do_not_depend_on_heap_layout():
-    # no node of a sampled fit calls dpocon, whose estimate depends on array
-    # alignment: fresh interpreters, three of which allocate small arrays
-    # before the import, write the same model file byte for byte (while
-    # sampled fits had Cholesky nodes, such files differed)
+    # every node's condition is the filter's bound, which depends on P alone:
+    # fresh interpreters, three of which allocate small arrays before the
+    # import, write the same model files of a sampled fit and of two exact
+    # ones byte for byte (while nodes took Cholesky, whose dpocon estimate
+    # depends on array alignment, the sampled and the 2D mixture's files
+    # differed)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(es.__file__)), os.environ.get("PYTHONPATH", "")]))
     files = [subprocess.run([sys.executable, "-c", REPRODUCIBLE_FIT.format(sizes=sizes)],
