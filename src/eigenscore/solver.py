@@ -161,8 +161,9 @@ def solve_node(system):
     from the column sums of |P|; it depends on P and delta alone, so model
     files are byte-reproducible across processes. If the bound exceeds
     ``CONDITION_LIMIT`` (the message names the path and gives ||P||_1, delta
-    and the bound), alpha is not finite, or a LAPACK routine reports an
-    error, an IllConditionedError is raised. Returns a :class:`NodeSolve`.
+    and the bound; with exact moments, wherever ||P||_1 exceeds about 1e4),
+    alpha is not finite, or a LAPACK routine reports an error, an
+    IllConditionedError is raised. Returns a :class:`NodeSolve`.
     """
     if not np.array_equal(system.A, system.A.T):
         raise InvalidInputError("system matrix must be exactly symmetric")
