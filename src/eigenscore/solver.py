@@ -17,8 +17,8 @@ P's inverse is replaced by the rational filter g(P) = Re[(1 - i)(P -
 zI)^{-1}], z = delta(-1 + i), whose floor delta damps the directions below
 it: the noise floor of estimated moments, which the data cannot resolve, or
 ``TIKHONOV_EPS`` with exact moments (see solve_node); the per-node
-diagnostics are the bound on the condition of P - zI and whether delta is
-the noise floor.
+diagnostics are the condition of P - zI (a bound where that certifies the
+solve) and whether delta is the noise floor.
 """
 
 from __future__ import annotations
@@ -120,8 +120,10 @@ class NodeSolve:
     """Result of solving one node: coefficients plus solve diagnostics."""
 
     alpha: np.ndarray
-    # the bound (||P||_1 + sqrt(2) delta) / delta on the 2-norm condition of
-    # P - zI (see solve_node); it depends on P and delta alone
+    # the condition of P - zI: the bound (||P||_1 + sqrt(2) delta) / delta,
+    # or where that exceeds CONDITION_LIMIT, the condition itself (see
+    # solve_node); it measures the accuracy of the solve, not how close P is
+    # to singular
     condition: float
     regularized: bool  # delta is the noise floor of sampled moments
 
@@ -156,14 +158,21 @@ def solve_node(system):
     Math. Comp. 31, 1977; LAPACK ``zsytrf`` and ``zsytrs``) gives
     u = Re[(P - zI)^{-1} (1 - i) y].
 
-    Every eigenvalue of P - zI has modulus at least delta, so ``condition``
-    is the bound (||P||_1 + sqrt(2) delta) / delta on its 2-norm condition,
-    from the column sums of |P|; it depends on P and delta alone, so model
-    files are byte-reproducible across processes. If the bound exceeds
-    ``CONDITION_LIMIT`` (the message names the path and gives ||P||_1, delta
-    and the bound; with exact moments, wherever ||P||_1 exceeds about 1e4),
-    alpha is not finite, or a LAPACK routine reports an error, an
-    IllConditionedError is raised. Returns a :class:`NodeSolve`.
+    ``condition`` is the condition of P - zI, which bounds the error of the
+    solve. Every eigenvalue of P - zI has modulus at least delta, so it is
+    at most the bound (||P||_1 + sqrt(2) delta) / delta, from the column
+    sums of |P|, and that bound is stored wherever it is within
+    ``CONDITION_LIMIT``. It is loose where the least eigenvalue modulus is
+    far above delta: with exact moments it reads ||P||_1 / ``TIKHONOV_EPS``,
+    whatever P's own condition. Where it exceeds the limit, the condition
+    itself decides and is stored: exact for a diagonal P (the largest over
+    the least |d_k - z|), otherwise ||P||_1 + sqrt(2) delta times LAPACK
+    ``zsycon``'s estimate of ||(P - zI)^{-1}||_1, from the factorization
+    already made. Both depend on P and delta alone, so model files are
+    byte-reproducible across processes. If the stored condition exceeds the
+    limit (the message names the path and gives ||P||_1, delta, the bound
+    and the condition), alpha is not finite, or a LAPACK routine reports an
+    error, an IllConditionedError is raised. Returns a :class:`NodeSolve`.
     """
     if not np.array_equal(system.A, system.A.T):
         raise InvalidInputError("system matrix must be exactly symmetric")
@@ -185,25 +194,31 @@ def solve_node(system):
     diagonal = np.count_nonzero(P) == np.count_nonzero(d)
     # ||P||_1 from the column sums of |P|; ratio is spent and becomes the work array
     norm = np.abs(d).max() if diagonal else np.abs(P, out=ratio).sum(axis=0).max()
-    cond = float((norm + math.sqrt(2.0) * delta) / delta)
+    bound = float((norm + math.sqrt(2.0) * delta) / delta)
+    if diagonal:
+        shifted = d + delta
+        modulus = shifted * shifted + delta * delta  # |w - z|^2 at the eigenvalues w = d
+        u = y * ((shifted + delta) / modulus)
+        cond = bound if bound <= CONDITION_LIMIT else float(np.sqrt(modulus.max() / modulus.min()))
+    else:
+        u, cond = _filtered_solve(P, y, delta, bound)
     if not cond <= CONDITION_LIMIT:
         raise IllConditionedError(
             f"the {'diagonal' if diagonal else 'LDL'} filtered path is ill-conditioned: "
-            f"||P||_1 {norm:.3e}, delta {delta:.3e}, condition bound {cond:.3e}", cond)
-    if diagonal:
-        shifted = d + delta
-        u = y * ((shifted + delta) / (shifted * shifted + delta * delta))
-    else:
-        u = _filtered_solve(P, y, delta)
+            f"||P||_1 {norm:.3e}, delta {delta:.3e}, condition bound {bound:.3e} "
+            f"(condition {cond:.3e})", cond)
     alpha = u / scale
     if not np.all(np.isfinite(alpha)):
         raise IllConditionedError(f"non-finite coefficients (condition ~ {cond:.3e})", cond)
     return NodeSolve(alpha, cond, regularized)
 
 
-def _filtered_solve(P, y, delta):
+def _filtered_solve(P, y, delta, bound):
     """u = Re[(P - zI)^{-1} (1 - i) y], z = delta (-1 + i), for the symmetric
-    P, by one complex symmetric LDL' factorization."""
+    P, by one complex symmetric LDL' factorization, and the condition of P -
+    zI: ``bound``, or where that exceeds ``CONDITION_LIMIT``, ``bound *
+    delta`` (at least ||P - zI||_1) times the ``zsycon`` estimate of
+    ||(P - zI)^{-1}||_1."""
     n = len(P)
     M = P.astype(complex)
     M.flat[::n + 1] -= delta * complex(-1.0, 1.0)
@@ -214,9 +229,14 @@ def _filtered_solve(P, y, delta):
     # M is symmetric, so M.T is M in the column-major order LAPACK reads (no copy)
     ldl, ipiv, info = lapack.zsytrf(M.T, lwork=int(lwork.real), overwrite_a=1)
     _check_lapack("zsytrf", info)
+    cond = bound
+    if not bound <= CONDITION_LIMIT:
+        rcond, info = lapack.zsycon(ldl, ipiv, bound * delta)
+        _check_lapack("zsycon", info)
+        cond = 1.0 / rcond if rcond > 0.0 else np.inf
     x, info = lapack.zsytrs(ldl, ipiv, (complex(1.0, -1.0) * y)[:, None], overwrite_b=1)
     _check_lapack("zsytrs", info)
-    return x[:, 0].real
+    return x[:, 0].real, cond
 
 
 def _check_lapack(name, info):
@@ -256,7 +276,7 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
                   domain_map=None, provenance=None):
     """Solve the system on an even tau grid covering [0, 1].
 
-    Stores per-node condition bounds and whether delta is the noise floor
+    Stores per-node conditions and whether delta is the noise floor
     of sampled moments (see :func:`solve_node`) in the model diagnostics.
     """
     if n_times < 2:

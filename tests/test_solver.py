@@ -445,19 +445,25 @@ def test_late_nodes_match_the_solve_without_the_cutoff(tau):
 
 def _assert_still_ill_conditioned(system, path, norm):
     """solve_node raises IllConditionedError, naming the filtered path,
-    ||P||_1, delta (Tikhonov's for exact moments) and the bound."""
+    ||P||_1, delta (Tikhonov's for exact moments), the bound and, as the
+    bound exceeds the limit, the condition of P - zI that decided: exact for
+    a diagonal P, zsycon's 1-norm estimate otherwise."""
     with pytest.raises(es.IllConditionedError) as info:
         solve_node(system)
     bound = _filter_bound(system, es.solver.TIKHONOV_EPS)
+    cond = info.value.condition_estimate
     assert str(info.value) == (
         f"the {path} filtered path is ill-conditioned: ||P||_1 {norm:.3e}, "
-        f"delta 1.000e-08, condition bound {bound:.3e}")
-    assert info.value.condition_estimate == pytest.approx(bound, rel=1e-12)
-    assert info.value.condition_estimate > es.solver.CONDITION_LIMIT
+        f"delta 1.000e-08, condition bound {bound:.3e} (condition {cond:.3e})")
+    assert bound > es.solver.CONDITION_LIMIT and cond > es.solver.CONDITION_LIMIT
+    P = _preconditioned(system)
+    shifted = P - es.solver.TIKHONOV_EPS * complex(-1.0, 1.0) * np.eye(len(P))
+    true = np.linalg.cond(shifted)
+    assert true / 3.0 <= cond <= 3.0 * len(P) * true
 
 
 def test_singular_system_raises_ill_conditioned():
-    # so badly scaled that the filter's bound stays above the limit
+    # the filter's bound is above the limit, and so is the exact condition
     system = es.QuadraticSystem(A=np.diag([1e20, 0.0]), b=np.ones(2),
                                 lambdas=-np.ones(2), t=0.0)
     _assert_still_ill_conditioned(system, "diagonal", 1e20)
@@ -467,6 +473,40 @@ def test_ill_conditioned_spectrum_on_the_ldl_filtered_path_raises():
     # no eigenvalue near 0, but the largest is 1e13 times the least
     system = _system_with_spectrum([1e13, 1.0, 2.0], 0.0)
     _assert_still_ill_conditioned(system, "LDL", np.abs(_preconditioned(system)).sum(axis=0).max())
+
+
+def test_well_conditioned_diagonal_system_of_large_norm_is_solved():
+    # exact moments: the bound (||P||_1 + sqrt(2) delta) / delta is 1e28, but
+    # the condition of P - zI, exact for a diagonal P, is 10
+    d = np.array([1e20, 1e19])
+    b = np.array([1.0, -2.0])
+    system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=-np.ones(2), t=0.0)
+    node = solve_node(system)
+    assert node.condition == pytest.approx(10.0, rel=1e-12)
+    np.testing.assert_allclose(node.alpha, -b / d, rtol=1e-15)
+
+
+def test_exact_gaussian_fit_of_large_norm_is_solved():
+    # N(1, 2) at Hermite order 10: at tau = 0, ||P||_1 is 1.2e5, so the bound
+    # at delta = TIKHONOV_EPS is 1.2e13, but P's condition is 1.8e5; every
+    # node's alpha is the order-2 closed form, its other entries 0
+    mean, var = 1.0, 2.0
+    model, _, schedule = fit_gaussian_ou(mean, var, order=10, n_tau=20)
+    assembler = es.SystemAssembler(model.basis, es.product_table(model.basis),
+                                   es.analytic_moments(es.GaussianMixture(
+                                       weights=np.array([1.0]), means=np.array([[mean]]),
+                                       variances=np.array([[var]])), model.basis))
+    system = assembler.system(0.0)
+    assert _filter_bound(system, es.solver.TIKHONOV_EPS) > es.solver.CONDITION_LIMIT
+    assert model.diagnostics["condition"][0] < 1e6
+    assert model.diagnostics["condition"].max() <= es.solver.CONDITION_LIMIT
+    for tau, alpha in zip(model.grid, model.alphas):
+        t = es.internal_time(schedule, tau)
+        m_t = math.exp(-t) * mean
+        v_t = math.exp(-2 * t) * var + (1 - math.exp(-2 * t))
+        closed = np.zeros_like(alpha)
+        closed[:2] = m_t / v_t, (v_t - 1) / (math.sqrt(2) * v_t)
+        assert np.abs(alpha - closed).max() < 1e-10
 
 
 @pytest.mark.parametrize("noise_scale", [0.0, 0.01])
@@ -689,17 +729,23 @@ gm = es.GaussianMixture(weights=np.array([0.5, 0.5]), means=np.array([[-1.0, 0.5
                         variances=np.array([[0.3, 0.4], [0.5, 0.2]]))
 mixture = es.presolve_grid(basis, es.product_table(basis), es.analytic_moments(gm, basis),
                            es.Schedule.ve(0.01, 50.0), n_times=30)
-sys.stdout.write(json.dumps([es.model_to_dict(fit) for fit in (model, exact, mixture)]))
+hermite = es.hermite_univariate_basis(1, 10)
+gaussian = es.GaussianMixture(weights=np.array([1.0]), means=np.array([[1.0]]),
+                              variances=np.array([[2.0]]))
+ou = es.presolve_grid(hermite, es.product_table(hermite), es.analytic_moments(gaussian, hermite),
+                      es.Schedule.vp(0.1, 20.0), n_times=20)
+sys.stdout.write(json.dumps([es.model_to_dict(fit) for fit in (model, exact, mixture, ou)]))
 """
 
 
 def test_sampled_model_files_do_not_depend_on_heap_layout():
-    # every node's condition is the filter's bound, which depends on P alone:
-    # fresh interpreters, three of which allocate small arrays before the
-    # import, write the same model files of a sampled fit and of two exact
-    # ones byte for byte (while nodes took Cholesky, whose dpocon estimate
-    # depends on array alignment, the sampled and the 2D mixture's files
-    # differed)
+    # every node's condition is the filter's bound, which depends on P alone,
+    # or where that exceeds the limit (the first nodes of the Hermite fit),
+    # zsycon's estimate: fresh interpreters, three of which allocate small
+    # arrays before the import, write the same model files of a sampled fit
+    # and of three exact ones byte for byte (while nodes took Cholesky, whose
+    # dpocon estimate depends on array alignment, the sampled and the 2D
+    # mixture's files differed)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(es.__file__)), os.environ.get("PYTHONPATH", "")]))
     files = [subprocess.run([sys.executable, "-c", REPRODUCIBLE_FIT.format(sizes=sizes)],
