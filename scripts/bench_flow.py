@@ -1,75 +1,202 @@
-"""Before/after benchmark of the probability flow, written to BENCH_flow.json.
+"""Before/after benchmark of the pipeline, written to BENCH_flow.json.
 
 Run from the repository root, with a checkout of the commit to compare
 against (made with ``git clone`` or ``git archive``):
 
     python3 scripts/bench_flow.py --before ../parent --after . --out BENCH_flow.json
 
-Both packages are loaded into one process. Each model is fit once (cached
-per fit) by the ``after`` checkout and loaded into the ``before`` one through its
-``model_from_dict``, so both flows read the same node coefficients. Parts:
+Both packages are loaded into one process, the ``after`` checkout as module
+``eigenscore`` (so its ``tests/conftest.py`` imports it) and the ``before``
+one as ``eigenscore_before``. Each model is fit once (cached per fit) by the
+``after`` checkout and loaded into the ``before`` one through its
+``model_from_dict``, so both flows read the same node coefficients. Parts
+that repeat a measurement alternate the checkouts in interleaved rounds (A
+then B, then B then A). Parts:
 
+* ``perfbench``: the end-to-end metrics and quality figures of
+  ``perfbench/run.py --trace 0`` on every workload, ``--runs`` alternating
+  runs per checkout, and their medians.
+* ``trace``: the per-layer metrics ``TRACED`` of one ``perfbench/run.py
+  --trace 1`` run per checkout and workload.
+* ``kernel``: ms per call of ``EigenBasis.weighted_eval`` on trig-1d-25,
+  trig-2d-125 and trig-3d-6 at 64, 801, 2000 and 8192 rows, the median over
+  ``KERNEL_ROUNDS`` rounds of the mean per-call time of a round. The kernel
+  error is the largest deviation of the score and the Laplacian from the
+  float64 ``eval_batch`` contraction over the rows, relative to each
+  output's largest magnitude.
 * ``fits``: each checkout's own presolve of perfbench's two fits (pinwheel-2d,
   100 nodes; bart-1d, 1000 nodes) and of acceptance criterion 8's fit
   (pinwheel, 1000 nodes): its median time and quartiles over the fit's
   interleaved rounds (``FITS``), the number of nodes each solve path took
-  (``filtered`` where ``solve_node`` calls LAPACK's ``zsytrf``, else
-  ``cholesky`` where it calls ``dpotrs``, the exact-moment path of older
-  checkouts, else ``diagonal``), the number of calls of each factorization
-  routine of the fit, the largest relative max-norm difference of a node's
-  alpha and the largest relative difference of its ``condition`` between
-  the checkouts, on the nodes the ``before`` checkout regularized and on
-  the others, and whether ``regularized``, ``alphas`` and ``model_to_dict``
-  output are identical.
+  (``ldl`` where ``solve_node`` calls LAPACK's ``zsytrf``, else
+  ``diagonal``), the number of ``zsytrf`` calls of the fit, the largest
+  relative max-norm difference of a node's alpha and the largest relative
+  difference of its ``condition`` between the checkouts, and whether
+  ``alphas`` and ``model_to_dict`` output are identical.
 * ``flow``: RHS evaluations (calls of ``generate.flow_rate``) and stage times
   of PF-ODE sampling and of one log-density batch, at the shapes of
   perfbench's workloads (pinwheel-2d: 100 nodes, 2000 samples at rtol 1e-4,
   a 40x40 batch at rtol 1e-3; bart-1d: 1000 nodes, 2000 samples at rtol 1e-5,
   801 points at rtol 1e-6) and of acceptance criterion 8 (pinwheel, 1000
   nodes, 2000 samples, one 8192-point batch at rtol 1e-3). A stage's time is
-  the median over ``--rounds`` interleaved rounds (A then B, then B then A).
+  the median over ``--rounds`` interleaved rounds.
   Each checkout's samples also carry their largest and RMS distance from a
   reference integrated in internal time at rtol 1e-8 from the same prior draw.
 * ``criterion_8_grid``: RHS evaluations of each of the eight 8192-point
   batches of criterion 8's 256x256 grid, and the median time of a pass over
   it over ``GRID_ROUNDS`` interleaved rounds.
 * ``accuracy``: the largest |log-density difference| of each checkout from
-  the interpolation-free flow, which solves the node system at every tau the
-  integrator asks for, with the RHS evaluations of each (bart 100/200/1000
-  nodes, 41 points, and OU on the VE clock 50/200 nodes, 21 points, at rtol
-  1e-8; pinwheel 100 nodes, a 16x16 grid, at rtol 1e-6).
-* ``perfbench``: ``perfbench/run.py --trace 0`` on every workload, ``--runs``
-  alternating runs per checkout (``scripts/bench_kernel.py``'s harness).
-* ``trace``: per-layer metrics of one ``perfbench/run.py --trace 1`` run per
-  checkout and workload.
+  the interpolation-free flow of the ``after`` checkout's
+  ``tests/conftest.py::reference_log_density``, which solves the node system
+  at every tau the integrator asks for, with the RHS evaluations of each
+  (bart 100/200/1000 nodes, 41 points, and OU on the VE clock 50/200 nodes,
+  21 points, at rtol 1e-8; pinwheel 100 nodes, a 16x16 grid, at rtol 1e-6).
 
 BLAS and OpenMP are pinned to one thread, as in perfbench.
 """
 
-import bench_kernel  # pins BLAS and OpenMP to one thread before numpy loads
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import contextlib  # noqa: E402
 import functools  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
-import os  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
 import time  # noqa: E402
 from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
 import scipy.linalg.lapack  # noqa: E402
 
-from bench_kernel import SIDES, WORKLOADS, bench_perfbench, commit_of, load_package  # noqa: E402
-
+SIDES = ("before", "after")
+WORKLOADS = ("pinwheel-2d", "bart-1d")
+PERFBENCH_SECONDS = 55  # the run length BENCHMARK.json sets
 TRACED = ("odeint.nfev", "solver.alpha_at_calls", "solver.alpha_at_s", "generate.sample_s",
           "generate.density_s", "generate.sde_s", "cli.loss_study_s", "cli.self_s",
-          "targets.reference_s", "solver.presolve_s", "solver.linalg_s", "solver.nodes",
-          "solver.eigh_calls", "solver.chol_calls", "solver.regularized_nodes",
-          "solver.self_s")
+          "targets.reference_s", "solver.presolve_s", "solver.nodes",
+          "solver.regularized_nodes", "solver.self_s", "basis.kernel_s", "basis.kernel_rows",
+          "basis.kernel_calls")
+KERNEL_BASES = {
+    "trig-1d-25": lambda es: es.trig_basis_1d(25),
+    "trig-2d-125": lambda es: es.trig_basis_nd(2, -125.0),
+    "trig-3d-6": lambda es: es.trig_basis_nd(3, -6.0),
+}
+KERNEL_ROWS = (64, 801, 2000, 8192)
+KERNEL_ROUNDS = 21  # interleaved rounds per kernel shape, each of about 2e5 rows a side
 GRID_ROUNDS = 5  # interleaved passes over criterion 8's density grid, 5-9 s each
+
+
+def interleaved(rounds):
+    """The order of the sides in each of ``rounds`` rounds: A then B, then B then A."""
+    for r in range(rounds):
+        yield from (SIDES if r % 2 == 0 else SIDES[::-1])
+
+
+def load_package(name, root):
+    """The eigenscore package under ``root/src``, imported as module ``name``."""
+    pkg = os.path.join(root, "src", "eigenscore")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(pkg, "__init__.py"), submodule_search_locations=[pkg])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def commit_of(root):
+    """The checkout's commit, marked when tracked files differ from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True).stdout
+    dirty = git("status", "--porcelain", "--untracked-files=no").strip()
+    return git("rev-parse", "--short", "HEAD").strip() + (" with uncommitted changes" if dirty else "")
+
+
+def perfbench_run(root, workload, seed, trace):
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(PERFBENCH_SECONDS), "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    path = os.path.join(root, "perfbench", "results", f"{workload}-seed{seed}-trace{trace}.json")
+    with open(path) as fh:
+        quality = json.load(fh)["detail"]["quality"]
+    return {k: m["value"] for k, m in result["metrics"].items()}, quality, result["failed"]
+
+
+def bench_perfbench(roots, runs, seed):
+    out = {}
+    for workload in WORKLOADS:
+        rec = {side: {"runs": [], "quality": [], "failed": 0} for side in SIDES}
+        for side in interleaved(runs):
+            metrics, quality, failed = perfbench_run(roots[side], workload, seed, 0)
+            rec[side]["runs"].append(metrics)
+            rec[side]["quality"].append(quality)
+            rec[side]["failed"] += failed
+            print(f"perfbench {workload} {side}: " + ", ".join(
+                f"{k} {v:.4g}" for k, v in metrics.items()), flush=True)
+        for side in SIDES:
+            keys = rec[side]["runs"][0]
+            rec[side]["median"] = {k: statistics.median(m[k] for m in rec[side]["runs"])
+                                   for k in keys}
+        out[workload] = rec
+    return out
+
+
+def bench_trace(roots, seed):
+    out = {}
+    for workload in WORKLOADS:
+        out[workload] = {}
+        for side in SIDES:
+            metrics, _, _ = perfbench_run(roots[side], workload, seed, 1)
+            out[workload][side] = {k: metrics[k] for k in TRACED if k in metrics}
+        print(f"trace {workload}: {out[workload]}", flush=True)
+    return out
+
+
+def per_call_ms(fn, calls):
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return (time.perf_counter() - t0) / calls * 1e3
+
+
+def kernel_error(basis, X, alpha, got):
+    _, grads, laps = basis.eval_batch(X)
+    want = (grads[:, :, 1:] @ alpha, laps[:, 1:] @ alpha)
+    return max(float(np.abs(g - w).max() / np.abs(w).max())
+               for g, w in zip(got, want, strict=True))
+
+
+def bench_kernel(packages, seed):
+    out = {}
+    for name, make in KERNEL_BASES.items():
+        bases = {side: make(packages[side]) for side in SIDES}
+        rng = np.random.default_rng(seed)
+        alpha = rng.normal(size=bases["after"].n_active)
+        for n in KERNEL_ROWS:
+            X = rng.uniform(-math.pi, math.pi, (n, bases["after"].dimension))
+            calls = max(3, int(2e5 // n))
+            times = {side: [] for side in SIDES}
+            for side in interleaved(KERNEL_ROUNDS):
+                basis = bases[side]
+                times[side].append(per_call_ms(lambda: basis.weighted_eval(X, alpha), calls))
+            row = {side: statistics.median(times[side]) for side in SIDES}
+            row["speedup"] = row["before"] / row["after"]
+            row["error"] = {side: kernel_error(bases["after"], X, alpha,
+                                               bases[side].weighted_eval(X, alpha))
+                            for side in SIDES}
+            out[f"{name}@{n}"] = row
+            print(f"kernel {name:12s} {n:5d} rows: before {row['before']:.4f} ms, "
+                  f"after {row['after']:.4f} ms, x{row['speedup']:.2f}", flush=True)
+    return out
 
 
 def midpoint_grid_2d(n):
@@ -115,20 +242,6 @@ def distance_to_reference(pkg, model, x, ref):
     dist = np.sqrt((diff * diff).sum(axis=1))
     return {"max_distance_to_reference": float(dist.max()),
             "rms_distance_to_reference": float(np.sqrt((dist * dist).mean()))}
-
-
-def reference_log_density(pkg, model, table, moments, x, cfg):
-    """Log-densities and RHS evaluations of the flow that solves the node
-    system at every tau it reads (memoised per tau) instead of interpolating."""
-    assembler = pkg.SystemAssembler(model.basis, table, moments)
-
-    @functools.cache
-    def solve(tau):
-        t = pkg.internal_time(model.schedule, tau)
-        return pkg.solver.solve_node(assembler.system(t)).alpha
-
-    with mock.patch.object(pkg.generate, "alpha_at", lambda _, tau: solve(float(tau))):
-        return counted(pkg, lambda: pkg.log_density(model, x, cfg))
 
 
 @functools.cache
@@ -181,10 +294,6 @@ def both_sides(packages, model):
     return {"after": model, "before": packages["before"].model_from_dict(d)}
 
 
-# the factorizations of the node solves of the checkouts compared: the
-# Cholesky path of exact moments (dpotrf, solved by dpotrs) of older
-# checkouts, and the filter's complex LDL' (zsytrf)
-FACTORIZATIONS = ("dpotrf", "zsytrf")
 # (name, inputs, nodes, interleaved presolve rounds): perfbench's fits take up
 # to 1.2 s a side, criterion 8's 5-22 s
 FITS = (("pinwheel-2d", pinwheel_inputs, 100, 10),
@@ -193,36 +302,29 @@ FITS = (("pinwheel-2d", pinwheel_inputs, 100, 10),
 
 
 def presolve_paths(pkg, inputs, n_times):
-    """The model of ``pkg``'s presolve, the solve path of each node and the
-    calls of each factorization routine (see the ``fits`` part of the module
+    """The model of ``pkg``'s presolve, the number of nodes of each solve path
+    and the number of ``zsytrf`` calls (see the ``fits`` part of the module
     docstring)."""
-    counts = dict.fromkeys(("dpotrs",) + FACTORIZATIONS, 0)
-    paths = []
+    zsytrf = scipy.linalg.lapack.zsytrf
+    factorizations = 0
+    paths = {"diagonal": 0, "ldl": 0}
     solve_node = pkg.solver.solve_node
 
-    def counting(kind, fn):
-        def wrapper(*args, **kwargs):
-            counts[kind] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting(*args, **kwargs):
+        nonlocal factorizations
+        factorizations += 1
+        return zsytrf(*args, **kwargs)
 
     def recording(system):
-        seen = dict(counts)
+        seen = factorizations
         node = solve_node(system)
-        paths.append("filtered" if counts["zsytrf"] > seen["zsytrf"] else
-                     "cholesky" if counts["dpotrs"] > seen["dpotrs"] else
-                     "diagonal")
+        paths["ldl" if factorizations > seen else "diagonal"] += 1
         return node
 
-    lapack = scipy.linalg.lapack
-    with contextlib.ExitStack() as stack:
-        for name in counts:
-            stack.enter_context(mock.patch.object(
-                lapack, name, counting(name, getattr(lapack, name))))
-        stack.enter_context(mock.patch.object(pkg.solver, "solve_node", recording))
+    with (mock.patch.object(scipy.linalg.lapack, "zsytrf", counting),
+          mock.patch.object(pkg.solver, "solve_node", recording)):
         model = presolve(pkg, inputs, n_times)
-    del counts["dpotrs"]
-    return model, paths, counts
+    return model, paths, factorizations
 
 
 def bench_fits(packages):
@@ -231,20 +333,17 @@ def bench_fits(packages):
         inputs = {side: make_inputs(packages[side]) for side in SIDES}
         times = {side: [] for side in SIDES}
         models, paths, factorizations = {}, {}, {}
-        for r in range(rounds):
-            for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
-                t0 = time.perf_counter()
-                models[side], paths[side], factorizations[side] = presolve_paths(
-                    packages[side], inputs[side], n_times)
-                times[side].append(time.perf_counter() - t0)
-        diags = {side: models[side].diagnostics for side in SIDES}
+        for side in interleaved(rounds):
+            t0 = time.perf_counter()
+            models[side], paths[side], factorizations[side] = presolve_paths(
+                packages[side], inputs[side], n_times)
+            times[side].append(time.perf_counter() - t0)
         before, after = models["before"].alphas, models["after"].alphas
         diff = np.abs(after - before).max(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):  # alpha is 0 at late nodes
             rel = np.where(diff == 0.0, 0.0, diff / np.abs(before).max(axis=1))
-        cond = {side: diags[side]["condition"] for side in SIDES}
+        cond = {side: models[side].diagnostics["condition"] for side in SIDES}
         rel_cond = np.abs(cond["after"] - cond["before"]) / cond["before"]
-        regularized = diags["before"]["regularized"]
         dicts = {side: json.dumps(packages[side].model_to_dict(models[side])) for side in SIDES}
         quartiles = {side: statistics.quantiles(times[side], n=4) for side in SIDES}
         out[name] = {
@@ -252,18 +351,10 @@ def bench_fits(packages):
             "presolve_seconds": {side: {"median": statistics.median(times[side]),
                                         "quartiles": [quartiles[side][0], quartiles[side][2]],
                                         "runs": times[side]} for side in SIDES},
-            "solve_paths": {side: {path: paths[side].count(path)
-                                   for path in ("diagonal", "cholesky", "filtered")}
-                            for side in SIDES},
-            "factorizations": factorizations,
-            "max_relative_alpha_difference": {
-                "before_regularized": float(rel[regularized].max(initial=0.0)),
-                "other": float(rel[~regularized].max(initial=0.0))},
-            "max_relative_condition_difference": {
-                "before_regularized": float(rel_cond[regularized].max(initial=0.0)),
-                "other": float(rel_cond[~regularized].max(initial=0.0))},
-            "regularized_identical": bool(np.array_equal(
-                diags["before"]["regularized"], diags["after"]["regularized"])),
+            "solve_paths": paths,
+            "zsytrf_calls": factorizations,
+            "max_relative_alpha_difference": float(rel.max()),
+            "max_relative_condition_difference": float(rel_cond.max()),
             "alphas_identical": before.tobytes() == after.tobytes(),
             "model_dict_identical": dicts["before"] == dicts["after"],
         }
@@ -300,11 +391,10 @@ def flow_stages(packages, rounds):
                 results[side], row[side]["rhs_evaluations"] = counted(
                     packages[side], functools.partial(run, side))
             times = {side: [] for side in SIDES}
-            for r in range(rounds):
-                for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
-                    t0 = time.perf_counter()
-                    run(side)
-                    times[side].append(time.perf_counter() - t0)
+            for side in interleaved(rounds):
+                t0 = time.perf_counter()
+                run(side)
+                times[side].append(time.perf_counter() - t0)
             for side in SIDES:
                 row[side]["seconds"] = statistics.median(times[side])
             if stage == "sample":
@@ -334,11 +424,10 @@ def criterion8_grid(packages):
             models[side], points[i:i + 8192], cfg))[1] for i in range(0, len(points), 8192)]
 
     out = {side: {"rhs_evaluations": grid_pass(side), "runs": []} for side in SIDES}
-    for r in range(GRID_ROUNDS):
-        for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
-            t0 = time.perf_counter()
-            grid_pass(side)
-            out[side]["runs"].append(time.perf_counter() - t0)
+    for side in interleaved(GRID_ROUNDS):
+        t0 = time.perf_counter()
+        grid_pass(side)
+        out[side]["runs"].append(time.perf_counter() - t0)
     for side in SIDES:
         out[side]["total_rhs_evaluations"] = sum(out[side]["rhs_evaluations"])
         out[side]["seconds"] = statistics.median(out[side]["runs"])
@@ -348,8 +437,13 @@ def criterion8_grid(packages):
     return out
 
 
-def bench_accuracy(packages):
+def bench_accuracy(packages, root):
     es = packages["after"]
+    # the reference flow of the after checkout's tests, which import it as ``eigenscore``
+    spec = importlib.util.spec_from_file_location(
+        "eigenscore_conftest", os.path.join(root, "tests", "conftest.py"))
+    conftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(conftest)
     IC = es.odeint.IntegratorConfig
     tight = IC(rtol=1e-8, atol=1e-10)
     cases = [(f"bart-{n}", bart_fit, n, np.linspace(-math.pi, math.pi, 41)[:, None], tight)
@@ -361,7 +455,8 @@ def bench_accuracy(packages):
     out = {}
     for name, fit, n_times, x, cfg in cases:
         model, table, moments = fit(es, n_times)
-        ref, ref_rhs = reference_log_density(es, model, table, moments, x, cfg)
+        ref, ref_rhs = counted(
+            es, lambda: conftest.reference_log_density(model, table, moments, x, cfg))
         row = {"reference_rhs_evaluations": ref_rhs}
         for side, m in both_sides(packages, model).items():
             ld, rhs = counted(packages[side], lambda: packages[side].log_density(m, x, cfg))
@@ -372,16 +467,6 @@ def bench_accuracy(packages):
             for side in SIDES) + f"; reference {ref_rhs} RHS", flush=True)
     return out
 
-
-def bench_trace(roots, seed):
-    out = {}
-    for workload in WORKLOADS:
-        out[workload] = {}
-        for side in SIDES:
-            metrics, _, _ = bench_kernel.perfbench_run(roots[side], workload, seed, 1)
-            out[workload][side] = {k: metrics[k] for k in TRACED if k in metrics}
-        print(f"trace {workload}: {out[workload]}", flush=True)
-    return out
 
 
 def main(argv=None):
@@ -401,7 +486,8 @@ def main(argv=None):
                      "fit_rounds": {name: rounds for name, _, _, rounds in FITS},
                      "runs": args.runs,
                      "seed": args.seed,
-                     "perfbench_seconds": bench_kernel.PERFBENCH_SECONDS},
+                     "kernel_rounds": KERNEL_ROUNDS,
+                     "perfbench_seconds": PERFBENCH_SECONDS},
         "environment": {"cpu": platform.processor() or platform.machine(),
                         "cpus": os.cpu_count(), "numpy": np.__version__,
                         "blas_threads": 1},
@@ -410,11 +496,13 @@ def main(argv=None):
     # process's resident size as its peak_rss_mb, which the other parts raise
     record["perfbench"] = bench_perfbench(roots, args.runs, args.seed)
     record["trace"] = bench_trace(roots, args.seed)
-    packages = {side: load_package(f"eigenscore_{side}", roots[side]) for side in SIDES}
+    packages = {"before": load_package("eigenscore_before", roots["before"]),
+                "after": load_package("eigenscore", roots["after"])}
+    record["kernel"] = bench_kernel(packages, args.seed)
     record["fits"] = bench_fits(packages)
     record["flow"] = flow_stages(packages, args.rounds)
     record["criterion_8_grid"] = criterion8_grid(packages)
-    record["accuracy"] = bench_accuracy(packages)
+    record["accuracy"] = bench_accuracy(packages, roots["after"])
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

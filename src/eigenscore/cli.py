@@ -198,18 +198,16 @@ def cmd_fit(args):
     moments = sample_moments(basis, data)
     if args.shrinkage == "modulation":
         moments = modulation_shrink(moments)
-    model = presolve_grid(
-        basis, table, moments, schedule, n_times=args.grid_size,
-        provenance={
-            "seed": args.seed,
-            "dataset_hash": dataset_hash(data),
-            "shrinkage": args.shrinkage,
-            "n_samples": int(data.shape[0]),
-        },
-    )
+    model = presolve_grid(basis, table, moments, schedule, n_times=args.grid_size)
+    model.provenance = {
+        "seed": args.seed,
+        "dataset_hash": dataset_hash(data),
+        "shrinkage": args.shrinkage,
+        "n_samples": int(data.shape[0]),
+    }
     save_model(model, args.out)
     max_condition = float(model.diagnostics["condition"].max())
-    print(f"fit complete: {len(model.grid)} grid nodes; max condition bound {max_condition:.3e}")
+    print(f"fit complete: {len(model.grid)} grid nodes; max condition {max_condition:.3e}")
     _write_provenance(args.out, {
         "command": "fit",
         "seed": args.seed,

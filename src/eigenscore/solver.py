@@ -120,10 +120,11 @@ class NodeSolve:
     """Result of solving one node: coefficients plus solve diagnostics."""
 
     alpha: np.ndarray
-    # the condition of P - zI: the bound (||P||_1 + sqrt(2) delta) / delta,
-    # or where that exceeds CONDITION_LIMIT, the condition itself (see
-    # solve_node); it measures the accuracy of the solve, not how close P is
-    # to singular
+    # a condition number of P - zI (see solve_node): the bound (||P||_1 +
+    # sqrt(2) delta) / delta on its 2-norm condition, or where that exceeds
+    # CONDITION_LIMIT, its 1-norm condition (exact for a diagonal P, else
+    # zsycon's estimate, which can exceed the bound); it measures the
+    # accuracy of the solve, not how close P is to singular
     condition: float
     regularized: bool  # delta is the noise floor of sampled moments
 
@@ -158,18 +159,22 @@ def solve_node(system):
     Math. Comp. 31, 1977; LAPACK ``zsytrf`` and ``zsytrs``) gives
     u = Re[(P - zI)^{-1} (1 - i) y].
 
-    ``condition`` is the condition of P - zI, which bounds the error of the
-    solve. Every eigenvalue of P - zI has modulus at least delta, so it is
-    at most the bound (||P||_1 + sqrt(2) delta) / delta, from the column
-    sums of |P|, and that bound is stored wherever it is within
+    ``condition`` is a condition number of P - zI, which bounds the error of
+    the solve. Every eigenvalue of P - zI has modulus at least delta and
+    ||P||_2 <= ||P||_1 for a symmetric P, so the 2-norm condition
+    of P - zI is at most the bound (||P||_1 + sqrt(2) delta) / delta, from
+    the column sums of |P|, and that bound is stored wherever it is within
     ``CONDITION_LIMIT``. It is loose where the least eigenvalue modulus is
     far above delta: with exact moments it reads ||P||_1 / ``TIKHONOV_EPS``,
-    whatever P's own condition. Where it exceeds the limit, the condition
-    itself decides and is stored: exact for a diagonal P (the largest over
-    the least |d_k - z|), otherwise ||P||_1 + sqrt(2) delta times LAPACK
-    ``zsycon``'s estimate of ||(P - zI)^{-1}||_1, from the factorization
-    already made. Both depend on P and delta alone, so model files are
-    byte-reproducible across processes. If the stored condition exceeds the
+    whatever P's own condition. Where it exceeds the limit, the 1-norm
+    condition of P - zI decides and is stored: exact for a diagonal P (the
+    largest over the least |d_k - z|, the same in every norm), otherwise
+    ||P||_1 + sqrt(2) delta times LAPACK ``zsycon``'s estimate of
+    ||(P - zI)^{-1}||_1, from the factorization already made. That 1-norm
+    condition can exceed the 2-norm bound: on perfbench's pinwheel fit at
+    tau = 0.05 the bound reads 1.49e3, the 2-norm condition 453 and the
+    1-norm condition 1.10e4 (``zsycon``'s figure 1.04e4). The bound and the 1-norm condition depend on
+    P and delta alone, so model files are byte-reproducible across processes. If the stored condition exceeds the
     limit (the message names the path and gives ||P||_1, delta, the bound
     and the condition), alpha is not finite, or a LAPACK routine reports an
     error, an IllConditionedError is raised. Returns a :class:`NodeSolve`.
@@ -272,8 +277,7 @@ class ScoreModel:
         return np.stack([self.alphas, slopes], axis=1).reshape(-1, self.alphas.shape[1])
 
 
-def presolve_grid(basis, table, moments, schedule, n_times=1000,
-                  domain_map=None, provenance=None):
+def presolve_grid(basis, table, moments, schedule, n_times=1000, domain_map=None):
     """Solve the system on an even tau grid covering [0, 1].
 
     Stores per-node conditions and whether delta is the noise floor
@@ -306,7 +310,6 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000,
         alphas=alphas,
         domain_map=domain_map,
         diagnostics={"condition": conds, "regularized": regs},
-        provenance=dict(provenance or {}),
     )
 
 
