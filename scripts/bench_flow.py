@@ -468,7 +468,6 @@ def bench_accuracy(packages, root):
     return out
 
 
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", required=True, help="root of the checkout to compare against")

@@ -161,8 +161,8 @@ def solve_node(system):
 
     ``condition`` is a condition number of P - zI, which bounds the error of
     the solve. Every eigenvalue of P - zI has modulus at least delta and
-    ||P||_2 <= ||P||_1 for a symmetric P, so the 2-norm condition
-    of P - zI is at most the bound (||P||_1 + sqrt(2) delta) / delta, from
+    ||P||_2 <= ||P||_1 for a symmetric P, so the 2-norm condition of
+    P - zI is at most the bound (||P||_1 + sqrt(2) delta) / delta, from
     the column sums of |P|, and that bound is stored wherever it is within
     ``CONDITION_LIMIT``. It is loose where the least eigenvalue modulus is
     far above delta: with exact moments it reads ||P||_1 / ``TIKHONOV_EPS``,
@@ -173,8 +173,9 @@ def solve_node(system):
     ||(P - zI)^{-1}||_1, from the factorization already made. That 1-norm
     condition can exceed the 2-norm bound: on perfbench's pinwheel fit at
     tau = 0.05 the bound reads 1.49e3, the 2-norm condition 453 and the
-    1-norm condition 1.10e4 (``zsycon``'s figure 1.04e4). The bound and the 1-norm condition depend on
-    P and delta alone, so model files are byte-reproducible across processes. If the stored condition exceeds the
+    1-norm condition 1.10e4 (``zsycon``'s figure 1.04e4). The bound and the
+    1-norm condition depend on P and delta alone, so model files are
+    byte-reproducible across processes. If the stored condition exceeds the
     limit (the message names the path and gives ||P||_1, delta, the bound
     and the condition), alpha is not finite, or a LAPACK routine reports an
     error, an IllConditionedError is raised. Returns a :class:`NodeSolve`.
