@@ -15,7 +15,8 @@ then B, then B then A). Parts:
 
 * ``perfbench``: the end-to-end metrics and quality figures of
   ``perfbench/run.py --trace 0`` on every workload, ``--runs`` alternating
-  runs per checkout, and their medians.
+  runs per checkout, and their medians. Both checkouts' ``src`` are
+  byte-compiled first, so ``setup_s`` reads ``.pyc`` files on both sides.
 * ``trace``: the per-layer metrics ``TRACED`` of one ``perfbench/run.py
   --trace 1`` run per checkout and workload.
 * ``kernel``: ms per call of ``EigenBasis.weighted_eval`` on trig-1d-25,
@@ -486,11 +487,15 @@ def main(argv=None):
                      "runs": args.runs,
                      "seed": args.seed,
                      "kernel_rounds": KERNEL_ROUNDS,
-                     "perfbench_seconds": PERFBENCH_SECONDS},
+                     "perfbench_seconds": PERFBENCH_SECONDS,
+                     "src_compiled": True},
         "environment": {"cpu": platform.processor() or platform.machine(),
                         "cpus": os.cpu_count(), "numpy": np.__version__,
                         "blas_threads": 1},
     }
+    for root in roots.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", os.path.join(root, "src")],
+                       check=True)
     # perfbench first: a child started from this process reports at least this
     # process's resident size as its peak_rss_mb, which the other parts raise
     record["perfbench"] = bench_perfbench(roots, args.runs, args.seed)

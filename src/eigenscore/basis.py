@@ -403,14 +403,13 @@ class EigenBasis:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval_batch(self, X, extended=False):
+    def eval_batch(self, X):
         """Values, gradients and Laplacians at points X (N x d).
 
         Returns ``(values (N,n), gradients (N,d,n), laplacians (N,n))`` over
-        ``functions`` (or ``extended``).
+        ``functions``.
         """
-        family = self.extended if extended else self.functions
-        return family.derivatives(self._check_points(X))
+        return self.functions.derivatives(self._check_points(X))
 
     def eval_values(self, X, extended=False):
         """Values only (used for moment estimation over the extended set)."""

@@ -67,21 +67,18 @@ EXIT_DOMAIN = 4
 EXIT_UNSUPPORTED = 5
 
 
-def _write_provenance(out_path, payload):
-    side = out_path + ".provenance.json"
-    with open(side, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return side
+def _write_provenance(args, **facts):
+    """Write ``<args.out>.provenance.json``: the command, its seed, every
+    option as ``cfg`` and the command's own ``facts``."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+    with open(args.out + ".provenance.json", "w") as fh:
+        json.dump({"command": args.command, "seed": args.seed, "cfg": cfg, **facts},
+                  fh, indent=2, sort_keys=True)
 
 
 def _file_hash(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
-
-
-def _cfg_dict(args):
-    d = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
-    return {k: (v if not isinstance(v, np.ndarray) else v.tolist()) for k, v in d.items()}
 
 
 def _save_csv(path, data, header):
@@ -134,12 +131,7 @@ def cmd_gen_data(args):
     else:
         pts = toy2d(args.target, args.n, rng).points
     _save_csv(args.out, pts, _coord_header(pts.shape[1]))
-    _write_provenance(args.out, {
-        "command": "gen-data",
-        "seed": args.seed,
-        "cfg": _cfg_dict(args),
-        "dataset_hash": dataset_hash(pts),
-    })
+    _write_provenance(args, dataset_hash=dataset_hash(pts))
     return EXIT_OK
 
 
@@ -199,22 +191,12 @@ def cmd_fit(args):
     if args.shrinkage == "modulation":
         moments = modulation_shrink(moments)
     model = presolve_grid(basis, table, moments, schedule, n_times=args.grid_size)
-    model.provenance = {
-        "seed": args.seed,
-        "dataset_hash": dataset_hash(data),
-        "shrinkage": args.shrinkage,
-        "n_samples": int(data.shape[0]),
-    }
     save_model(model, args.out)
     max_condition = float(model.diagnostics["condition"].max())
     print(f"fit complete: {len(model.grid)} grid nodes; max condition {max_condition:.3e}")
-    _write_provenance(args.out, {
-        "command": "fit",
-        "seed": args.seed,
-        "cfg": _cfg_dict(args),
-        "model_hash": _file_hash(args.out),
-        "solve_health": {"max_condition": max_condition},
-    })
+    _write_provenance(args, dataset_hash=dataset_hash(data), n_samples=int(data.shape[0]),
+                      model_hash=_file_hash(args.out),
+                      solve_health={"max_condition": max_condition})
     return EXIT_OK
 
 
@@ -231,12 +213,7 @@ def cmd_sample(args):
     if not model.domain_map.is_identity:
         pts = model.domain_map.inverse(pts)
     _save_csv(args.out, pts, _coord_header(pts.shape[1]))
-    _write_provenance(args.out, {
-        "command": "sample",
-        "seed": args.seed,
-        "cfg": _cfg_dict(args),
-        "model_hash": _file_hash(args.model),
-    })
+    _write_provenance(args, model_hash=_file_hash(args.model))
     return EXIT_OK
 
 
@@ -253,12 +230,7 @@ def cmd_density(args):
         ld[s:s + args.chunk] = log_density(model, nodes[s:s + args.chunk], cfg)
     _save_csv(args.out, np.column_stack([nodes, ld]),
               _coord_header(d) + ",log_density")
-    _write_provenance(args.out, {
-        "command": "density",
-        "seed": args.seed,
-        "cfg": _cfg_dict(args),
-        "model_hash": _file_hash(args.model),
-    })
+    _write_provenance(args, model_hash=_file_hash(args.model))
     return EXIT_OK
 
 
@@ -322,11 +294,7 @@ def cmd_loss_study(args):
                      f"{se:.17g},{len(v)}")
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    _write_provenance(args.out, {
-        "command": "loss-study",
-        "seed": args.seed,
-        "cfg": _cfg_dict(args),
-    })
+    _write_provenance(args)
     return EXIT_OK
 
 

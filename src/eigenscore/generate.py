@@ -15,11 +15,9 @@ factor t'(tau) (:func:`flow_rate`): :func:`sample_pf_ode` integrates from
 tau = 1 to 0 and :func:`log_density` from 0 to 1. In internal time the flow's
 time scale shrinks in proportion to t, which the VE clock runs from 5e-5 up
 to 1250. The step controller assumes a locally constant error constant, so
-there it kept proposing steps that were too long: on perfbench's pinwheel-2d
-shapes 40 of 90 sampling steps were rejected (541 RHS evaluations). On the VE
-clock log t is affine in tau, so tau steps follow the field's own scale, as
-in the time variable of Karras et al. (NeurIPS 2022); the same sampling takes
-169 RHS evaluations with 7 steps rejected.
+steps in t come out too long and are rejected. On the VE clock log t is
+affine in tau, so tau steps follow the field's own scale, as in the time
+variable of Karras et al. (NeurIPS 2022).
 
 The reverse SDE takes even steps in tau, each of internal length h. With the
 score frozen over a step, the linear part of the reversed process is solved
@@ -38,7 +36,7 @@ import numpy as np
 from .basis import OU, TRUNCATED_BM
 from .errors import InvalidInputError
 from .odeint import IntegratorConfig, integrate_batch
-from .process import check_domain, internal_time, time_rate, transition, wrap_torus
+from .process import check_domain, internal_time, sample_forward, time_rate, transition, wrap_torus
 from .solver import alpha_at
 
 PRIOR_UNIFORM = "uniform"
@@ -71,8 +69,7 @@ def _prior_draw(model, n, rng, prior):
         return rng.standard_normal((n, d))
     if prior == PRIOR_UNIFORM:
         return rng.uniform(-math.pi, math.pi, size=(n, d))
-    sigma = transition(model.process, internal_time(model.schedule, 1.0))[1]
-    return wrap_torus(sigma * rng.standard_normal((n, d)))
+    return sample_forward(model.process, model.schedule, np.zeros((n, d)), 1.0, rng)
 
 
 def sample_pf_ode(model, n, cfg=IntegratorConfig(), rng=None, prior=PRIOR_UNIFORM):

@@ -264,7 +264,6 @@ class ScoreModel:
     alphas: np.ndarray  # (len(grid), n_active)
     domain_map: DomainMap
     diagnostics: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
 
     @property
     def process(self):
@@ -470,7 +469,6 @@ def model_to_dict(model):
         "grid": model.grid.tolist(),
         "alphas": model.alphas.tolist(),
         "diagnostics": _diagnostics_to_dict(model.diagnostics),
-        "provenance": model.provenance,
     }
 
 
@@ -489,9 +487,10 @@ def model_from_dict(d):
 
     Raises InvalidInputError for missing keys, ``alphas`` that are non-finite
     or not (len(grid), n_active), a grid that does not increase strictly from
-    0 to 1, and diagnostics whose lengths differ from the grid's. Other
-    diagnostics, which older files carry (``clamped`` among them), are
-    ignored.
+    0 to 1, diagnostics whose lengths differ from the grid's, and a domain
+    map whose ``scale`` or ``shift`` is not (dimension,) finite values or
+    whose ``scale`` has a zero. Other diagnostics, which older files carry
+    (``clamped`` among them), and their ``provenance`` key are ignored.
     """
     if not isinstance(d, dict):
         raise InvalidInputError("a model must be a JSON object")
@@ -505,7 +504,6 @@ def model_from_dict(d):
             alphas=np.asarray(d["alphas"], dtype=float),
             domain_map=DomainMap.from_dict(d["domain_map"]),
             diagnostics=_diagnostics_from_dict(d["diagnostics"]),
-            provenance=dict(d.get("provenance", {})),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed model: {type(exc).__name__}: {exc}") from exc
@@ -522,6 +520,13 @@ def model_from_dict(d):
     for name, values in model.diagnostics.items():
         if values.shape != grid.shape:
             raise InvalidInputError(f"diagnostic {name!r} does not match the grid")
+    dm = model.domain_map
+    for name, values in (("scale", dm.scale), ("shift", dm.shift)):
+        if values.shape != (model.basis.dimension,) or not np.all(np.isfinite(values)):
+            raise InvalidInputError(
+                f"domain map {name} must hold {model.basis.dimension} finite values")
+    if np.any(dm.scale == 0.0):
+        raise InvalidInputError("domain map scale must be nonzero")
     return model
 
 

@@ -71,7 +71,12 @@ def test_fit_writes_model_and_provenance(fitted):
     assert len(m.grid) == 60
     prov = json.load(open(model + ".provenance.json"))
     assert prov["command"] == "fit"
-    assert m.provenance["n_samples"] == 400
+    assert prov["n_samples"] == 400
+    # the fit wraps the data once a point lies outside [-pi, pi], as one does here
+    points = read_csv(data)
+    assert np.any(np.abs(points) > math.pi)
+    assert prov["dataset_hash"] == es.solver.dataset_hash(es.wrap_torus(points))
+    assert "provenance" not in json.load(open(model))
 
 
 def test_fit_summary_reports_the_largest_stored_condition(fitted, tmp_path, capsys):

@@ -411,7 +411,7 @@ def test_exactly_diagonal_system_is_solved_by_division(noise_scale):
     assert node.condition == pytest.approx((p.max() + math.sqrt(2.0) * delta) / delta, rel=1e-15)
 
 
-@pytest.mark.parametrize("relative, path", [(1e-25, "diagonal"), (1e-15, "cholesky")])
+@pytest.mark.parametrize("relative, path", [(1e-25, "diagonal"), (1e-15, "ldl")])
 def test_off_diagonal_entries_below_the_cutoff_are_zeroed(relative, path):
     # es.solver.OFFDIAG_CUTOFF is 1e-20 of sqrt(A_kk A_ll) (invariant under
     # the preconditioning): 1e-25 is dropped, 1e-15 is kept
@@ -423,7 +423,7 @@ def test_off_diagonal_entries_below_the_cutoff_are_zeroed(relative, path):
     b = np.array([1.0, -2.0, 3.0])
     system = es.QuadraticSystem(A=A, b=b, lambdas=lambdas, t=0.0)
     node, calls = _solve_counting_paths(system)
-    assert calls == (path == "cholesky") and not node.regularized
+    assert calls == (path == "ldl") and not node.regularized
     np.testing.assert_allclose(node.alpha, np.linalg.solve(A, -b), rtol=1e-15)
 
 
@@ -703,13 +703,16 @@ def test_model_serialization_roundtrip(tmp_path):
                                model.diagnostics["condition"])
     np.testing.assert_array_equal(again.diagnostics["regularized"],
                                   model.diagnostics["regularized"])
-    # older files carry a per-node "residual" diagnostic, or a "clamped" count
+    # older files carry a per-node "residual" diagnostic, or a "clamped"
+    # count, and a "provenance" record of the fit
     d = es.model_to_dict(model)
     d["diagnostics"]["residual"] = [0.0] * len(model.grid)
     d["diagnostics"]["clamped"] = [1] * len(model.grid)
+    d["provenance"] = {"seed": 3, "dataset_hash": "0123456789abcdef", "n_samples": 400}
     old = es.model_from_dict(d)
     assert set(old.diagnostics) == {"condition", "regularized"}
-    assert "clamped" not in es.model_to_dict(old)["diagnostics"]
+    again = es.model_to_dict(old)
+    assert "clamped" not in again["diagnostics"] and "provenance" not in again
 
 
 REPRODUCIBLE_FIT = """
@@ -764,6 +767,10 @@ def test_sampled_model_files_do_not_depend_on_heap_layout():
     pytest.param(lambda d: d["alphas"][3].__setitem__(0, float("nan")), id="alphas-nan"),
     pytest.param(lambda d: d["diagnostics"].update(
         regularized=d["diagnostics"]["regularized"][1:]), id="diagnostic-length"),
+    pytest.param(lambda d: d["domain_map"]["scale"].append(1.0), id="domain-scale-length"),
+    pytest.param(lambda d: d["domain_map"]["scale"].__setitem__(0, 0.0), id="domain-scale-zero"),
+    pytest.param(lambda d: d["domain_map"]["shift"].__setitem__(0, float("nan")),
+                 id="domain-shift-nan"),
 ])
 def test_malformed_model_file_rejected(tmp_path, corrupt):
     path = tmp_path / "model.json"
