@@ -489,8 +489,8 @@ def model_from_dict(d):
     or not (len(grid), n_active), a grid that does not increase strictly from
     0 to 1, diagnostics whose lengths differ from the grid's, and a domain
     map whose ``scale`` or ``shift`` is not (dimension,) finite values or
-    whose ``scale`` has a zero. Other diagnostics, which older files carry
-    (``clamped`` among them), and their ``provenance`` key are ignored.
+    whose ``scale`` has a zero. Other diagnostics and other keys, which
+    older files carry (``clamped`` among them), are ignored.
     """
     if not isinstance(d, dict):
         raise InvalidInputError("a model must be a JSON object")
