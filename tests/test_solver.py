@@ -711,8 +711,8 @@ def test_model_serialization_roundtrip(tmp_path):
     d["provenance"] = {"seed": 3, "dataset_hash": "0123456789abcdef", "n_samples": 400}
     old = es.model_from_dict(d)
     assert set(old.diagnostics) == {"condition", "regularized"}
-    again = es.model_to_dict(old)
-    assert "clamped" not in again["diagnostics"] and "provenance" not in again
+    written = es.model_to_dict(old)
+    assert "clamped" not in written["diagnostics"] and "provenance" not in written
 
 
 REPRODUCIBLE_FIT = """
