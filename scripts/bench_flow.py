@@ -7,11 +7,12 @@ against (made with ``git clone`` or ``git archive``):
 
 Both packages are loaded into one process, the ``after`` checkout as module
 ``eigenscore`` (so its ``tests/conftest.py`` imports it) and the ``before``
-one as ``eigenscore_before``. Each model is fit once (cached per fit) by the
-``after`` checkout and loaded into the ``before`` one through its
-``model_from_dict``, so both flows read the same node coefficients. Parts
-that repeat a measurement alternate the checkouts in interleaved rounds (A
-then B, then B then A). Parts:
+one as ``eigenscore_before``. Each checkout samples and evaluates its own
+fit (cached per checkout and fit), so no model file crosses checkouts and a
+change of the model-file format needs no branch here; the ``fits`` part
+records how the two checkouts' fits differ. Parts that repeat a
+measurement alternate the checkouts in interleaved rounds (A then B, then B
+then A). Parts:
 
 * ``perfbench``: the end-to-end metrics and quality figures of
   ``perfbench/run.py --trace 0`` on every workload, ``--runs`` alternating
@@ -32,8 +33,10 @@ then B, then B then A). Parts:
   (``ldl`` where ``solve_node`` calls LAPACK's ``zsytrf``, else
   ``diagonal``), the number of ``zsytrf`` calls of the fit, the largest
   relative max-norm difference of a node's alpha and the largest relative
-  difference of its ``condition`` between the checkouts, and whether
-  ``alphas`` and ``model_to_dict`` output are identical.
+  difference of its ``condition`` between the checkouts, whether ``alphas``
+  are identical, and ``model_dict_differences``: the sorted top-level keys
+  of ``model_to_dict`` whose values differ between the checkouts (empty
+  when the dicts are identical).
 * ``flow``: RHS evaluations (calls of ``generate.flow_rate``) and stage times
   of PF-ODE sampling and of one log-density batch, at the shapes of
   perfbench's workloads (pinwheel-2d: 100 nodes, 2000 samples at rtol 1e-4,
@@ -46,8 +49,8 @@ then B, then B then A). Parts:
 * ``criterion_8_grid``: RHS evaluations of each of the eight 8192-point
   batches of criterion 8's 256x256 grid, and the median time of a pass over
   it over ``GRID_ROUNDS`` interleaved rounds.
-* ``accuracy``: the largest |log-density difference| of each checkout from
-  the interpolation-free flow of the ``after`` checkout's
+* ``accuracy``: the largest |log-density difference| of each checkout's fit
+  from the interpolation-free flow of the ``after`` checkout's
   ``tests/conftest.py::reference_log_density``, which solves the node system
   at every tau the integrator asks for, with the RHS evaluations of each
   (bart 100/200/1000 nodes, 41 points, and OU on the VE clock 50/200 nodes,
@@ -289,12 +292,6 @@ def bart_fit(es, n_times):
     return presolve(es, inputs, n_times), inputs[1], inputs[2]
 
 
-def both_sides(packages, model):
-    """The model as each package's ScoreModel."""
-    d = packages["after"].model_to_dict(model)
-    return {"after": model, "before": packages["before"].model_from_dict(d)}
-
-
 # (name, inputs, nodes, interleaved presolve rounds): perfbench's fits take up
 # to 1.2 s a side, criterion 8's 5-22 s
 FITS = (("pinwheel-2d", pinwheel_inputs, 100, 10),
@@ -345,7 +342,7 @@ def bench_fits(packages):
             rel = np.where(diff == 0.0, 0.0, diff / np.abs(before).max(axis=1))
         cond = {side: models[side].diagnostics["condition"] for side in SIDES}
         rel_cond = np.abs(cond["after"] - cond["before"]) / cond["before"]
-        dicts = {side: json.dumps(packages[side].model_to_dict(models[side])) for side in SIDES}
+        dicts = {side: packages[side].model_to_dict(models[side]) for side in SIDES}
         quartiles = {side: statistics.quantiles(times[side], n=4) for side in SIDES}
         out[name] = {
             "nodes": n_times,
@@ -357,7 +354,9 @@ def bench_fits(packages):
             "max_relative_alpha_difference": float(rel.max()),
             "max_relative_condition_difference": float(rel_cond.max()),
             "alphas_identical": before.tobytes() == after.tobytes(),
-            "model_dict_identical": dicts["before"] == dicts["after"],
+            "model_dict_differences": sorted(
+                key for key in dicts["before"].keys() | dicts["after"].keys()
+                if json.dumps(dicts["before"].get(key)) != json.dumps(dicts["after"].get(key))),
         }
         print(f"fits {name}: {out[name]}", flush=True)
     return out
@@ -378,7 +377,7 @@ def flow_stages(packages, rounds):
     )
     out = {}
     for name, fit, n_times, sample_cfg, points, density_cfg in shapes:
-        models = both_sides(packages, fit(es, n_times)[0])
+        models = {side: fit(packages[side], n_times)[0] for side in SIDES}
         stages = {
             "sample": lambda side: packages[side].sample_pf_ode(
                 models[side], 2000, sample_cfg, rng=np.random.default_rng(10)),
@@ -416,7 +415,7 @@ def criterion8_grid(packages):
     density grid, and the median time of a pass over the grid over
     ``GRID_ROUNDS`` interleaved rounds, per checkout."""
     es = packages["after"]
-    models = both_sides(packages, pinwheel_fit(es, 1000)[0])
+    models = {side: pinwheel_fit(packages[side], 1000)[0] for side in SIDES}
     points = midpoint_grid_2d(256)
     cfg = es.odeint.IntegratorConfig(rtol=1e-3, atol=1e-5)
 
@@ -459,7 +458,8 @@ def bench_accuracy(packages, root):
         ref, ref_rhs = counted(
             es, lambda: conftest.reference_log_density(model, table, moments, x, cfg))
         row = {"reference_rhs_evaluations": ref_rhs}
-        for side, m in both_sides(packages, model).items():
+        for side in SIDES:
+            m = fit(packages[side], n_times)[0]
             ld, rhs = counted(packages[side], lambda: packages[side].log_density(m, x, cfg))
             row[side] = {"max_abs_error": float(np.abs(ld - ref).max()), "rhs_evaluations": rhs}
         out[name] = row

@@ -545,8 +545,6 @@ class ProductTable:
     l: np.ndarray
     h: np.ndarray
     beta: np.ndarray
-    n_basis: int
-    n_extended: int
 
 
 def _trig_lookup(ext, freq, kind):
@@ -655,8 +653,7 @@ def product_table(basis):
     k, l = np.triu_indices(len(basis.functions))
     terms = _trig_terms if basis.process == TRUNCATED_BM else _hermite_terms
     k, l, h, beta = terms(basis, k, l)
-    return ProductTable(k=k, l=l, h=h, beta=beta,
-                        n_basis=len(basis.functions), n_extended=len(basis.extended))
+    return ProductTable(k=k, l=l, h=h, beta=beta)
 
 
 # ---------------------------------------------------------------------------

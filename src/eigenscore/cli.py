@@ -69,8 +69,9 @@ EXIT_UNSUPPORTED = 5
 
 def _write_provenance(args, **facts):
     """Write ``<args.out>.provenance.json``: the command, its seed, every
-    option as ``cfg`` and the command's own ``facts``."""
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+    other option as ``cfg`` and the command's own ``facts``."""
+    cfg = {k: v for k, v in vars(args).items()
+           if k not in ("func", "config", "command", "seed")}
     with open(args.out + ".provenance.json", "w") as fh:
         json.dump({"command": args.command, "seed": args.seed, "cfg": cfg, **facts},
                   fh, indent=2, sort_keys=True)
@@ -192,11 +193,13 @@ def cmd_fit(args):
         moments = modulation_shrink(moments)
     model = presolve_grid(basis, table, moments, schedule, n_times=args.grid_size)
     save_model(model, args.out)
-    max_condition = float(model.diagnostics["condition"].max())
+    condition = model.diagnostics["condition"]
+    max_condition = float(condition.max())
     print(f"fit complete: {len(model.grid)} grid nodes; max condition {max_condition:.3e}")
     _write_provenance(args, dataset_hash=dataset_hash(data), n_samples=int(data.shape[0]),
                       model_hash=_file_hash(args.out),
-                      solve_health={"max_condition": max_condition})
+                      solve_health={"max_condition": max_condition,
+                                    "condition": condition.tolist()})
     return EXIT_OK
 
 

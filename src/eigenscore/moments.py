@@ -41,7 +41,6 @@ class MomentVector:
     theta_hat: np.ndarray
     var_hat: np.ndarray
     gamma: np.ndarray
-    n_samples: int
 
     def __post_init__(self):
         if np.any(self.var_hat < 0):
@@ -102,7 +101,6 @@ def sample_moments(basis, data):
         theta_hat=theta_hat,
         var_hat=var_hat,
         gamma=np.ones_like(theta_hat),
-        n_samples=n,
     )
 
 
@@ -147,5 +145,4 @@ def analytic_moments(target, basis):
         theta_hat=theta,
         var_hat=np.zeros_like(theta),
         gamma=np.ones_like(theta),
-        n_samples=0,
     )

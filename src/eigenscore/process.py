@@ -132,8 +132,12 @@ def check_domain(process, x):
 
 
 def wrap_torus(x):
-    """Shift each coordinate by multiples of 2 pi into [-pi, pi]."""
-    return np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    """Shift each coordinate outside [-pi, pi] by multiples of 2 pi into it;
+    coordinates inside come back unchanged, bit for bit."""
+    x = np.array(x, dtype=float)
+    out = ~(np.abs(x) <= np.pi)  # NaN and inf included, which stay NaN
+    x[out] = np.mod(x[out] + np.pi, 2.0 * np.pi) - np.pi
+    return x
 
 
 def sample_forward(process, schedule, x0, tau, rng):

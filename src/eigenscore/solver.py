@@ -16,9 +16,8 @@ diag(-lam_k), which tends to the identity as t grows (A_t -> Lambda).
 P's inverse is replaced by the rational filter g(P) = Re[(1 - i)(P -
 zI)^{-1}], z = delta(-1 + i), whose floor delta damps the directions below
 it: the noise floor of estimated moments, which the data cannot resolve, or
-``TIKHONOV_EPS`` with exact moments (see solve_node); the per-node
-diagnostics are the condition of P - zI (a bound where that certifies the
-solve) and whether delta is the noise floor.
+``TIKHONOV_EPS`` with exact moments (see solve_node). A fit keeps each node's
+condition of P - zI in memory; its model file holds only what sampling reads.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .moments import analytic_moments, modulation_shrink, sample_moments
 from .process import Schedule, _check_tau, internal_time
 from .targets import AnalyticReference, DomainMap
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 CONDITION_LIMIT = 1e12
 TIKHONOV_EPS = 1e-8
 # Eigenvalues of the preconditioned matrix below SPECTRAL_FLOOR times the
@@ -68,7 +67,6 @@ class QuadraticSystem:
     A: np.ndarray
     b: np.ndarray
     lambdas: np.ndarray  # eigenvalues of the active basis functions (< 0)
-    t: float
     noise_scale: float = 0.0  # average standard error of the moments (0 = exact)
 
 
@@ -111,8 +109,7 @@ class SystemAssembler:
         growth = np.exp(self.lam_ext * t)  # the active basis is its entries 1..n
         A = (self.S @ growth).reshape(self.n, self.n)
         b = self.lam_active * growth[1:self.n + 1] * self.theta_active
-        return QuadraticSystem(A=A, b=b, lambdas=self.lam_active, t=float(t),
-                               noise_scale=self.noise_scale)
+        return QuadraticSystem(A=A, b=b, lambdas=self.lam_active, noise_scale=self.noise_scale)
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,7 @@ def solve_node(system):
     condition can exceed the 2-norm bound: on perfbench's pinwheel fit at
     tau = 0.05 the bound reads 1.49e3, the 2-norm condition 453 and the
     1-norm condition 1.10e4 (``zsycon``'s figure 1.04e4). The bound and the
-    1-norm condition depend on P and delta alone, so model files are
+    1-norm condition depend on P and delta alone, so a fit's conditions are
     byte-reproducible across processes. If the stored condition exceeds the
     limit (the message names the path and gives ||P||_1, delta, the bound
     and the condition), alpha is not finite, or a LAPACK routine reports an
@@ -263,6 +260,7 @@ class ScoreModel:
     grid: np.ndarray
     alphas: np.ndarray  # (len(grid), n_active)
     domain_map: DomainMap
+    # the fit's per-node "condition" (see presolve_grid); a loaded model has none
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -280,8 +278,8 @@ class ScoreModel:
 def presolve_grid(basis, table, moments, schedule, n_times=1000, domain_map=None):
     """Solve the system on an even tau grid covering [0, 1].
 
-    Stores per-node conditions and whether delta is the noise floor
-    of sampled moments (see :func:`solve_node`) in the model diagnostics.
+    Keeps the per-node conditions (see :func:`solve_node`) as the model's
+    ``diagnostics["condition"]``, which :func:`model_to_dict` does not write.
     """
     if n_times < 2:
         raise InvalidInputError("n_times must be >= 2")
@@ -289,7 +287,6 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000, domain_map=None
     grid = np.linspace(0.0, 1.0, n_times)
     alphas = np.empty((n_times, basis.n_active))
     conds = np.empty(n_times)
-    regs = np.zeros(n_times, dtype=bool)
     for g, tau in enumerate(grid):
         system = assembler.system(internal_time(schedule, tau))
         try:
@@ -300,7 +297,6 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000, domain_map=None
             ) from exc
         alphas[g] = node.alpha
         conds[g] = node.condition
-        regs[g] = node.regularized
     if domain_map is None:
         domain_map = DomainMap.identity(basis.dimension)
     return ScoreModel(
@@ -309,7 +305,7 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000, domain_map=None
         grid=grid,
         alphas=alphas,
         domain_map=domain_map,
-        diagnostics={"condition": conds, "regularized": regs},
+        diagnostics={"condition": conds},
     )
 
 
@@ -468,33 +464,22 @@ def model_to_dict(model):
         "domain_map": model.domain_map.to_dict(),
         "grid": model.grid.tolist(),
         "alphas": model.alphas.tolist(),
-        "diagnostics": _diagnostics_to_dict(model.diagnostics),
     }
 
 
-def _diagnostics_to_dict(diag):
-    return {"condition": diag["condition"].tolist(),
-            "regularized": diag["regularized"].astype(int).tolist()}
-
-
-def _diagnostics_from_dict(d):
-    return {"condition": np.asarray(d["condition"], dtype=float),
-            "regularized": np.asarray(d["regularized"], dtype=bool)}
-
-
 def model_from_dict(d):
-    """Rebuild a model written by :func:`model_to_dict`.
+    """Rebuild a model written by :func:`model_to_dict` (format version 1 or 2).
 
-    Raises InvalidInputError for missing keys, ``alphas`` that are non-finite
-    or not (len(grid), n_active), a grid that does not increase strictly from
-    0 to 1, diagnostics whose lengths differ from the grid's, and a domain
-    map whose ``scale`` or ``shift`` is not (dimension,) finite values or
-    whose ``scale`` has a zero. Other diagnostics and other keys, which
-    older files carry (``clamped`` among them), are ignored.
+    Raises InvalidInputError for missing keys, a descriptor too large to
+    build, ``alphas`` that are non-finite or not (len(grid), n_active), a
+    grid that does not increase strictly from 0 to 1, and a domain map whose
+    ``scale`` or ``shift`` is not (dimension,) finite values or whose
+    ``scale`` has a zero. Other keys are ignored, among them the per-node
+    ``diagnostics`` and the ``provenance`` that version-1 files carry.
     """
     if not isinstance(d, dict):
         raise InvalidInputError("a model must be a JSON object")
-    if d.get("version") != MODEL_FORMAT_VERSION:
+    if d.get("version") not in (1, MODEL_FORMAT_VERSION):
         raise InvalidInputError(f"unsupported model version {d.get('version')!r}")
     try:
         model = ScoreModel(
@@ -503,9 +488,8 @@ def model_from_dict(d):
             grid=np.asarray(d["grid"], dtype=float),
             alphas=np.asarray(d["alphas"], dtype=float),
             domain_map=DomainMap.from_dict(d["domain_map"]),
-            diagnostics=_diagnostics_from_dict(d["diagnostics"]),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed model: {type(exc).__name__}: {exc}") from exc
     grid = model.grid
     if not (grid.ndim == 1 and len(grid) >= 2 and grid[0] == 0.0 and grid[-1] == 1.0
@@ -517,9 +501,6 @@ def model_from_dict(d):
             f"({len(grid)}, {model.basis.n_active})")
     if not np.all(np.isfinite(model.alphas)):
         raise InvalidInputError("alphas must be finite")
-    for name, values in model.diagnostics.items():
-        if values.shape != grid.shape:
-            raise InvalidInputError(f"diagnostic {name!r} does not match the grid")
     dm = model.domain_map
     for name, values in (("scale", dm.scale), ("shift", dm.shift)):
         if values.shape != (model.basis.dimension,) or not np.all(np.isfinite(values)):

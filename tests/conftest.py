@@ -58,15 +58,16 @@ def uniform_moments(basis):
     theta = np.zeros(len(basis.extended))
     theta[0] = 1.0
     return es.MomentVector(theta_hat=theta, var_hat=np.zeros_like(theta),
-                           gamma=np.ones_like(theta), n_samples=0)
+                           gamma=np.ones_like(theta))
 
 
 def pair_expansion(table, k, l):
     """Extended indices and coefficients of the expansion of phi_k phi_l in
     the product table, whose entries are sorted by pair k <= l."""
     k, l = min(k, l), max(k, l)
-    key = k * table.n_basis + l
-    lo, hi = np.searchsorted(table.k * table.n_basis + table.l, [key, key + 1])
+    n_basis = int(table.l.max()) + 1
+    key = k * n_basis + l
+    lo, hi = np.searchsorted(table.k * n_basis + table.l, [key, key + 1])
     if lo == hi:
         raise es.CapacityError(f"no product expansion stored for pair {(k, l)}")
     return table.h[lo:hi], table.beta[lo:hi]

@@ -235,7 +235,7 @@ def test_criterion_05_modulation_grid_search():
     n = 1000
     theta = rng.normal(0.0, 0.5, n) * rng.choice([0.05, 0.3, 1.0], n)
     var = rng.uniform(1e-6, 0.3, n)
-    m = es.MomentVector(theta_hat=theta, var_hat=var, gamma=np.ones(n), n_samples=100)
+    m = es.MomentVector(theta_hat=theta, var_hat=var, gamma=np.ones(n))
     gamma_closed = es.modulation_shrink(m).gamma
     # two-stage grid search of the per-coordinate risk
     # R(g) = g^2 sigma^2 + (1-g)^2 max(theta^2 - sigma^2, 0)

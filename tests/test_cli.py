@@ -51,6 +51,18 @@ def test_gen_data_deterministic(tmp_path):
     assert prov["command"] == "gen-data" and prov["seed"] == 7
 
 
+def test_sidecar_names_command_and_seed_once(fitted):
+    # the command and the seed stand at the top level; cfg holds the other options
+    root, data, model = fitted
+    prov = json.load(open(data + ".provenance.json"))
+    assert (prov["command"], prov["seed"]) == ("gen-data", 3)
+    assert prov["cfg"] == {"target": "bart-simpson", "n": 400, "out": data}
+    prov = json.load(open(model + ".provenance.json"))
+    assert (prov["command"], prov["seed"]) == ("fit", 3)
+    assert "command" not in prov["cfg"] and "seed" not in prov["cfg"]
+    assert prov["cfg"]["data"] == data and prov["cfg"]["grid_size"] == 60
+
+
 def test_gen_data_toy_in_torus(tmp_path):
     out = str(tmp_path / "pw.csv")
     assert run("gen-data", "--target", "pinwheel", "--n", "200",
@@ -81,27 +93,31 @@ def test_fit_writes_model_and_provenance(fitted):
 
 def test_fit_summary_reports_the_largest_stored_condition(fitted, tmp_path, capsys):
     # the summary and the sidecar hold the largest of the nodes' stored
-    # conditions, whatever norm each node's figure is in
+    # conditions, whatever norm each node's figure is in; the sidecar holds
+    # every node's, the model file none
     root, data, _ = fitted
     out = str(tmp_path / "model.json")
     assert run("fit", "--data", data, "--out", out, "--max-freq", "8",
                "--grid-size", "60", "--seed", "3") == 0
     line = capsys.readouterr().out
-    diag = es.load_model(out).diagnostics
     health = json.load(open(out + ".provenance.json"))["solve_health"]
-    assert health == {"max_condition": float(diag["condition"].max())}
+    assert set(health) == {"max_condition", "condition"} and len(health["condition"]) == 60
+    assert health["max_condition"] == max(health["condition"])
     assert f"60 grid nodes; max condition {health['max_condition']:.3e}" in line
+    assert "diagnostics" not in json.load(open(out))
 
 
 def test_model_file_with_a_clamped_count_still_loads(fitted, tmp_path):
-    # files written while the hard noise floor counted clamped eigenvalues
-    # carry a "clamped" diagnostic: it is ignored
+    # version-1 files written while the hard noise floor counted clamped
+    # eigenvalues carry a "clamped" diagnostic: it is ignored
     _, _, model = fitted
     d = json.load(open(model))
-    d["diagnostics"]["clamped"] = [2] * len(d["grid"])
+    n = len(d["grid"])
+    d.update(version=1, diagnostics={"condition": [1.0] * n, "regularized": [1] * n,
+                                     "clamped": [2] * n})
     old = tmp_path / "old.json"
     old.write_text(json.dumps(d))
-    assert set(es.load_model(old).diagnostics) == {"condition", "regularized"}
+    assert es.load_model(old).diagnostics == {}
     assert run("density", "--model", str(old), "--grid-n", "21",
                "--out", str(tmp_path / "dens.csv")) == 0
 

@@ -20,7 +20,6 @@ def test_sample_moments_match_direct_means():
         m.var_hat[1:], ((vals - vals.mean(axis=0)) ** 2).sum(axis=0)[1:] / 500**2,
         atol=1e-12)
     assert m.theta_hat[0] == 1.0 and m.var_hat[0] == 0.0
-    assert m.n_samples == 500
 
 
 def test_sample_moments_uniform_data_near_zero():
@@ -67,7 +66,6 @@ def _check_streamed_moments(basis, n):
     np.testing.assert_allclose(m.theta_hat[1:], theta[1:], rtol=0, atol=1e-14)
     np.testing.assert_allclose(m.var_hat[1:], var[1:], rtol=1e-12, atol=0)
     assert m.theta_hat[0] == 1.0 and m.var_hat[0] == 0.0
-    assert m.n_samples == n
 
 
 @pytest.mark.parametrize("n", [2, 512, 1024, 1025, 2055])
@@ -206,7 +204,7 @@ def test_sample_moments_reject_overflowing_basis_values():
 def test_moment_vector_validation():
     with pytest.raises(es.InvalidInputError):
         es.MomentVector(theta_hat=np.zeros(2), var_hat=np.array([0.0, -1.0]),
-                        gamma=np.ones(2), n_samples=10)
+                        gamma=np.ones(2))
     with pytest.raises(es.InvalidInputError):
         es.MomentVector(theta_hat=np.zeros(2), var_hat=np.zeros(2),
-                        gamma=np.array([1.0, 1.5]), n_samples=10)
+                        gamma=np.array([1.0, 1.5]))

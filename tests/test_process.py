@@ -100,6 +100,11 @@ def test_wrap_torus():
     assert np.all(np.abs(w) <= math.pi)
     np.testing.assert_allclose(np.cos(w), np.cos(x), atol=1e-12)
     np.testing.assert_allclose(np.sin(w), np.sin(x), atol=1e-12)
+    # coordinates in [-pi, pi] come back bit for bit, whatever lies outside
+    inside = np.random.default_rng(0).uniform(-3.0, 3.0, (2000, 2))
+    inside[0] = [math.pi, -math.pi]
+    mixed = np.vstack([inside, [[4.0, -9.0]]])
+    assert es.wrap_torus(mixed)[:-1].tobytes() == inside.tobytes()
 
 
 def test_internal_time_rejects_bad_tau():

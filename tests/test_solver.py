@@ -258,7 +258,7 @@ def _system_with_spectrum(w, noise_scale):
     scale = np.sqrt(-lambdas)
     A = (Q * w) @ Q.T * np.outer(scale, scale)
     return es.QuadraticSystem(A=(A + A.T) / 2.0, b=rng.standard_normal(len(w)),
-                              lambdas=lambdas, t=0.0, noise_scale=noise_scale)
+                              lambdas=lambdas, noise_scale=noise_scale)
 
 
 FILTERED_SYSTEMS = [
@@ -345,8 +345,7 @@ def test_diagonal_filter_identities():
     delta = es.solver.SPECTRAL_FLOOR * 0.01
     d = np.array([0.0, -2.0 * delta, -3.0 * delta, 1.0])
     b = np.array([1.0, 1.0, -1.0, 2.0])
-    system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=-np.ones(4), t=0.0,
-                                noise_scale=0.01)
+    system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=-np.ones(4), noise_scale=0.01)
     node, calls = _solve_counting_paths(system)
     assert calls == 0
     assert node.regularized
@@ -377,7 +376,7 @@ def test_solve_rejects_asymmetric_matrix():
     for A in (np.array([[1.0, 2.0], [0.0, 1.0]]),
               np.array([[2.0, 1.0 + 1e-12], [1.0, 2.0]]),
               np.array([[2.0, math.nan], [math.nan, 2.0]])):
-        system = es.QuadraticSystem(A=A, b=np.zeros(2), lambdas=-np.ones(2), t=0.0)
+        system = es.QuadraticSystem(A=A, b=np.zeros(2), lambdas=-np.ones(2))
         with pytest.raises(es.InvalidInputError):
             solve_node(system)
 
@@ -399,8 +398,7 @@ def test_exactly_diagonal_system_is_solved_by_division(noise_scale):
     d = np.array([2.0, 3.0, 5.0, 0.5])
     lambdas = -np.array([1.0, 2.0, 4.0, 8.0])
     b = np.array([0.3, -1.2, 2.0, 0.7])
-    system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=lambdas, t=0.0,
-                                noise_scale=noise_scale)
+    system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=lambdas, noise_scale=noise_scale)
     node, calls = _solve_counting_paths(system)
     assert calls == 0
     scale = np.sqrt(-lambdas)
@@ -421,7 +419,7 @@ def test_off_diagonal_entries_below_the_cutoff_are_zeroed(relative, path):
     A[0, 2] = A[2, 0] = relative * math.sqrt(d[0] * d[2])
     A[1, 2] = A[2, 1] = -relative * math.sqrt(d[1] * d[2])
     b = np.array([1.0, -2.0, 3.0])
-    system = es.QuadraticSystem(A=A, b=b, lambdas=lambdas, t=0.0)
+    system = es.QuadraticSystem(A=A, b=b, lambdas=lambdas)
     node, calls = _solve_counting_paths(system)
     assert calls == (path == "ldl") and not node.regularized
     np.testing.assert_allclose(node.alpha, np.linalg.solve(A, -b), rtol=1e-15)
@@ -464,8 +462,7 @@ def _assert_still_ill_conditioned(system, path, norm):
 
 def test_singular_system_raises_ill_conditioned():
     # the filter's bound is above the limit, and so is the exact condition
-    system = es.QuadraticSystem(A=np.diag([1e20, 0.0]), b=np.ones(2),
-                                lambdas=-np.ones(2), t=0.0)
+    system = es.QuadraticSystem(A=np.diag([1e20, 0.0]), b=np.ones(2), lambdas=-np.ones(2))
     _assert_still_ill_conditioned(system, "diagonal", 1e20)
 
 
@@ -480,7 +477,7 @@ def test_well_conditioned_diagonal_system_of_large_norm_is_solved():
     # the condition of P - zI, exact for a diagonal P, is 10
     d = np.array([1e20, 1e19])
     b = np.array([1.0, -2.0])
-    system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=-np.ones(2), t=0.0)
+    system = es.QuadraticSystem(A=np.diag(d), b=b, lambdas=-np.ones(2))
     node = solve_node(system)
     assert node.condition == pytest.approx(10.0, rel=1e-12)
     np.testing.assert_allclose(node.alpha, -b / d, rtol=1e-15)
@@ -512,15 +509,14 @@ def test_exact_gaussian_fit_of_large_norm_is_solved():
 @pytest.mark.parametrize("noise_scale", [0.0, 0.01])
 def test_non_finite_linear_term_raises(noise_scale):
     system = es.QuadraticSystem(A=np.eye(2), b=np.array([np.nan, 1.0]),
-                                lambdas=-np.ones(2), t=0.0, noise_scale=noise_scale)
+                                lambdas=-np.ones(2), noise_scale=noise_scale)
     with pytest.raises(es.IllConditionedError, match="non-finite coefficients"):
         solve_node(system)
 
 
 def test_zero_matrix_recovered_by_tikhonov():
     # P = 0 is diagonal: alpha = -b g(0) = -b / TIKHONOV_EPS
-    system = es.QuadraticSystem(A=np.zeros((2, 2)), b=np.ones(2),
-                                lambdas=-np.ones(2), t=0.0)
+    system = es.QuadraticSystem(A=np.zeros((2, 2)), b=np.ones(2), lambdas=-np.ones(2))
     node = solve_node(system)
     assert not node.regularized and np.all(np.isfinite(node.alpha))
     np.testing.assert_allclose(node.alpha, -system.b / es.solver.TIKHONOV_EPS, rtol=1e-15)
@@ -530,8 +526,7 @@ def test_tikhonov_fallback_flags_regularization():
     # rank-1 matrix: singular, but the filter at delta = TIKHONOV_EPS solves
     # it; exact moments are never flagged, since delta is no noise floor
     A = np.outer(np.ones(2), np.ones(2))
-    system = es.QuadraticSystem(A=A, b=np.array([1.0, 1.0]),
-                                lambdas=-np.ones(2), t=0.0)
+    system = es.QuadraticSystem(A=A, b=np.array([1.0, 1.0]), lambdas=-np.ones(2))
     node = solve_node(system)
     assert not node.regularized
     assert np.all(np.isfinite(node.alpha))
@@ -592,11 +587,9 @@ def test_presolve_grid_diagnostics():
     model = es.presolve_grid(basis, table, m, sched, n_times=50)
     assert model.grid[0] == 0.0 and model.grid[-1] == 1.0
     assert model.alphas.shape == (50, model.basis.n_active)
-    assert set(model.diagnostics) == {"condition", "regularized"}
+    assert set(model.diagnostics) == {"condition"}
     # sampled moments: the filter solves every node, and each condition is
     # its bound; each alpha is g(P) y from the eigendecomposition of P
-    regs = model.diagnostics["regularized"]
-    assert regs.dtype == bool and np.all(regs)
     assembler = es.SystemAssembler(basis, table, m)
     delta = es.solver.SPECTRAL_FLOOR * assembler.noise_scale
     for tau, alpha, cond in zip(model.grid, model.alphas, model.diagnostics["condition"]):
@@ -614,7 +607,6 @@ def test_exact_bart_presolve_matches_dense_solves():
     moments = es.analytic_moments(es.bart_simpson(), basis)
     schedule = es.Schedule.ve(0.01, 50.0)
     model = es.presolve_grid(basis, table, moments, schedule, n_times=1000)
-    assert not model.diagnostics["regularized"].any()
     assembler = es.SystemAssembler(basis, table, moments)
     for tau, alpha in zip(model.grid, model.alphas):
         system = assembler.system(es.internal_time(schedule, tau))
@@ -699,20 +691,23 @@ def test_model_serialization_roundtrip(tmp_path):
     np.testing.assert_allclose(again.grid, model.grid, atol=1e-15)
     assert again.basis.functions.listing() == model.basis.functions.listing()
     assert again.schedule == model.schedule
-    np.testing.assert_allclose(again.diagnostics["condition"],
-                               model.diagnostics["condition"])
-    np.testing.assert_array_equal(again.diagnostics["regularized"],
-                                  model.diagnostics["regularized"])
-    # older files carry a per-node "residual" diagnostic, or a "clamped"
-    # count, and a "provenance" record of the fit
+    # the fit's per-node conditions stay in memory: the file holds the model
+    assert set(model.diagnostics) == {"condition"} and again.diagnostics == {}
     d = es.model_to_dict(model)
-    d["diagnostics"]["residual"] = [0.0] * len(model.grid)
-    d["diagnostics"]["clamped"] = [1] * len(model.grid)
-    d["provenance"] = {"seed": 3, "dataset_hash": "0123456789abcdef", "n_samples": 400}
+    assert d["version"] == 2 and "diagnostics" not in d
+    # version-1 files carry per-node diagnostics ("residual" or "clamped" in
+    # the oldest) and a "provenance" record of the fit: both are ignored
+    n = len(model.grid)
+    d.update(version=1, provenance={"seed": 3, "dataset_hash": "0123456789abcdef",
+                                    "n_samples": 400},
+             diagnostics={"condition": model.diagnostics["condition"].tolist(),
+                          "regularized": [1] * n, "residual": [0.0] * n, "clamped": [1] * n})
     old = es.model_from_dict(d)
-    assert set(old.diagnostics) == {"condition", "regularized"}
+    assert old.alphas.tobytes() == es.model_from_dict(es.model_to_dict(model)).alphas.tobytes()
+    assert old.diagnostics == {}
     written = es.model_to_dict(old)
-    assert "clamped" not in written["diagnostics"] and "provenance" not in written
+    assert written["version"] == 2 and "diagnostics" not in written
+    assert "provenance" not in written
 
 
 REPRODUCIBLE_FIT = """
@@ -737,7 +732,8 @@ gaussian = es.GaussianMixture(weights=np.array([1.0]), means=np.array([[1.0]]),
                               variances=np.array([[2.0]]))
 ou = es.presolve_grid(hermite, es.product_table(hermite), es.analytic_moments(gaussian, hermite),
                       es.Schedule.vp(0.1, 20.0), n_times=20)
-sys.stdout.write(json.dumps([es.model_to_dict(fit) for fit in (model, exact, mixture, ou)]))
+sys.stdout.write(json.dumps([[es.model_to_dict(fit), fit.diagnostics["condition"].tolist()]
+                             for fit in (model, exact, mixture, ou)]))
 """
 
 
@@ -760,13 +756,12 @@ def test_sampled_model_files_do_not_depend_on_heap_layout():
 @pytest.mark.parametrize("corrupt", [
     pytest.param(None, id="not-json"),
     pytest.param(lambda d: d.pop("basis"), id="missing-basis"),
-    pytest.param(lambda d: d["diagnostics"].pop("condition"), id="missing-diagnostic"),
     pytest.param(lambda d: d.update(alphas=[a[:-1] for a in d["alphas"]]), id="alphas-width"),
     pytest.param(lambda d: d.update(grid=d["grid"][::-1]), id="grid-reversed"),
     pytest.param(lambda d: d.update(grid=[0.5 * g for g in d["grid"]]), id="grid-short-of-1"),
     pytest.param(lambda d: d["alphas"][3].__setitem__(0, float("nan")), id="alphas-nan"),
-    pytest.param(lambda d: d["diagnostics"].update(
-        regularized=d["diagnostics"]["regularized"][1:]), id="diagnostic-length"),
+    pytest.param(lambda d: d["basis"]["descriptor"].update(max_frequency=1e308),
+                 id="descriptor-overflow"),
     pytest.param(lambda d: d["domain_map"]["scale"].append(1.0), id="domain-scale-length"),
     pytest.param(lambda d: d["domain_map"]["scale"].__setitem__(0, 0.0), id="domain-scale-zero"),
     pytest.param(lambda d: d["domain_map"]["shift"].__setitem__(0, float("nan")),
