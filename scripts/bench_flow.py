@@ -26,6 +26,15 @@ then A). Parts:
   error is the largest deviation of the score and the Laplacian from the
   float64 ``eval_batch`` contraction over the rows, relative to each
   output's largest magnitude.
+* ``moments``: ms per call of ``sample_moments`` on pinwheel (20k points,
+  ``trig_basis_nd(2, -125)``), Bart-Simpson (2000 points, ``trig_basis_1d(25)``,
+  the loss study's shape), a 3D Gaussian on the torus (20k points,
+  ``trig_basis_nd(3, -25)``) and a 2D Gaussian (20k points,
+  ``hermite_univariate_basis(2, 10)``), the median and quartiles over
+  ``MOMENT_ROUNDS`` interleaved rounds of the mean per-call time of a round,
+  after one untimed call per checkout. Each case also carries the largest
+  absolute theta_hat difference and relative var_hat difference between
+  the checkouts.
 * ``fits``: each checkout's own presolve of perfbench's two fits (pinwheel-2d,
   100 nodes; bart-1d, 1000 nodes) and of acceptance criterion 8's fit
   (pinwheel, 1000 nodes): its median time and quartiles over the fit's
@@ -95,6 +104,7 @@ KERNEL_BASES = {
 }
 KERNEL_ROWS = (64, 801, 2000, 8192)
 KERNEL_ROUNDS = 21  # interleaved rounds per kernel shape, each of about 2e5 rows a side
+MOMENT_ROUNDS = 11  # interleaved rounds per moments case, 0.1-0.8 s a side each
 GRID_ROUNDS = 5  # interleaved passes over criterion 8's density grid, 5-9 s each
 
 
@@ -200,6 +210,50 @@ def bench_kernel(packages, seed):
             out[f"{name}@{n}"] = row
             print(f"kernel {name:12s} {n:5d} rows: before {row['before']:.4f} ms, "
                   f"after {row['after']:.4f} ms, x{row['speedup']:.2f}", flush=True)
+    return out
+
+
+def moment_cases(es, seed):
+    """(name, basis builder, data, calls per round) of the ``moments`` part."""
+    rng = np.random.default_rng(seed)
+    bart = es.sample_gaussian_mixture(es.bart_simpson(), 2000, rng)
+    return (
+        ("pinwheel-20k-trig-2d-125", lambda pkg: pkg.trig_basis_nd(2, -125.0),
+         es.toy2d("pinwheel", 20000, rng).points, 1),
+        ("bart-2000-trig-1d-25", lambda pkg: pkg.trig_basis_1d(25), es.wrap_torus(bart), 20),
+        ("normal-20k-trig-3d-25", lambda pkg: pkg.trig_basis_nd(3, -25.0),
+         es.wrap_torus(0.4 + 0.7 * rng.standard_normal((20000, 3))), 1),
+        ("normal-20k-hermite-2d-10", lambda pkg: pkg.hermite_univariate_basis(2, 10),
+         rng.standard_normal((20000, 2)), 10),
+    )
+
+
+def bench_moments(packages, seed):
+    out = {}
+    for name, make, data, calls in moment_cases(packages["after"], seed):
+        bases = {side: make(packages[side]) for side in SIDES}
+        first = {side: packages[side].sample_moments(bases[side], data) for side in SIDES}
+        times = {side: [] for side in SIDES}
+        for side in interleaved(MOMENT_ROUNDS):
+            pkg, basis = packages[side], bases[side]
+            times[side].append(per_call_ms(lambda: pkg.sample_moments(basis, data), calls))
+        before, after = first["before"], first["after"]
+        positive = before.var_hat > 0  # all but the constant's
+        row = {"points": len(data), "extended_functions": len(bases["after"].extended),
+               "calls_per_round": calls}
+        for side in SIDES:
+            q = statistics.quantiles(times[side], n=4)
+            row[side] = {"median_ms": statistics.median(times[side]), "quartiles_ms": [q[0], q[2]]}
+        row["speedup"] = row["before"]["median_ms"] / row["after"]["median_ms"]
+        row["max_abs_theta_hat_difference"] = float(
+            np.abs(after.theta_hat - before.theta_hat).max())
+        row["max_relative_var_hat_difference"] = float(
+            (np.abs(after.var_hat - before.var_hat)[positive] / before.var_hat[positive]).max())
+        out[name] = row
+        print(f"moments {name}: before {row['before']['median_ms']:.2f} ms, after "
+              f"{row['after']['median_ms']:.2f} ms, x{row['speedup']:.2f}; "
+              f"theta_hat {row['max_abs_theta_hat_difference']:.2e}, "
+              f"var_hat {row['max_relative_var_hat_difference']:.2e}", flush=True)
     return out
 
 
@@ -487,6 +541,7 @@ def main(argv=None):
                      "runs": args.runs,
                      "seed": args.seed,
                      "kernel_rounds": KERNEL_ROUNDS,
+                     "moment_rounds": MOMENT_ROUNDS,
                      "perfbench_seconds": PERFBENCH_SECONDS,
                      "src_compiled": True},
         "environment": {"cpu": platform.processor() or platform.machine(),
@@ -503,6 +558,7 @@ def main(argv=None):
     packages = {"before": load_package("eigenscore_before", roots["before"]),
                 "after": load_package("eigenscore", roots["after"])}
     record["kernel"] = bench_kernel(packages, args.seed)
+    record["moments"] = bench_moments(packages, args.seed)
     record["fits"] = bench_fits(packages)
     record["flow"] = flow_stages(packages, args.rounds)
     record["criterion_8_grid"] = criterion8_grid(packages)

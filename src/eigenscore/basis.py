@@ -116,6 +116,19 @@ def block_rows(row_bytes, budget):
     return max(1, budget // row_bytes)
 
 
+def harmonics(X, kmax):
+    """The harmonics e^{i k x_j} of points X (N, d) for k = -kmax .. kmax:
+    (N, d, 2 kmax + 1) complex, power k in column kmax + k.
+
+    d complex exponentials per point give them all: the positive powers by
+    repeated multiplication, the negative ones as their conjugates.
+    """
+    n, d = X.shape
+    z = np.exp(1j * X)[:, :, None]
+    pos = np.cumprod(np.broadcast_to(z, (n, d, kmax)), axis=2)
+    return np.concatenate([np.conj(pos[:, :, ::-1]), np.ones((n, d, 1)), pos], axis=2)
+
+
 @dataclass(frozen=True)
 class _KernelLayout:
     """Where each frequency row sits in the dense harmonic grid of the kernel.
@@ -200,6 +213,42 @@ class _KernelLayout:
         return M
 
 
+@dataclass(frozen=True)
+class _SumLayout:
+    """Where each frequency of U, then of 2U, sits in the grid of exponential sums.
+
+    Over points x_m, sum_m e^{i v.x_m} = sum_m G[m, p] H[m, k] (sum
+    factorization, as in the kernel): column p of G is the product of the
+    harmonics e^{i v_j x_j} of the coordinates 0 .. d-2 for one distinct
+    prefix (v_0, .., v_{d-2}) of the frequencies, and column k of H is the
+    last coordinate's harmonic of the k-th power in its range. So one GEMM
+    G^T H gives the sums over a (prefixes, last powers) grid, and ``at`` is
+    each frequency's flat position in it. ``prefix`` (n_prefixes, d - 1) and
+    ``last`` index the columns of ``harmonics(X, kmax)``. In 1D the prefix is
+    empty and G is a column of ones.
+    """
+
+    kmax: int
+    prefix: np.ndarray
+    last: slice
+    at: np.ndarray
+
+    @classmethod
+    def build(cls, U):
+        V = np.concatenate([U, 2 * U]).astype(np.int64)
+        kmax = int(np.abs(V).max(initial=0))
+        prefix, p = np.unique(V[:, :-1], axis=0, return_inverse=True)
+        lo, hi = int(V[:, -1].min()), int(V[:, -1].max())
+        return cls(kmax, prefix + kmax, slice(lo + kmax, hi + kmax + 1),
+                   p.ravel() * (hi - lo + 1) + V[:, -1] - lo)
+
+    @property
+    def row_bytes(self):
+        """Complex bytes per point: its harmonics and its columns of G and H."""
+        d = self.prefix.shape[1] + 1
+        return 16 * (d * (2 * self.kmax + 1) + len(self.prefix) + self.last.stop - self.last.start)
+
+
 class _TrigFamily:
     """The constant, then one sqrt2 cos / sqrt2 sin pair per frequency row.
 
@@ -231,21 +280,17 @@ class _TrigFamily:
         """cos and sin of X @ U.T in float64, interleaved: (N, 2 len(U)) with
         the cos of row r in column 2r and its sin in column 2r + 1.
 
-        The frequencies are integer, so e^{i u.x} = prod_j z_j^{u_j} with
-        z_j = e^{i x_j}: d complex exponentials per point, the powers up to
-        ``kmax`` by repeated multiplication, negative ones as conjugates.
+        The frequencies are integer, so e^{i u.x} = prod_j e^{i u_j x_j}, a
+        product of the coordinates' :func:`harmonics` up to ``kmax``.
         """
-        n, d = X.shape
-        z = np.exp(1j * X)[:, :, None]
-        pos = np.cumprod(np.broadcast_to(z, (n, d, self.kmax)), axis=2)
-        powers = np.concatenate([np.conj(pos[:, :, ::-1]), np.ones((n, d, 1)), pos], axis=2)
+        powers = harmonics(X, self.kmax)
         E = np.take(powers[:, 0], self.power_col[:, 0], axis=1)  # C-contiguous, unlike [:, 0, cols]
-        for j in range(1, d):
+        for j in range(1, X.shape[1]):
             E *= np.take(powers[:, j], self.power_col[:, j], axis=1)
         return E.view(np.float64)
 
     def _values(self, CS):
-        # column-major, so that the per-function sums of sample_moments are pairwise
+        # column-major, so that per-function sums over the points are pairwise
         vals = np.empty((CS.shape[1] + 1, len(CS)))
         vals[0] = 1.0
         vals[1:] = CS.T
@@ -266,6 +311,24 @@ class _TrigFamily:
         grads = np.zeros((N, d, 2 * n + 1))
         grads[:, :, 1:] = slope[:, None, :] * np.repeat(self.U.T, 2, axis=1)
         return vals, grads, self.lam * vals
+
+    @cached_property
+    def _sums(self):
+        return _SumLayout.build(self.U)
+
+    def sum_rows(self, budget):
+        """Rows per block of ``exp_sums`` within ``budget`` bytes."""
+        return block_rows(self._sums.row_bytes, budget)
+
+    def exp_sums(self, X):
+        """sum over the points X of e^{i v.x} for every frequency row v of U,
+        then of 2U: (2 len(U),) complex, from one GEMM (see ``_SumLayout``)."""
+        lay = self._sums
+        powers = harmonics(X, lay.kmax)
+        G = np.ones((len(X), len(lay.prefix)), complex)
+        for j, cols in enumerate(lay.prefix.T):
+            G *= np.take(powers[:, j], cols, axis=1)
+        return (G.T @ powers[:, -1, lay.last]).ravel()[lay.at]
 
     @cached_property
     def _layout(self):

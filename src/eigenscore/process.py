@@ -43,7 +43,13 @@ class Schedule:
     def ve(sigma_min=0.01, sigma_max=50.0):
         if not 0 < sigma_min < sigma_max < math.inf:
             raise InvalidInputError("VE schedule needs 0 < sigma_min < sigma_max < inf")
-        return Schedule(kind=VE, sigma_min=float(sigma_min), sigma_max=float(sigma_max))
+        schedule = Schedule(kind=VE, sigma_min=float(sigma_min), sigma_max=float(sigma_max))
+        # the rate 2 t(1) ln(sigma_max / sigma_min) is finite only where t(1) is
+        if not math.isfinite(time_rate(schedule, 1.0)):
+            raise InvalidInputError(
+                "VE schedule needs a finite clock: t(1) = sigma_max^2 / 2 or its rate "
+                f"overflows at sigma_min={sigma_min:g}, sigma_max={sigma_max:g}")
+        return schedule
 
     @staticmethod
     def vp(beta0=0.1, beta1=20.0):

@@ -239,6 +239,7 @@ def test_loss_study_bad_flags_exit_2(tmp_path, flags):
      "n must be >= 1"),
     (("fit", "--data", "{data}", "--grid-size", "10", "--sigma-min", "nan"), "VE schedule"),
     (("fit", "--data", "{data}", "--grid-size", "10", "--sigma-max", "inf"), "VE schedule"),
+    (("fit", "--data", "{data}", "--grid-size", "10", "--sigma-max", "1e200"), "VE schedule"),
     (("fit", "--data", "{data}", "--grid-size", "10", "--schedule", "VP", "--beta1", "nan"),
      "VP schedule"),
     (("sample", "--model", "{model}", "--n", "5", "--rtol", "inf"), "must be finite"),
@@ -269,7 +270,7 @@ def test_loss_study_bad_flags_exit_2(tmp_path, flags):
     (("fit", "--data", "{far_row}", "--grid-size", "10", "--process", "OU", "--order", "2"),
      "basis values overflow at the data"),
 ], ids=["gen-data-n0", "gen-data-n-1", "loss-study-n-5", "fit-sigma-min-nan",
-        "fit-sigma-max-inf", "fit-beta1-nan", "sample-rtol-inf", "sample-rtol-nan",
+        "fit-sigma-max-inf", "fit-sigma-max-overflow", "fit-beta1-nan", "sample-rtol-inf", "sample-rtol-nan",
         "sample-atol-nan", "density-atol-inf", "sample-ou-wrapped-normal",
         "pf-ode-n-steps", "pf-ode-n-steps-config", "reverse-sde-rtol", "reverse-sde-atol",
         "fit-ve-beta0", "fit-vp-sigma-min", "loss-study-ve-beta1", "loss-study-vp-sigma-max",

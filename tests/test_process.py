@@ -88,6 +88,8 @@ def test_schedule_validation_and_roundtrip():
 @pytest.mark.parametrize("kind, args", [
     ("ve", (math.nan, 50.0)), ("ve", (0.01, math.nan)), ("ve", (0.01, math.inf)),
     ("vp", (math.nan, 20.0)), ("vp", (0.1, math.inf)),
+    # finite parameters whose clock overflows: t(1), its rate, the ratio
+    ("ve", (0.01, 1e200)), ("ve", (0.01, 1e153)), ("ve", (1e-300, 1e10)),
 ])
 def test_schedule_rejects_non_finite_parameters(kind, args):
     with pytest.raises(es.InvalidInputError, match="schedule needs"):

@@ -762,6 +762,7 @@ def test_sampled_model_files_do_not_depend_on_heap_layout():
     pytest.param(lambda d: d["alphas"][3].__setitem__(0, float("nan")), id="alphas-nan"),
     pytest.param(lambda d: d["basis"]["descriptor"].update(max_frequency=1e308),
                  id="descriptor-overflow"),
+    pytest.param(lambda d: d["schedule"].update(sigma_max=1e200), id="schedule-overflow"),
     pytest.param(lambda d: d["domain_map"]["scale"].append(1.0), id="domain-scale-length"),
     pytest.param(lambda d: d["domain_map"]["scale"].__setitem__(0, 0.0), id="domain-scale-zero"),
     pytest.param(lambda d: d["domain_map"]["shift"].__setitem__(0, float("nan")),
