@@ -242,12 +242,6 @@ class _SumLayout:
         return cls(kmax, prefix + kmax, slice(lo + kmax, hi + kmax + 1),
                    p.ravel() * (hi - lo + 1) + V[:, -1] - lo)
 
-    @property
-    def row_bytes(self):
-        """Complex bytes per point: its harmonics and its columns of G and H."""
-        d = self.prefix.shape[1] + 1
-        return 16 * (d * (2 * self.kmax + 1) + len(self.prefix) + self.last.stop - self.last.start)
-
 
 class _TrigFamily:
     """The constant, then one sqrt2 cos / sqrt2 sin pair per frequency row.
@@ -317,8 +311,12 @@ class _TrigFamily:
         return _SumLayout.build(self.U)
 
     def sum_rows(self, budget):
-        """Rows per block of ``exp_sums`` within ``budget`` bytes."""
-        return block_rows(self._sums.row_bytes, budget)
+        """Rows per block of ``exp_sums`` within ``budget`` bytes: a row's
+        complex harmonics and its columns of G and H."""
+        lay = self._sums
+        n_last = lay.last.stop - lay.last.start
+        return block_rows(16 * (self.U.shape[1] * (2 * lay.kmax + 1) + len(lay.prefix) + n_last),
+                          budget)
 
     def exp_sums(self, X):
         """sum over the points X of e^{i v.x} for every frequency row v of U,

@@ -270,8 +270,8 @@ def test_loss_study_bad_flags_exit_2(tmp_path, flags):
     (("fit", "--data", "{far_row}", "--grid-size", "10", "--process", "OU", "--order", "2"),
      "basis values overflow at the data"),
 ], ids=["gen-data-n0", "gen-data-n-1", "loss-study-n-5", "fit-sigma-min-nan",
-        "fit-sigma-max-inf", "fit-sigma-max-overflow", "fit-beta1-nan", "sample-rtol-inf", "sample-rtol-nan",
-        "sample-atol-nan", "density-atol-inf", "sample-ou-wrapped-normal",
+        "fit-sigma-max-inf", "fit-sigma-max-overflow", "fit-beta1-nan", "sample-rtol-inf",
+        "sample-rtol-nan", "sample-atol-nan", "density-atol-inf", "sample-ou-wrapped-normal",
         "pf-ode-n-steps", "pf-ode-n-steps-config", "reverse-sde-rtol", "reverse-sde-atol",
         "fit-ve-beta0", "fit-vp-sigma-min", "loss-study-ve-beta1", "loss-study-vp-sigma-max",
         "fit-data-not-a-number", "fit-data-short-row", "fit-ou-overflow"])
