@@ -38,14 +38,19 @@ then A). Parts:
 * ``fits``: each checkout's own presolve of perfbench's two fits (pinwheel-2d,
   100 nodes; bart-1d, 1000 nodes) and of acceptance criterion 8's fit
   (pinwheel, 1000 nodes): its median time and quartiles over the fit's
-  interleaved rounds (``FITS``), the number of nodes each solve path took
-  (``ldl`` where ``solve_node`` calls LAPACK's ``zsytrf``, else
-  ``diagonal``), the number of ``zsytrf`` calls of the fit, the largest
-  relative max-norm difference of a node's alpha and the largest relative
-  difference of its ``condition`` between the checkouts, whether ``alphas``
-  are identical, and ``model_dict_differences``: the sorted top-level keys
-  of ``model_to_dict`` whose values differ between the checkouts (empty
-  when the dicts are identical).
+  interleaved rounds (``FITS``); the number of nodes each solve path took,
+  told apart by the LAPACK factorizations a ``solve_node`` call makes
+  (``diagonal``: none, ``ldl_double``: ``zsytrf``, ``ldl_single``:
+  ``csytrf``, ``fallback``: ``csytrf`` then ``zsytrf``) and the
+  refinement steps, every ``csytrs`` call of a node after its first; node
+  times by tau band (``TAU_BANDS``): per band, the nodes, their paths and
+  the median over the band's nodes of each node's median time over the
+  rounds; the largest relative max-norm difference of a node's alpha and
+  the largest relative difference of its ``condition`` between the
+  checkouts, whether ``alphas`` are identical, and
+  ``model_dict_differences``: the sorted top-level keys of ``model_to_dict``
+  whose values differ between the checkouts (empty when the dicts are
+  identical).
 * ``flow``: RHS evaluations (calls of ``generate.flow_rate``) and stage times
   of PF-ODE sampling and of one log-density batch, at the shapes of
   perfbench's workloads (pinwheel-2d: 100 nodes, 2000 samples at rtol 1e-4,
@@ -75,6 +80,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import collections  # noqa: E402
+import contextlib  # noqa: E402
 import functools  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
@@ -353,30 +360,61 @@ FITS = (("pinwheel-2d", pinwheel_inputs, 100, 10),
         ("criterion-8", pinwheel_inputs, 1000, 3))
 
 
+TAU_BANDS = (0.0, 0.25, 0.5, 0.75, 1.0)
+PATHS = {(0, 0): "diagonal", (1, 0): "ldl_double", (0, 1): "ldl_single", (1, 1): "fallback"}
+
+
 def presolve_paths(pkg, inputs, n_times):
-    """The model of ``pkg``'s presolve, the number of nodes of each solve path
-    and the number of ``zsytrf`` calls (see the ``fits`` part of the module
-    docstring)."""
-    zsytrf = scipy.linalg.lapack.zsytrf
-    factorizations = 0
-    paths = {"diagonal": 0, "ldl": 0}
+    """The model of ``pkg``'s presolve, the solve path of each node (see the
+    ``fits`` part of the module docstring), the fit's refinement steps and
+    each node's solve time in seconds."""
+    lapack = scipy.linalg.lapack
+    calls = dict.fromkeys(("zsytrf", "csytrf", "csytrs"), 0)
+    paths, seconds, steps = [], [], 0
     solve_node = pkg.solver.solve_node
 
-    def counting(*args, **kwargs):
-        nonlocal factorizations
-        factorizations += 1
-        return zsytrf(*args, **kwargs)
+    def counting(name):
+        routine = getattr(lapack, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+        return count
 
     def recording(system):
-        seen = factorizations
+        nonlocal steps
+        seen = dict(calls)
+        t0 = time.perf_counter()
         node = solve_node(system)
-        paths["ldl" if factorizations > seen else "diagonal"] += 1
+        seconds.append(time.perf_counter() - t0)
+        made = {name: calls[name] - seen[name] for name in calls}
+        paths.append(PATHS[made["zsytrf"], made["csytrf"]])
+        steps += max(made["csytrs"] - 1, 0)
         return node
 
-    with (mock.patch.object(scipy.linalg.lapack, "zsytrf", counting),
-          mock.patch.object(pkg.solver, "solve_node", recording)):
+    with contextlib.ExitStack() as stack:
+        for name in calls:
+            stack.enter_context(mock.patch.object(lapack, name, counting(name)))
+        stack.enter_context(mock.patch.object(pkg.solver, "solve_node", recording))
         model = presolve(pkg, inputs, n_times)
-    return model, paths, factorizations
+    return model, paths, steps, seconds
+
+
+def tau_bands(grid, paths, node_seconds):
+    """Per band of ``TAU_BANDS``: its nodes, their paths and, per checkout,
+    the median over the band's nodes of each node's median time over the
+    rounds (ms). ``paths`` and ``node_seconds`` hold one list per side, the
+    latter one row of node times per round."""
+    out = {}
+    for lo, hi in zip(TAU_BANDS[:-1], TAU_BANDS[1:]):
+        nodes = np.flatnonzero((grid >= lo) & ((grid < hi) | (hi == TAU_BANDS[-1])))
+        row = {"nodes": len(nodes)}
+        for side in SIDES:
+            per_node = np.median(np.array(node_seconds[side])[:, nodes], axis=0)
+            row[side] = {"median_node_ms": float(np.median(per_node)) * 1e3,
+                         "paths": dict(collections.Counter(paths[side][i] for i in nodes))}
+        out[f"[{lo:.2f}, {hi:.2f}{']' if hi == TAU_BANDS[-1] else ')'}"] = row
+    return out
 
 
 def bench_fits(packages):
@@ -384,12 +422,14 @@ def bench_fits(packages):
     for name, make_inputs, n_times, rounds in FITS:
         inputs = {side: make_inputs(packages[side]) for side in SIDES}
         times = {side: [] for side in SIDES}
-        models, paths, factorizations = {}, {}, {}
+        node_seconds = {side: [] for side in SIDES}
+        models, paths, steps = {}, {}, {}
         for side in interleaved(rounds):
             t0 = time.perf_counter()
-            models[side], paths[side], factorizations[side] = presolve_paths(
+            models[side], paths[side], steps[side], seconds = presolve_paths(
                 packages[side], inputs[side], n_times)
             times[side].append(time.perf_counter() - t0)
+            node_seconds[side].append(seconds)
         before, after = models["before"].alphas, models["after"].alphas
         diff = np.abs(after - before).max(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):  # alpha is 0 at late nodes
@@ -403,8 +443,10 @@ def bench_fits(packages):
             "presolve_seconds": {side: {"median": statistics.median(times[side]),
                                         "quartiles": [quartiles[side][0], quartiles[side][2]],
                                         "runs": times[side]} for side in SIDES},
-            "solve_paths": paths,
-            "zsytrf_calls": factorizations,
+            "solve_paths": {side: {path: paths[side].count(path) for path in PATHS.values()}
+                            for side in SIDES},
+            "refinement_steps": steps,
+            "tau_bands": tau_bands(models["after"].grid, paths, node_seconds),
             "max_relative_alpha_difference": float(rel.max()),
             "max_relative_condition_difference": float(rel_cond.max()),
             "alphas_identical": before.tobytes() == after.tobytes(),

@@ -116,17 +116,34 @@ def block_rows(row_bytes, budget):
     return max(1, budget // row_bytes)
 
 
-def harmonics(X, kmax):
-    """The harmonics e^{i k x_j} of points X (N, d) for k = -kmax .. kmax:
-    (N, d, 2 kmax + 1) complex, power k in column kmax + k.
+def harmonics(x, lo, hi):
+    """The harmonics e^{i k x} of points x (N,) for k = lo .. hi (lo <= hi):
+    (N, hi - lo + 1) complex, power k in column k - lo.
 
-    d complex exponentials per point give them all: the positive powers by
-    repeated multiplication, the negative ones as their conjugates.
+    One complex exponential per point gives them all: the positive powers by
+    repeated multiplication, the negative ones as their conjugates. Only the
+    powers of the range are kept.
     """
-    n, d = X.shape
-    z = np.exp(1j * X)[:, :, None]
-    pos = np.cumprod(np.broadcast_to(z, (n, d, kmax)), axis=2)
-    return np.concatenate([np.conj(pos[:, :, ::-1]), np.ones((n, d, 1)), pos], axis=2)
+    n = len(x)
+    pos = np.cumprod(np.broadcast_to(np.exp(1j * x)[:, None], (n, max(-lo, hi, 0))), axis=1)
+    out = np.empty((n, hi - lo + 1), dtype=complex)  # pos[:, k - 1] is power k
+    if lo < 0:
+        k = min(hi, -1)  # the negative powers lo .. k
+        np.conj(pos[:, -k - 1:-lo][:, ::-1], out=out[:, :k - lo + 1])
+    if lo <= 0 <= hi:
+        out[:, -lo] = 1.0
+    if hi > 0:
+        k = max(lo, 1)  # the positive powers k .. hi
+        out[:, k - lo:] = pos[:, k - 1:hi]
+    return out
+
+
+def power_columns(V):
+    """Per coordinate j of the integer frequency rows V: the range lo .. hi of
+    its powers (0 .. 0 without rows) and each row's column V[:, j] - lo in
+    :func:`harmonics` over it."""
+    ranges = [(int(v.min()), int(v.max())) if v.size else (0, 0) for v in V.T]
+    return [(lo, hi, v - lo) for (lo, hi), v in zip(ranges, V.T)]
 
 
 @dataclass(frozen=True)
@@ -223,24 +240,23 @@ class _SumLayout:
     prefix (v_0, .., v_{d-2}) of the frequencies, and column k of H is the
     last coordinate's harmonic of the k-th power in its range. So one GEMM
     G^T H gives the sums over a (prefixes, last powers) grid, and ``at`` is
-    each frequency's flat position in it. ``prefix`` (n_prefixes, d - 1) and
-    ``last`` index the columns of ``harmonics(X, kmax)``. In 1D the prefix is
-    empty and G is a column of ones.
+    each frequency's flat position in it. ``prefix`` holds the
+    :func:`power_columns` of the distinct prefixes, ``last`` the range of the
+    last coordinate's powers. In 1D the prefix is empty and G is a column of
+    ones.
     """
 
-    kmax: int
-    prefix: np.ndarray
-    last: slice
+    n_prefixes: int
+    prefix: list
+    last: tuple
     at: np.ndarray
 
     @classmethod
     def build(cls, U):
         V = np.concatenate([U, 2 * U]).astype(np.int64)
-        kmax = int(np.abs(V).max(initial=0))
         prefix, p = np.unique(V[:, :-1], axis=0, return_inverse=True)
-        lo, hi = int(V[:, -1].min()), int(V[:, -1].max())
-        return cls(kmax, prefix + kmax, slice(lo + kmax, hi + kmax + 1),
-                   p.ravel() * (hi - lo + 1) + V[:, -1] - lo)
+        lo, hi, cols = power_columns(V[:, -1:])[0]
+        return cls(len(prefix), power_columns(prefix), (lo, hi), p.ravel() * (hi - lo + 1) + cols)
 
 
 class _TrigFamily:
@@ -256,8 +272,7 @@ class _TrigFamily:
         self.U = np.asarray(U, dtype=float)
         self.lam = np.concatenate([[0.0], np.repeat(-(self.U * self.U).sum(axis=1), 2)])
         self.kmax = int(np.abs(self.U).max(initial=0))
-        # column of z_j^{U[r, j]} among the powers z_j^-kmax .. z_j^kmax
-        self.power_col = self.U.astype(int) + self.kmax
+        self.powers = power_columns(self.U.astype(int))
 
     def __len__(self):
         return len(self.lam)
@@ -275,12 +290,12 @@ class _TrigFamily:
         the cos of row r in column 2r and its sin in column 2r + 1.
 
         The frequencies are integer, so e^{i u.x} = prod_j e^{i u_j x_j}, a
-        product of the coordinates' :func:`harmonics` up to ``kmax``.
+        product of the coordinates' :func:`harmonics` over their ranges in U.
         """
-        powers = harmonics(X, self.kmax)
-        E = np.take(powers[:, 0], self.power_col[:, 0], axis=1)  # C-contiguous, unlike [:, 0, cols]
-        for j in range(1, X.shape[1]):
-            E *= np.take(powers[:, j], self.power_col[:, j], axis=1)
+        (lo, hi, cols), *rest = self.powers
+        E = np.take(harmonics(X[:, 0], lo, hi), cols, axis=1)
+        for j, (lo, hi, cols) in enumerate(rest, 1):
+            E *= np.take(harmonics(X[:, j], lo, hi), cols, axis=1)
         return E.view(np.float64)
 
     def _values(self, CS):
@@ -311,22 +326,24 @@ class _TrigFamily:
         return _SumLayout.build(self.U)
 
     def sum_rows(self, budget):
-        """Rows per block of ``exp_sums`` within ``budget`` bytes: a row's
-        complex harmonics and its columns of G and H."""
+        """Rows per block of ``exp_sums`` within ``budget`` bytes: a row
+        counts 16 bytes for each power -2 kmax .. 2 kmax of every coordinate
+        and each of its columns of G and H. (``exp_sums`` builds only the
+        powers it reads; the count is kept so that the blocks, and with them
+        every sum, stay as they were.)"""
         lay = self._sums
-        n_last = lay.last.stop - lay.last.start
-        return block_rows(16 * (self.U.shape[1] * (2 * lay.kmax + 1) + len(lay.prefix) + n_last),
+        n_last = lay.last[1] - lay.last[0] + 1
+        return block_rows(16 * (self.U.shape[1] * (4 * self.kmax + 1) + lay.n_prefixes + n_last),
                           budget)
 
     def exp_sums(self, X):
         """sum over the points X of e^{i v.x} for every frequency row v of U,
         then of 2U: (2 len(U),) complex, from one GEMM (see ``_SumLayout``)."""
         lay = self._sums
-        powers = harmonics(X, lay.kmax)
-        G = np.ones((len(X), len(lay.prefix)), complex)
-        for j, cols in enumerate(lay.prefix.T):
-            G *= np.take(powers[:, j], cols, axis=1)
-        return (G.T @ powers[:, -1, lay.last]).ravel()[lay.at]
+        G = np.ones((len(X), lay.n_prefixes), complex)
+        for j, (lo, hi, cols) in enumerate(lay.prefix):
+            G *= np.take(harmonics(X[:, j], lo, hi), cols, axis=1)
+        return (G.T @ harmonics(X[:, -1], *lay.last)).ravel()[lay.at]
 
     @cached_property
     def _layout(self):

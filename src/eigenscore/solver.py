@@ -16,8 +16,17 @@ diag(-lam_k), which tends to the identity as t grows (A_t -> Lambda).
 P's inverse is replaced by the rational filter g(P) = Re[(1 - i)(P -
 zI)^{-1}], z = delta(-1 + i), whose floor delta damps the directions below
 it: the noise floor of estimated moments, which the data cannot resolve, or
-``TIKHONOV_EPS`` with exact moments (see solve_node). A fit keeps each node's
-condition of P - zI in memory; its model file holds only what sampling reads.
+``TIKHONOV_EPS`` with exact moments (see solve_node). The assembler folds
+the preconditioning into its sparse construction, so a fit's nodes arrive
+as P and y, and one :class:`NodeKernel` per fit solves them in buffers made
+once. A non-diagonal node is factored by a complex symmetric LDL' of P - zI:
+in single precision (LAPACK ``csytrf``), refined in double until the
+residual passes LAPACK's ``zcgesv`` test, where its condition bound is at
+most ``SINGLE_BOUND`` and P stays dense after the cut-off; in double
+(``zsytrf``) elsewhere, and wherever the single factor has a zero pivot or
+the refinement does not pass the test within ``MAX_SINGLE_SOLVES`` solves.
+A fit keeps each node's condition of P - zI in memory; its model file holds
+only what sampling reads.
 """
 
 from __future__ import annotations
@@ -52,12 +61,24 @@ TIKHONOV_EPS = 1e-8
 # indistinguishable from zero; the solver filters them instead of dividing by
 # them (see solve_node).
 SPECTRAL_FLOOR = 3.0
-# Entries of the preconditioned matrix below OFFDIAG_CUTOFF times the
+# Entries of the preconditioned matrix up to OFFDIAG_CUTOFF times the
 # geometric mean of their row's and column's diagonal entries are zeroed
 # before the solve (see solve_node). They lie far below the rounding of the
 # diagonal, and left in, they slow the factorizations down with subnormal
 # arithmetic.
 OFFDIAG_CUTOFF = 1e-20
+# A node is factored in single precision and refined in double (see
+# solve_node) when its condition bound is at most SINGLE_BOUND and at least
+# DENSE_FRACTION of its P's entries survive the cut-off. Each refinement step
+# shrinks the error by about kappa u32, u32 = 2^-24 (Higham, *Accuracy and
+# Stability of Numerical Algorithms*, 2002, ch. 12), so the bound 2^14 keeps
+# that factor at 2^-10 or less: every step gains three digits or more. On a
+# sparser P the float32 factor's fill-in runs into subnormal numbers and
+# costs up to 15 times the double factorization. MAX_SINGLE_SOLVES caps the
+# single-precision solves of a node, the first one and its corrections.
+SINGLE_BOUND = 2.0**14
+DENSE_FRACTION = 0.9
+MAX_SINGLE_SOLVES = 6
 
 
 @dataclass(frozen=True)
@@ -70,13 +91,26 @@ class QuadraticSystem:
     noise_scale: float = 0.0  # average standard error of the moments (0 = exact)
 
 
+@dataclass(frozen=True)
+class PreconditionedSystem:
+    """One node of a :class:`SystemAssembler` in the symmetric preconditioning:
+    P = Lambda^{-1/2} A Lambda^{-1/2}, exactly symmetric by construction,
+    y = -Lambda^{-1/2} b, and the fit's :class:`NodeKernel`."""
+
+    P: np.ndarray
+    y: np.ndarray
+    kernel: NodeKernel
+
+
 class SystemAssembler:
     """The sparse construction of every system from one set of moments.
 
-    A_t is linear in e^{lam_h t}: flattened, it is ``S @ e^{lam_ext t}``.
-    ``S`` holds the product table's pairs ``1 <= k <= l`` of the active
-    basis with coefficients ((lam_h - lam_k - lam_l)/2) beta_h^{(k,l)} theta_h,
-    mirrored off the diagonal. Raises CapacityError unless the moments cover
+    A_t is linear in e^{lam_h t}, and so is P_t = Lambda^{-1/2} A_t
+    Lambda^{-1/2}: flattened, it is ``S @ e^{lam_ext t}``. ``S`` holds the
+    product table's pairs ``1 <= k <= l`` of the active basis with
+    coefficients ((lam_h - lam_k - lam_l)/2) beta_h^{(k,l)} theta_h /
+    sqrt(lam_k lam_l), mirrored off the diagonal, so the preconditioning is
+    folded in once per fit. Raises CapacityError unless the moments cover
     the extended basis.
     """
 
@@ -88,11 +122,14 @@ class SystemAssembler:
             )
         lam = basis.eigenvalues
         self.lam_ext = lam_ext = basis.extended_eigenvalues
+        self.lam_active = lam[1:]
+        self.scale = scale = np.sqrt(-self.lam_active)
         active = table.k >= 1
         k, l, h = table.k[active], table.l[active], table.h[active]
         coef = ((lam_ext[h] - lam[k] - lam[l]) / 2.0) * table.beta[active] * moments.theta[h]
         keep = coef != 0
         k, l, h, coef = k[keep] - 1, l[keep] - 1, h[keep], coef[keep]
+        coef /= scale[k] * scale[l]
         off = k != l
         self.n = n = basis.n_active
         self.S = scipy.sparse.csr_matrix(
@@ -100,14 +137,25 @@ class SystemAssembler:
              (np.concatenate([k * n + l, l[off] * n + k[off]]), np.concatenate([h, h[off]]))),
             shape=(n * n, len(lam_ext)),
         )
-        self.lam_active = lam[1:]
         self.theta_active = moments.theta[1:len(basis.functions)]
+        self.y_coef = scale * self.theta_active  # y_t[k] = sqrt(-lam_k) e^{lam_k t} theta_k
         self.noise_scale = float(np.sqrt(np.mean(moments.var_hat)))
 
-    def system(self, t):
-        """A_t and b_t[k] = lam_k e^{lam_k t} theta_k over the active basis."""
+    @functools.cached_property
+    def kernel(self):
+        return NodeKernel(self.lam_active, self.noise_scale)
+
+    def preconditioned(self, t):
+        """The node at internal time t: P_t and y_t over the active basis."""
         growth = np.exp(self.lam_ext * t)  # the active basis is its entries 1..n
+        P = (self.S @ growth).reshape(self.n, self.n)
+        return PreconditionedSystem(P, self.y_coef * growth[1:self.n + 1], self.kernel)
+
+    def system(self, t):
+        """A_t = Lambda^{1/2} P_t Lambda^{1/2} and b_t[k] = lam_k e^{lam_k t} theta_k."""
+        growth = np.exp(self.lam_ext * t)
         A = (self.S @ growth).reshape(self.n, self.n)
+        A *= np.multiply.outer(self.scale, self.scale)  # symmetric, so A stays exactly symmetric
         b = self.lam_active * growth[1:self.n + 1] * self.theta_active
         return QuadraticSystem(A=A, b=b, lambdas=self.lam_active, noise_scale=self.noise_scale)
 
@@ -147,14 +195,29 @@ def solve_node(system):
     ``TIKHONOV_EPS``, which moves alpha from P^{-1} y by 2 delta^2/w^2
     relative in the direction of an eigenvalue w >> delta.
 
-    A must be exactly symmetric (``SystemAssembler`` makes it so); any other
-    A, one with a NaN included, raises InvalidInputError. Entries of P with
-    |P_kl| < ``OFFDIAG_CUTOFF`` sqrt|P_kk P_ll| are zeroed first: far below
-    rounding, they would otherwise send the factorization through subnormal
-    arithmetic. A diagonal P is then filtered entrywise. For any other P,
-    one complex symmetric LDL' factorization of P - zI (Bunch and Kaufman,
-    Math. Comp. 31, 1977; LAPACK ``zsytrf`` and ``zsytrs``) gives
-    u = Re[(P - zI)^{-1} (1 - i) y].
+    ``system`` is a :class:`PreconditionedSystem` of a ``SystemAssembler``,
+    whose P and y are solved as they are, or a :class:`QuadraticSystem`,
+    whose A must be exactly symmetric (any other A, one with a NaN included,
+    raises InvalidInputError) and from which P and y are formed. Entries of P
+    with |P_kl| <= ``OFFDIAG_CUTOFF`` sqrt|P_kk P_ll| are zeroed first: far
+    below rounding, they would otherwise send the factorization through
+    subnormal arithmetic. A diagonal P is then filtered entrywise. Any other
+    P is solved as u = Re[(P - zI)^{-1} (1 - i) y] by a complex symmetric
+    LDL' factorization of P - zI (Bunch and Kaufman, Math. Comp. 31, 1977),
+    in one of two precisions:
+
+    * single, LAPACK ``csytrf`` and ``csytrs``, refined in double, where the
+      condition bound below is at most ``SINGLE_BOUND`` and at least
+      ``DENSE_FRACTION`` of P's entries are nonzero after the cut-off.
+      From x = 0, each step solves (P - zI) d = r for the residual
+      r = (1 - i) y - (P - zI) x, taken in complex128 from the double P, and
+      adds d to x (Langou et al., SC 2006; Carson and Higham, SIAM J. Sci.
+      Comput. 40, 2018). It stops at LAPACK's test for ``zcgesv``: the
+      largest |r_k| at most sqrt(n) eps (||P||_1 + sqrt(2) delta) times the
+      largest |x_k|, eps = 2^-53. A node whose ``csytrf`` reports a zero
+      pivot, or which fails the test after ``MAX_SINGLE_SOLVES`` solves,
+      falls back to the double factorization;
+    * double, LAPACK ``zsytrf`` and ``zsytrs``, everywhere else.
 
     ``condition`` is a condition number of P - zI, which bounds the error of
     the solve. Every eigenvalue of P - zI has modulus at least delta and
@@ -167,79 +230,149 @@ def solve_node(system):
     condition of P - zI decides and is stored: exact for a diagonal P (the
     largest over the least |d_k - z|, the same in every norm), otherwise
     ||P||_1 + sqrt(2) delta times LAPACK ``zsycon``'s estimate of
-    ||(P - zI)^{-1}||_1, from the factorization already made. That 1-norm
-    condition can exceed the 2-norm bound: on perfbench's pinwheel fit at
-    tau = 0.05 the bound reads 1.49e3, the 2-norm condition 453 and the
-    1-norm condition 1.10e4 (``zsycon``'s figure 1.04e4). The bound and the
-    1-norm condition depend on P and delta alone, so a fit's conditions are
-    byte-reproducible across processes. If the stored condition exceeds the
-    limit (the message names the path and gives ||P||_1, delta, the bound
-    and the condition), alpha is not finite, or a LAPACK routine reports an
-    error, an IllConditionedError is raised. Returns a :class:`NodeSolve`.
+    ||(P - zI)^{-1}||_1, from the double factorization already made. That
+    1-norm condition can exceed the 2-norm bound: on perfbench's pinwheel
+    fit at tau = 0.05 the bound reads 1.49e3, the 2-norm condition 453 and
+    the 1-norm condition 1.10e4 (``zsycon``'s figure 1.04e4). The bound and
+    the 1-norm condition depend on P and delta alone, so a fit's conditions
+    are byte-reproducible across processes. If the stored condition exceeds
+    the limit (the message names the path and gives ||P||_1, delta, the
+    bound and the condition), alpha is not finite, or a double-precision
+    LAPACK routine reports an error, an IllConditionedError is raised.
+    Returns a :class:`NodeSolve`.
     """
+    if isinstance(system, PreconditionedSystem):
+        return system.kernel.solve(system.P, system.y)
     if not np.array_equal(system.A, system.A.T):
         raise InvalidInputError("system matrix must be exactly symmetric")
-    scale = np.sqrt(-system.lambdas)
-    P = np.multiply.outer(scale, scale)
+    kernel = NodeKernel(system.lambdas, system.noise_scale)
+    P = np.multiply.outer(kernel.scale, kernel.scale)
     np.divide(system.A, P, out=P)
-    y = -system.b / scale
-    regularized = system.noise_scale > 0.0
-    delta = SPECTRAL_FLOOR * system.noise_scale if regularized else TIKHONOV_EPS
-    d = np.diag(P).copy()
-    ratio = np.abs(P)
-    root = np.sqrt(ratio.diagonal())
-    # |P_kl| / sqrt|P_kk P_ll|: inf in a row or column with a zero diagonal
-    # entry, which keeps its entries, or nan where P_kl is 0 already
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio /= root
-        ratio /= root[:, None]
-    P *= ratio >= OFFDIAG_CUTOFF
-    diagonal = np.count_nonzero(P) == np.count_nonzero(d)
-    # ||P||_1 from the column sums of |P|; ratio is spent and becomes the work array
-    norm = np.abs(d).max() if diagonal else np.abs(P, out=ratio).sum(axis=0).max()
-    bound = float((norm + math.sqrt(2.0) * delta) / delta)
-    if diagonal:
-        shifted = d + delta
-        modulus = shifted * shifted + delta * delta  # |w - z|^2 at the eigenvalues w = d
-        u = y * ((shifted + delta) / modulus)
-        cond = bound if bound <= CONDITION_LIMIT else float(np.sqrt(modulus.max() / modulus.min()))
-    else:
-        u, cond = _filtered_solve(P, y, delta, bound)
-    if not cond <= CONDITION_LIMIT:
-        raise IllConditionedError(
-            f"the {'diagonal' if diagonal else 'LDL'} filtered path is ill-conditioned: "
-            f"||P||_1 {norm:.3e}, delta {delta:.3e}, condition bound {bound:.3e} "
-            f"(condition {cond:.3e})", cond)
-    alpha = u / scale
-    if not np.all(np.isfinite(alpha)):
-        raise IllConditionedError(f"non-finite coefficients (condition ~ {cond:.3e})", cond)
-    return NodeSolve(alpha, cond, regularized)
+    return kernel.solve(P, -system.b / kernel.scale)
 
 
-def _filtered_solve(P, y, delta, bound):
-    """u = Re[(P - zI)^{-1} (1 - i) y], z = delta (-1 + i), for the symmetric
-    P, by one complex symmetric LDL' factorization, and the condition of P -
-    zI: ``bound``, or where that exceeds ``CONDITION_LIMIT``, ``bound *
-    delta`` (at least ||P - zI||_1) times the ``zsycon`` estimate of
-    ||(P - zI)^{-1}||_1."""
-    n = len(P)
-    M = P.astype(complex)
-    M.flat[::n + 1] -= delta * complex(-1.0, 1.0)
-    # the blocked algorithm's workspace: zsytrf's default, n, runs the
-    # unblocked one, at half the speed on 400 x 400 systems
-    lwork, info = lapack.zsytrf_lwork(n)
-    _check_lapack("zsytrf_lwork", info)
-    # M is symmetric, so M.T is M in the column-major order LAPACK reads (no copy)
-    ldl, ipiv, info = lapack.zsytrf(M.T, lwork=int(lwork.real), overwrite_a=1)
-    _check_lapack("zsytrf", info)
-    cond = bound
-    if not bound <= CONDITION_LIMIT:
-        rcond, info = lapack.zsycon(ldl, ipiv, bound * delta)
-        _check_lapack("zsycon", info)
-        cond = 1.0 / rcond if rcond > 0.0 else np.inf
-    x, info = lapack.zsytrs(ldl, ipiv, (complex(1.0, -1.0) * y)[:, None], overwrite_b=1)
-    _check_lapack("zsytrs", info)
-    return x[:, 0].real, cond
+class NodeKernel:
+    """The node solve of :func:`solve_node` for every node of one fit: its
+    n x n systems share delta, the active eigenvalues and, made once here,
+    the constants, the work buffers and the LAPACK workspace sizes."""
+
+    def __init__(self, lambdas, noise_scale):
+        self.n = n = len(lambdas)
+        self.scale = np.sqrt(-lambdas)
+        self.regularized = noise_scale > 0.0
+        self.delta = delta = SPECTRAL_FLOOR * noise_scale if self.regularized else TIKHONOV_EPS
+        self.z = delta * complex(-1.0, 1.0)
+        self.rhs_factor = complex(1.0, -1.0)
+        self.norm_shift = math.sqrt(2.0) * delta  # ||P - zI||_1 <= ||P||_1 + norm_shift
+        self.tolerance = math.sqrt(n) * np.finfo(float).eps / 2.0  # LAPACK's eps, 2^-53
+        self.dense = DENSE_FRACTION * n * n
+        self.abs = np.empty((n, n))
+        self.keep = np.empty((n, n), dtype=bool)
+        self.M = np.empty((n, n), dtype=complex)
+        # the cut-off's thresholds, then the single factor, reuse the first
+        # half of M's bytes; M itself is written only after both are spent
+        head = self.M.view(np.float64).reshape(-1)[:n * n]
+        self.cut = head.reshape(n, n)
+        self.M32 = head.view(np.complex64).reshape(n, n)
+        self.M_diagonal = self.M.reshape(-1)[::n + 1]  # views
+        self.M32_diagonal = self.M32.reshape(-1)[::n + 1]
+        # the blocked algorithm's workspace: the default, n, runs the
+        # unblocked one, at half the speed on 400 x 400 systems
+        self.lwork = {name: _lwork(name, n) for name in ("zsytrf", "csytrf")}
+
+    def solve(self, P, y):
+        """The :class:`NodeSolve` of the symmetric P (cut off in place) and y."""
+        d = P.diagonal().copy()
+        root = np.sqrt(np.abs(d))
+        absP = np.abs(P, out=self.abs)
+        # keep |P_kl| > c sqrt|P_kk P_ll|, so that the kept entries are P's
+        # nonzeros after the cut-off (every nonzero of a row or column with a
+        # zero diagonal entry)
+        keep = np.greater(
+            absP, np.multiply.outer(OFFDIAG_CUTOFF * root, root, out=self.cut), out=self.keep)
+        P *= keep
+        absP *= keep
+        nonzero = np.count_nonzero(keep)
+        diagonal = nonzero == np.count_nonzero(d)
+        # ||P||_1 from the column sums of |P|
+        norm = np.abs(d).max() if diagonal else absP.sum(axis=0).max()
+        bound = float((norm + self.norm_shift) / self.delta)
+        if diagonal:
+            shifted = d + self.delta
+            modulus = shifted * shifted + self.delta**2  # |w - z|^2 at the eigenvalues w = d
+            u = y * ((shifted + self.delta) / modulus)
+            cond = bound if bound <= CONDITION_LIMIT else float(np.sqrt(modulus.max() / modulus.min()))
+        else:
+            rhs = self.rhs_factor * y
+            x = None
+            if bound <= SINGLE_BOUND and nonzero >= self.dense:
+                x, cond = self._refined(P, rhs, bound), bound
+            if x is None:
+                x, cond = self._factored(P, rhs, bound)
+            u = x.real
+        if not cond <= CONDITION_LIMIT:
+            raise IllConditionedError(
+                f"the {'diagonal' if diagonal else 'LDL'} filtered path is ill-conditioned: "
+                f"||P||_1 {norm:.3e}, delta {self.delta:.3e}, condition bound {bound:.3e} "
+                f"(condition {cond:.3e})", cond)
+        alpha = u / self.scale
+        if not np.isfinite(alpha).all():
+            raise IllConditionedError(f"non-finite coefficients (condition ~ {cond:.3e})", cond)
+        return NodeSolve(alpha, cond, self.regularized)
+
+    def _factored(self, P, rhs, bound):
+        """x = (P - zI)^{-1} rhs by ``zsytrf`` and ``zsytrs``, and the condition
+        of P - zI: ``bound``, or where that exceeds ``CONDITION_LIMIT``,
+        ``bound * delta`` (at least ||P - zI||_1) times the ``zsycon``
+        estimate of ||(P - zI)^{-1}||_1."""
+        M = self.M
+        np.copyto(M, P)
+        self.M_diagonal -= self.z
+        # M is symmetric, so M.T is M in the column-major order LAPACK reads (no copy)
+        ldl, ipiv, info = lapack.zsytrf(M.T, lwork=self.lwork["zsytrf"], overwrite_a=1)
+        _check_lapack("zsytrf", info)
+        cond = bound
+        if not bound <= CONDITION_LIMIT:
+            rcond, info = lapack.zsycon(ldl, ipiv, bound * self.delta)
+            _check_lapack("zsycon", info)
+            cond = 1.0 / rcond if rcond > 0.0 else np.inf
+        x, info = lapack.zsytrs(ldl, ipiv, rhs[:, None], overwrite_b=1)
+        _check_lapack("zsytrs", info)
+        return x[:, 0], cond
+
+    def _refined(self, P, rhs, bound):
+        """x = (P - zI)^{-1} rhs from ``csytrf`` and refinement in double (see
+        solve_node), or None where the factor has a zero pivot or the
+        residual test fails after ``MAX_SINGLE_SOLVES`` solves."""
+        n, M = self.n, self.M32
+        np.copyto(M, P, casting="same_kind")
+        self.M32_diagonal -= self.z
+        ldl, ipiv, info = lapack.csytrf(M.T, lwork=self.lwork["csytrf"], overwrite_a=1)
+        if info != 0:
+            return None
+        limit = self.tolerance * bound * self.delta
+        x = np.zeros(n, dtype=complex)
+        r = rhs
+        for solves in range(MAX_SINGLE_SOLVES + 1):
+            size = np.abs(r).max()
+            if size <= limit * np.abs(x).max():  # at x = 0, only where rhs = 0
+                return x
+            if solves == MAX_SINGLE_SOLVES:
+                return None
+            # r scaled to 1, so that float32 neither underflows nor overflows
+            d, info = lapack.csytrs(ldl, ipiv, (r / size).astype(np.complex64)[:, None],
+                                    overwrite_b=1)
+            _check_lapack("csytrs", info)
+            x += size * d[:, 0]
+            # (P - zI) x from one real product of P with x's real and imaginary parts
+            Px = (P @ x.view(np.float64).reshape(n, 2)).view(complex)[:, 0]
+            r = rhs - Px + self.z * x
+
+
+def _lwork(name, n):
+    lwork, info = getattr(lapack, f"{name}_lwork")(n)
+    _check_lapack(f"{name}_lwork", info)
+    return int(lwork.real)
 
 
 def _check_lapack(name, info):
@@ -288,9 +421,8 @@ def presolve_grid(basis, table, moments, schedule, n_times=1000, domain_map=None
     alphas = np.empty((n_times, basis.n_active))
     conds = np.empty(n_times)
     for g, tau in enumerate(grid):
-        system = assembler.system(internal_time(schedule, tau))
         try:
-            node = solve_node(system)
+            node = solve_node(assembler.preconditioned(internal_time(schedule, tau)))
         except IllConditionedError as exc:
             raise IllConditionedError(
                 f"solve failed at tau={tau:.6f}: {exc}", exc.condition_estimate
@@ -416,13 +548,13 @@ def reference_loss(basis, table, reference, tau, quadrature):
         raise InvalidInputError(
             f"the reference follows process {reference.process!r}, the basis {basis.process!r}")
     t = internal_time(reference.schedule, tau)
-    system = SystemAssembler(basis, table, analytic_moments(reference.gm, basis)).system(t)
-    alpha = solve_node(system).alpha
+    assembler = SystemAssembler(basis, table, analytic_moments(reference.gm, basis))
+    alpha = solve_node(assembler.preconditioned(t)).alpha
     nodes, weights = trapezoid_grid(quadrature, basis.dimension)
     pdf, score = reference.pdf_and_score(nodes, tau)
     diff = basis.eval_batch(nodes)[1][:, :, 1:] @ alpha - score
     floor = float(weights @ (pdf * (diff * diff).sum(axis=1)))
-    return ReferenceLoss(t, system.A, alpha, floor)
+    return ReferenceLoss(t, assembler.system(t).A, alpha, floor)
 
 
 def sm_loss(model, tau, reference, quadrature=QuadratureSpec()):
@@ -448,7 +580,7 @@ def shrinkage_losses(data, bases, losses):
         for j, moments in enumerate((raw, modulation_shrink(raw))):
             assembler = SystemAssembler(basis, table, moments)
             for g, loss in enumerate(losses[i]):
-                out[i, g, j] = loss(solve_node(assembler.system(loss.t)).alpha)
+                out[i, g, j] = loss(solve_node(assembler.preconditioned(loss.t)).alpha)
     return out
 
 

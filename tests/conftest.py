@@ -141,7 +141,7 @@ def reference_log_density(model, table, moments, x0, cfg):
 
     @functools.cache
     def solve(tau):
-        return solve_node(assembler.system(internal_time(model.schedule, tau))).alpha
+        return solve_node(assembler.preconditioned(internal_time(model.schedule, tau))).alpha
 
     with mock.patch.object(generate, "alpha_at", lambda _, tau: solve(float(tau))):
         return es.log_density(model, x0, cfg)

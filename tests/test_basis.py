@@ -9,6 +9,7 @@ import pytest
 import eigenscore as es
 from eigenscore.basis import (
     _half_lattice,
+    harmonics,
     hermite_eval,
 )
 from conftest import pair_expansion, torus_quad_1d
@@ -259,6 +260,20 @@ def test_trig_lattice_evaluation_matches_direct_cos_sin(basis, extended):
     np.testing.assert_allclose(g / unit, slope[:, None, :] * freq.T / unit, rtol=0, atol=1e-12)
     np.testing.assert_allclose(lap / np.maximum(-lam, 1.0), lam * vals / np.maximum(-lam, 1.0),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lo, hi", [(-5, 7), (-7, 5), (0, 6), (2, 9), (-9, -2), (-3, 0), (0, 0)])
+def test_harmonics_hold_exactly_the_powers_of_their_range(lo, hi):
+    # ranges on either side of 0, touching it or holding it, against
+    # np.exp(1j k x), off the torus too; a power's column does not depend on
+    # the range that holds it
+    x = np.random.default_rng(24).uniform(-2 * math.pi, 2 * math.pi, 101)
+    h = harmonics(x, lo, hi)
+    k = np.arange(lo, hi + 1)
+    assert h.shape == (101, len(k))
+    np.testing.assert_allclose(h, np.exp(1j * np.outer(x, k)), rtol=0, atol=1e-13)
+    full = harmonics(x, -9, 9)
+    assert h.tobytes() == np.ascontiguousarray(full[:, k + 9]).tobytes()
 
 
 def test_trig_laplacian_is_eigenvalue_times_value():

@@ -4,6 +4,8 @@ import importlib.util
 import os
 from unittest import mock
 
+import numpy as np
+
 import eigenscore as es
 
 HARNESS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench_flow.py")
@@ -19,8 +21,25 @@ def load_harness():
 
 def test_presolve_paths_count_one_zsytrf_per_ldl_node():
     # a solve that stopped reaching LAPACK's zsytrf through scipy.linalg.lapack
-    # would silently zero the ldl column of the harness's fits part
+    # would silently zero the ldl columns of the harness's fits part; bart's
+    # exact moments keep every LDL node on the double factorization
     harness = load_harness()
-    _, paths, factorizations = harness.presolve_paths(es, harness.bart_inputs(es), 20)
-    assert paths["ldl"] + paths["diagonal"] == 20
-    assert paths["ldl"] == factorizations > 0
+    model, paths, steps, seconds = harness.presolve_paths(es, harness.bart_inputs(es), 20)
+    assert len(paths) == len(seconds) == 20 and min(seconds) > 0.0
+    assert set(paths) == {"diagonal", "ldl_double"} and steps == 0
+
+
+def test_presolve_paths_count_single_precision_nodes_and_refinement_steps():
+    # a small pinwheel fit, whose early nodes take csytrf and refinement
+    ds = es.toy2d("pinwheel", 2000, np.random.default_rng(3))
+    basis = es.trig_basis_nd(2, -20.0)
+    inputs = (basis, es.product_table(basis),
+              es.modulation_shrink(es.sample_moments(basis, ds.points)), {})
+    harness = load_harness()
+    model, paths, steps, seconds = harness.presolve_paths(es, inputs, 20)
+    single = paths.count("ldl_single")
+    assert single > 0 and paths.count("fallback") == 0 and steps >= 2 * single
+    bands = harness.tau_bands(model.grid, {side: paths for side in harness.SIDES},
+                              {side: [seconds] for side in harness.SIDES})
+    assert sum(row["nodes"] for row in bands.values()) == 20
+    assert bands["[0.00, 0.25)"]["after"]["paths"] == {"ldl_single": 5}

@@ -1,5 +1,6 @@
 """Quadratic system assembly, preconditioned solves, and the presolved model."""
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -358,15 +359,21 @@ def test_diagonal_filter_identities():
     assert node.condition == pytest.approx((1.0 + math.sqrt(2.0) * delta) / delta, rel=1e-15)
 
 
-def test_failed_complex_factorization_raises_ill_conditioned():
-    system = _system_with_spectrum([-0.5, 0.2, 1.0], 0.01)
-    zsytrf = scipy.linalg.lapack.zsytrf
+def _failing(name, info=2):
+    """LAPACK's ``name``, reporting ``info`` (a zero pivot) whatever it found."""
+    routine = getattr(scipy.linalg.lapack, name)
 
     def failing(*args, **kwargs):
-        ldl, ipiv, _ = zsytrf(*args, **kwargs)
-        return ldl, ipiv, 2
+        ldl, ipiv, _ = routine(*args, **kwargs)
+        return ldl, ipiv, info
 
-    with mock.patch.object(scipy.linalg.lapack, "zsytrf", failing), \
+    return mock.patch.object(scipy.linalg.lapack, name, failing)
+
+
+def test_failed_complex_factorization_raises_ill_conditioned():
+    # on the double path, which SINGLE_BOUND = 0 makes every LDL node take
+    system = _system_with_spectrum([-0.5, 0.2, 1.0], 0.01)
+    with mock.patch.object(es.solver, "SINGLE_BOUND", 0.0), _failing("zsytrf"), \
             pytest.raises(es.IllConditionedError, match="zsytrf"):
         solve_node(system)
 
@@ -381,14 +388,26 @@ def test_solve_rejects_asymmetric_matrix():
             solve_node(system)
 
 
-def _solve_counting_paths(system):
-    """solve_node's result and the number of its calls of the complex LDL'
-    factorization zsytrf: one for a non-diagonal P, none for a diagonal P,
-    which is filtered entrywise."""
+def _solve_counting_routines(system):
+    """solve_node's result and its calls of each LAPACK routine of the LDL'
+    paths: the factorizations zsytrf (double) and csytrf (single) and the
+    single solves csytrs."""
     lapack = scipy.linalg.lapack
-    with mock.patch.object(lapack, "zsytrf", wraps=lapack.zsytrf) as zsytrf:
+    names = ("zsytrf", "csytrf", "csytrs")
+    with contextlib.ExitStack() as stack:
+        mocks = {name: stack.enter_context(mock.patch.object(
+            lapack, name, wraps=getattr(lapack, name))) for name in names}
         node = solve_node(system)
-    return node, zsytrf.call_count
+    return node, {name: m.call_count for name, m in mocks.items()}
+
+
+def _solve_counting_paths(system):
+    """solve_node's result and the number of its calls of a complex LDL'
+    factorization, zsytrf or csytrf: one for a non-diagonal P (two where the
+    single one falls back), none for a diagonal P, which is filtered
+    entrywise."""
+    node, calls = _solve_counting_routines(system)
+    return node, calls["zsytrf"] + calls["csytrf"]
 
 
 @pytest.mark.parametrize("noise_scale", [0.0, 0.01])
@@ -439,6 +458,78 @@ def test_late_nodes_match_the_solve_without_the_cutoff(tau):
     assert node.regularized
     oracle = _filter_oracle(system, es.solver.SPECTRAL_FLOOR * system.noise_scale)
     assert np.abs(node.alpha - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def _forced_double(system):
+    """solve_node's result on the double factorization, which SINGLE_BOUND = 0
+    makes every LDL node take."""
+    with mock.patch.object(es.solver, "SINGLE_BOUND", 0.0):
+        return solve_node(system)
+
+
+def _pinwheel_node(tau):
+    return _small_pinwheel_assembler().preconditioned(
+        es.internal_time(es.Schedule.ve(0.01, 50.0), tau))
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.3, 0.5])
+def test_single_precision_nodes_match_the_double_factorization(tau):
+    # these nodes keep 92% of P's entries after the cut-off and read
+    # condition bounds of 55-147: one csytrf, then refinement in double, lands
+    # within 1e-12 of the zsytrf solve
+    node, calls = _solve_counting_routines(_pinwheel_node(tau))
+    assert calls["csytrf"] == 1 and calls["zsytrf"] == 0 and calls["csytrs"] >= 2
+    double = _forced_double(_pinwheel_node(tau))
+    assert node.condition == double.condition <= es.solver.SINGLE_BOUND
+    assert np.abs(node.alpha - double.alpha).max() <= 1e-12 * np.abs(double.alpha).max()
+
+
+def _exact_bart_node(tau):
+    basis = es.trig_basis_1d(25)
+    assembler = es.SystemAssembler(basis, es.product_table(basis),
+                                   es.analytic_moments(es.bart_simpson(), basis))
+    return assembler.preconditioned(es.internal_time(es.Schedule.ve(0.01, 50.0), tau))
+
+
+def test_nodes_outside_the_single_precision_gate_take_the_double_factorization():
+    # exact moments: the bound ||P||_1 / TIKHONOV_EPS is far above SINGLE_BOUND
+    system = _exact_bart_node(0.5)
+    node, calls = _solve_counting_routines(system)
+    assert calls == {"zsytrf": 1, "csytrf": 0, "csytrs": 0}
+    assert node.condition > es.solver.SINGLE_BOUND
+    # a late pinwheel node within the bound, but with 43% of P left after the cut-off
+    system = _pinwheel_node(0.7)
+    node, calls = _solve_counting_routines(system)
+    assert calls == {"zsytrf": 1, "csytrf": 0, "csytrs": 0}
+    assert node.condition <= es.solver.SINGLE_BOUND
+    assert np.count_nonzero(system.P) < es.solver.DENSE_FRACTION * system.P.size
+
+
+def test_diverging_refinement_falls_back_to_the_double_factorization():
+    # corrections three times too large make the error grow twofold a step:
+    # the residual test fails after MAX_SINGLE_SOLVES solves, and zsytrf
+    # solves the node as the double path does
+    csytrs = scipy.linalg.lapack.csytrs
+
+    def diverging(ldl, ipiv, b, **kwargs):
+        x, info = csytrs(ldl, ipiv, b, **kwargs)
+        return 3.0 * x, info
+
+    with mock.patch.object(scipy.linalg.lapack, "csytrs", diverging):
+        node, calls = _solve_counting_routines(_pinwheel_node(0.3))
+    assert calls == {"zsytrf": 1, "csytrf": 1, "csytrs": es.solver.MAX_SINGLE_SOLVES}
+    double = _forced_double(_pinwheel_node(0.3))
+    assert node.alpha.tobytes() == double.alpha.tobytes()
+    assert node.condition == double.condition
+
+
+def test_zero_pivot_of_the_single_factorization_falls_back():
+    # a csytrf that reports a zero pivot is not an error: the node falls back
+    # to zsytrf, whose own failure would raise
+    with _failing("csytrf"):
+        node, calls = _solve_counting_routines(_pinwheel_node(0.3))
+    assert calls == {"zsytrf": 1, "csytrf": 1, "csytrs": 0}
+    assert node.alpha.tobytes() == _forced_double(_pinwheel_node(0.3)).alpha.tobytes()
 
 
 def _assert_still_ill_conditioned(system, path, norm):
