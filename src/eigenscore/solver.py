@@ -73,8 +73,9 @@ OFFDIAG_CUTOFF = 1e-20
 # shrinks the error by about kappa u32, u32 = 2^-24 (Higham, *Accuracy and
 # Stability of Numerical Algorithms*, 2002, ch. 12), so the bound 2^14 keeps
 # that factor at 2^-10 or less: every step gains three digits or more. On a
-# sparser P the float32 factor's fill-in runs into subnormal numbers and
-# costs up to 15 times the double factorization. MAX_SINGLE_SOLVES caps the
+# sparser P the float32 factor's fill-in runs into subnormal numbers: on
+# perfbench's pinwheel nodes, single precision was faster down to 89% of the
+# entries and 6-11 times slower at 21-54%. MAX_SINGLE_SOLVES caps the
 # single-precision solves of a node, the first one and its corrections.
 SINGLE_BOUND = 2.0**14
 DENSE_FRACTION = 0.9
@@ -132,7 +133,9 @@ class SystemAssembler:
         coef /= scale[k] * scale[l]
         off = k != l
         self.n = n = basis.n_active
-        self.S = scipy.sparse.csr_matrix(
+        # by columns: an entry of P sums about two terms, and the product runs
+        # a third faster over S's columns than over its n^2 short rows
+        self.S = scipy.sparse.csc_matrix(
             (np.concatenate([coef, coef[off]]),
              (np.concatenate([k * n + l, l[off] * n + k[off]]), np.concatenate([h, h[off]]))),
             shape=(n * n, len(lam_ext)),
@@ -196,7 +199,8 @@ def solve_node(system):
     relative in the direction of an eigenvalue w >> delta.
 
     ``system`` is a :class:`PreconditionedSystem` of a ``SystemAssembler``,
-    whose P and y are solved as they are, or a :class:`QuadraticSystem`,
+    whose P (cut off in place) and y are solved as they are, or a
+    :class:`QuadraticSystem`,
     whose A must be exactly symmetric (any other A, one with a NaN included,
     raises InvalidInputError) and from which P and y are formed. Entries of P
     with |P_kl| <= ``OFFDIAG_CUTOFF`` sqrt|P_kk P_ll| are zeroed first: far
@@ -237,8 +241,8 @@ def solve_node(system):
     the 1-norm condition depend on P and delta alone, so a fit's conditions
     are byte-reproducible across processes. If the stored condition exceeds
     the limit (the message names the path and gives ||P||_1, delta, the
-    bound and the condition), alpha is not finite, or a double-precision
-    LAPACK routine reports an error, an IllConditionedError is raised.
+    bound and the condition), alpha is not finite, or a LAPACK routine other
+    than ``csytrf`` reports an error, an IllConditionedError is raised.
     Returns a :class:`NodeSolve`.
     """
     if isinstance(system, PreconditionedSystem):
