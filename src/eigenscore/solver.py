@@ -22,9 +22,10 @@ as P and y, and one :class:`NodeKernel` per fit solves them in buffers made
 once. A non-diagonal node is factored by a complex symmetric LDL' of P - zI:
 in single precision (LAPACK ``csytrf``), refined in double until the
 residual passes LAPACK's ``zcgesv`` test, where its condition bound is at
-most ``SINGLE_BOUND`` and P stays dense after the cut-off; in double
-(``zsytrf``) elsewhere, and wherever the single factor has a zero pivot or
-the refinement does not pass the test within ``MAX_SINGLE_SOLVES`` solves.
+most ``SINGLE_BOUND`` and P is large and stays dense after the cut-off; in
+double (``zsytrf``) elsewhere, and wherever the single factor has a zero
+pivot or the refinement does not pass the test within ``MAX_SINGLE_SOLVES``
+solves.
 A fit keeps each node's condition of P - zI in memory; its model file holds
 only what sampling reads.
 """
@@ -68,17 +69,23 @@ SPECTRAL_FLOOR = 3.0
 # arithmetic.
 OFFDIAG_CUTOFF = 1e-20
 # A node is factored in single precision and refined in double (see
-# solve_node) when its condition bound is at most SINGLE_BOUND and at least
-# DENSE_FRACTION of its P's entries survive the cut-off. Each refinement step
+# solve_node) when its condition bound is at most SINGLE_BOUND, at least
+# DENSE_FRACTION of its P's entries survive the cut-off and it has at least
+# SINGLE_MIN_SIZE functions. Each refinement step
 # shrinks the error by about kappa u32, u32 = 2^-24 (Higham, *Accuracy and
 # Stability of Numerical Algorithms*, 2002, ch. 12), so the bound 2^14 keeps
 # that factor at 2^-10 or less: every step gains three digits or more. On a
 # sparser P the float32 factor's fill-in runs into subnormal numbers: on
 # perfbench's pinwheel nodes, single precision was faster down to 89% of the
-# entries and 6-11 times slower at 21-54%. MAX_SINGLE_SOLVES caps the
-# single-precision solves of a node, the first one and its corrections.
+# entries and 6-11 times slower at 21-54%. Refinement costs some 50 us a
+# node in calls, which the cheaper factorization repays only on large
+# systems: on dense pinwheel nodes (one BLAS thread) single precision took
+# 1.02-1.39 times the double time at n = 144-220, 0.83-1.04 at 248 and
+# 0.78-0.81 at 316. MAX_SINGLE_SOLVES caps the single-precision solves of a
+# node, the first one and its corrections.
 SINGLE_BOUND = 2.0**14
 DENSE_FRACTION = 0.9
+SINGLE_MIN_SIZE = 300
 MAX_SINGLE_SOLVES = 6
 
 
@@ -211,8 +218,9 @@ def solve_node(system):
     in one of two precisions:
 
     * single, LAPACK ``csytrf`` and ``csytrs``, refined in double, where the
-      condition bound below is at most ``SINGLE_BOUND`` and at least
-      ``DENSE_FRACTION`` of P's entries are nonzero after the cut-off.
+      condition bound below is at most ``SINGLE_BOUND``, at least
+      ``DENSE_FRACTION`` of P's entries are nonzero after the cut-off and
+      P has at least ``SINGLE_MIN_SIZE`` rows.
       From x = 0, each step solves (P - zI) d = r for the residual
       r = (1 - i) y - (P - zI) x, taken in complex128 from the double P, and
       adds d to x (Langou et al., SC 2006; Carson and Higham, SIAM J. Sci.
@@ -269,7 +277,8 @@ class NodeKernel:
         self.rhs_factor = complex(1.0, -1.0)
         self.norm_shift = math.sqrt(2.0) * delta  # ||P - zI||_1 <= ||P||_1 + norm_shift
         self.tolerance = math.sqrt(n) * np.finfo(float).eps / 2.0  # LAPACK's eps, 2^-53
-        self.dense = DENSE_FRACTION * n * n
+        # the nonzeros the single path needs, which no small system has
+        self.dense = DENSE_FRACTION * n * n if n >= SINGLE_MIN_SIZE else math.inf
         self.abs = np.empty((n, n))
         self.keep = np.empty((n, n), dtype=bool)
         self.M = np.empty((n, n), dtype=complex)

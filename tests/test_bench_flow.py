@@ -30,9 +30,10 @@ def test_presolve_paths_count_one_zsytrf_per_ldl_node():
 
 
 def test_presolve_paths_count_single_precision_nodes_and_refinement_steps():
-    # a small pinwheel fit, whose early nodes take csytrf and refinement
+    # a pinwheel fit on perfbench's 400-function basis, whose early nodes
+    # take csytrf and refinement
     ds = es.toy2d("pinwheel", 2000, np.random.default_rng(3))
-    basis = es.trig_basis_nd(2, -20.0)
+    basis = es.trig_basis_nd(2, -125.0)
     inputs = (basis, es.product_table(basis),
               es.modulation_shrink(es.sample_moments(basis, ds.points)), {})
     harness = load_harness()

@@ -467,16 +467,19 @@ def _forced_double(system):
         return solve_node(system)
 
 
-def _pinwheel_node(tau):
-    return _small_pinwheel_assembler().preconditioned(
-        es.internal_time(es.Schedule.ve(0.01, 50.0), tau))
+def _pinwheel_node(tau, min_size=0):
+    """The small pinwheel assembler's node at tau, solved by a kernel whose
+    single path takes systems from ``min_size`` functions (68 here)."""
+    with mock.patch.object(es.solver, "SINGLE_MIN_SIZE", min_size):
+        return _small_pinwheel_assembler().preconditioned(
+            es.internal_time(es.Schedule.ve(0.01, 50.0), tau))
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.3, 0.5])
 def test_single_precision_nodes_match_the_double_factorization(tau):
     # these nodes keep 92% of P's entries after the cut-off and read
     # condition bounds of 55-147: one csytrf, then refinement in double, lands
-    # within 1e-12 of the zsytrf solve
+    # within 1e-12 of the zsytrf solve (on systems of any size)
     node, calls = _solve_counting_routines(_pinwheel_node(tau))
     assert calls["csytrf"] == 1 and calls["zsytrf"] == 0 and calls["csytrs"] >= 2
     double = _forced_double(_pinwheel_node(tau))
@@ -503,6 +506,12 @@ def test_nodes_outside_the_single_precision_gate_take_the_double_factorization()
     assert calls == {"zsytrf": 1, "csytrf": 0, "csytrs": 0}
     assert node.condition <= es.solver.SINGLE_BOUND
     assert np.count_nonzero(system.P) < es.solver.DENSE_FRACTION * system.P.size
+    # a dense node within the bound, but of 68 < SINGLE_MIN_SIZE functions
+    system = _pinwheel_node(0.3, es.solver.SINGLE_MIN_SIZE)
+    node, calls = _solve_counting_routines(system)
+    assert calls == {"zsytrf": 1, "csytrf": 0, "csytrs": 0}
+    assert node.condition <= es.solver.SINGLE_BOUND and len(system.P) < es.solver.SINGLE_MIN_SIZE
+    assert np.count_nonzero(system.P) >= es.solver.DENSE_FRACTION * system.P.size
 
 
 def test_diverging_refinement_falls_back_to_the_double_factorization():
@@ -963,7 +972,7 @@ def test_shrinkage_losses_score_both_fits_by_their_reference_loss():
     for j, moments in enumerate((raw, es.modulation_shrink(raw))):
         assembler = es.SystemAssembler(basis, table, moments)
         for g, loss in enumerate(losses):
-            assert got[0, g, j] == loss(solve_node(assembler.system(loss.t)).alpha)
+            assert got[0, g, j] == loss(solve_node(assembler.preconditioned(loss.t)).alpha)
 
 
 @pytest.mark.parametrize("process, schedule, match", [
