@@ -311,10 +311,13 @@ class NodeKernel:
         norm = np.abs(d).max() if diagonal else absP.sum(axis=0).max()
         bound = float((norm + self.norm_shift) / self.delta)
         if diagonal:
-            shifted = d + self.delta
-            modulus = shifted * shifted + self.delta**2  # |w - z|^2 at the eigenvalues w = d
-            u = y * ((shifted + self.delta) / modulus)
-            cond = bound if bound <= CONDITION_LIMIT else float(np.sqrt(modulus.max() / modulus.min()))
+            delta = self.delta
+            shifted = d + delta
+            modulus = shifted * shifted + delta * delta  # |w - z|^2 at the eigenvalues w = d
+            u = y * ((shifted + delta) / modulus)
+            cond = bound
+            if not bound <= CONDITION_LIMIT:
+                cond = float(np.sqrt(modulus.max() / modulus.min()))
         else:
             rhs = self.rhs_factor * y
             x = None
