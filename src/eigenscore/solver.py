@@ -279,14 +279,13 @@ class NodeKernel:
         self.tolerance = math.sqrt(n) * np.finfo(float).eps / 2.0  # LAPACK's eps, 2^-53
         # the nonzeros the single path needs, which no small system has
         self.dense = DENSE_FRACTION * n * n if n >= SINGLE_MIN_SIZE else math.inf
-        self.abs = np.empty((n, n))
         self.keep = np.empty((n, n), dtype=bool)
         self.M = np.empty((n, n), dtype=complex)
-        # the cut-off's thresholds, then the single factor, reuse the first
-        # half of M's bytes; M itself is written only after both are spent
-        head = self.M.view(np.float64).reshape(-1)[:n * n]
-        self.cut = head.reshape(n, n)
-        self.M32 = head.view(np.complex64).reshape(n, n)
+        # the cut-off's |P| and thresholds, then the single factor, reuse M's
+        # bytes, which M itself takes only after all of them are spent
+        head, tail = self.M.view(np.float64).reshape(2, n, n)
+        self.cut, self.abs = head, tail
+        self.M32 = head.view(np.complex64)
         self.M_diagonal = self.M.reshape(-1)[::n + 1]  # views
         self.M32_diagonal = self.M32.reshape(-1)[::n + 1]
         # the blocked algorithm's workspace: the default, n, runs the

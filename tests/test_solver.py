@@ -371,10 +371,8 @@ def _failing(name, info=2):
 
 
 def test_failed_complex_factorization_raises_ill_conditioned():
-    # on the double path, which SINGLE_BOUND = 0 makes every LDL node take
     system = _system_with_spectrum([-0.5, 0.2, 1.0], 0.01)
-    with mock.patch.object(es.solver, "SINGLE_BOUND", 0.0), _failing("zsytrf"), \
-            pytest.raises(es.IllConditionedError, match="zsytrf"):
+    with _failing("zsytrf"), pytest.raises(es.IllConditionedError, match="zsytrf"):
         solve_node(system)
 
 
