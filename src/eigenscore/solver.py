@@ -103,7 +103,8 @@ class QuadraticSystem:
 class PreconditionedSystem:
     """One node of a :class:`SystemAssembler` in the symmetric preconditioning:
     P = Lambda^{-1/2} A Lambda^{-1/2}, exactly symmetric by construction,
-    y = -Lambda^{-1/2} b, and the fit's :class:`NodeKernel`."""
+    y = -Lambda^{-1/2} b, and the fit's :class:`NodeKernel`. :func:`solve_node`
+    applies the cut-off to P in place."""
 
     P: np.ndarray
     y: np.ndarray
