@@ -51,15 +51,19 @@ then A). Parts:
   ``model_dict_differences``: the sorted top-level keys of ``model_to_dict``
   whose values differ between the checkouts (empty when the dicts are
   identical).
-* ``flow``: RHS evaluations (calls of ``generate.flow_rate``) and stage times
-  of PF-ODE sampling and of one log-density batch, at the shapes of
-  perfbench's workloads (pinwheel-2d: 100 nodes, 2000 samples at rtol 1e-4,
-  a 40x40 batch at rtol 1e-3; bart-1d: 1000 nodes, 2000 samples at rtol 1e-5,
-  801 points at rtol 1e-6) and of acceptance criterion 8 (pinwheel, 1000
-  nodes, 2000 samples, one 8192-point batch at rtol 1e-3). A stage's time is
-  the median over ``--rounds`` interleaved rounds.
-  Each checkout's samples also carry their largest and RMS distance from a
-  reference integrated in internal time at rtol 1e-8 from the same prior draw.
+* ``flow``: stage times of PF-ODE sampling, of one log-density batch and of
+  reverse-SDE sampling, at the shapes of perfbench's workloads (pinwheel-2d:
+  100 nodes, 2000 samples at rtol 1e-4, a 40x40 batch at rtol 1e-3, 2000 SDE
+  samples in 200 steps; bart-1d: 1000 nodes, 2000 samples at rtol 1e-5, 801
+  points at rtol 1e-6, 2000 SDE samples in 1000 steps) and of acceptance
+  criterion 8 (pinwheel, 1000 nodes, 2000 samples, one 8192-point batch at
+  rtol 1e-3, 2000 SDE samples in 200 steps), with the RHS evaluations (calls
+  of ``generate.flow_rate``) of the two flows; the SDE calls the kernel once
+  a step. A stage's time is the median over ``--rounds`` interleaved rounds,
+  and ``max_abs_difference`` is the largest difference of its output between
+  the checkouts. Each checkout's PF-ODE samples also carry their largest and
+  RMS distance from a reference integrated in internal time at rtol 1e-8
+  from the same prior draw.
 * ``criterion_8_grid``: RHS evaluations of each of the eight 8192-point
   batches of criterion 8's 256x256 grid, and the median time of a pass over
   it over ``GRID_ROUNDS`` interleaved rounds.
@@ -464,28 +468,34 @@ def flow_stages(packages, rounds):
     line = np.linspace(-math.pi, math.pi, 801)[:, None]
     grid_8192 = midpoint_grid_2d(256)[:8192]
     shapes = (
-        # (name, fit, nodes, sample cfg, density points, density cfg)
+        # (name, fit, nodes, sample cfg, density points, density cfg, SDE steps)
         ("pinwheel-2d", pinwheel_fit, 100, IC(rtol=1e-4, atol=1e-6),
-         midpoint_grid_2d(40), IC(rtol=1e-3, atol=1e-5)),
-        ("bart-1d", bart_fit, 1000, IC(rtol=1e-5, atol=1e-7), line, IC(rtol=1e-6, atol=1e-8)),
+         midpoint_grid_2d(40), IC(rtol=1e-3, atol=1e-5), 200),
+        ("bart-1d", bart_fit, 1000, IC(rtol=1e-5, atol=1e-7), line, IC(rtol=1e-6, atol=1e-8),
+         1000),
         ("criterion-8", pinwheel_fit, 1000, IC(rtol=1e-4, atol=1e-6),
-         grid_8192, IC(rtol=1e-3, atol=1e-5)),
+         grid_8192, IC(rtol=1e-3, atol=1e-5), 200),
     )
     out = {}
-    for name, fit, n_times, sample_cfg, points, density_cfg in shapes:
+    for name, fit, n_times, sample_cfg, points, density_cfg, sde_steps in shapes:
         models = {side: fit(packages[side], n_times)[0] for side in SIDES}
         stages = {
             "sample": lambda side: packages[side].sample_pf_ode(
                 models[side], 2000, sample_cfg, rng=np.random.default_rng(10)),
             "density": lambda side: packages[side].log_density(models[side], points, density_cfg),
+            "sde": lambda side: packages[side].sample_reverse_sde(
+                models[side], 2000, sde_steps, rng=np.random.default_rng(11)),
         }
-        out[name] = {"nodes": n_times, "density_points": len(points)}
+        out[name] = {"nodes": n_times, "density_points": len(points), "sde_steps": sde_steps}
         for stage, run in stages.items():
             row = {side: {} for side in SIDES}
             results = {}
             for side in SIDES:
-                results[side], row[side]["rhs_evaluations"] = counted(
-                    packages[side], functools.partial(run, side))
+                if stage == "sde":  # one kernel call a step, no flow RHS
+                    results[side] = run(side)
+                else:
+                    results[side], row[side]["rhs_evaluations"] = counted(
+                        packages[side], functools.partial(run, side))
             times = {side: [] for side in SIDES}
             for side in interleaved(rounds):
                 t0 = time.perf_counter()
@@ -500,9 +510,11 @@ def flow_stages(packages, rounds):
             row["speedup"] = row["before"]["seconds"] / row["after"]["seconds"]
             row["max_abs_difference"] = float(np.abs(results["before"] - results["after"]).max())
             out[name][stage] = row
-            print(f"flow {name} {stage}: RHS {row['before']['rhs_evaluations']} -> "
-                  f"{row['after']['rhs_evaluations']}, {row['before']['seconds']:.3f} s -> "
-                  f"{row['after']['seconds']:.3f} s (x{row['speedup']:.2f})", flush=True)
+            rhs = (f"RHS {row['before']['rhs_evaluations']} -> {row['after']['rhs_evaluations']}, "
+                   if stage != "sde" else "")
+            print(f"flow {name} {stage}: {rhs}{row['before']['seconds']:.3f} s -> "
+                  f"{row['after']['seconds']:.3f} s (x{row['speedup']:.2f}, max difference "
+                  f"{row['max_abs_difference']:.3g})", flush=True)
     return out
 
 

@@ -103,6 +103,15 @@ def _hermite_recurrence(max_order, mean, var):
 # rows in blocks whose phases, harmonics and partial sums take
 # ``KERNEL_BLOCK_BYTES``, laid out coordinate-major so that every
 # elementwise step runs along a block's points.
+# A block's phases are float64 products rounded once to float32. numpy forms
+# a float64 product into a float32 array in its own loop, not in BLAS: in 1D,
+# where every phase is a product of one frequency and one coordinate, that
+# loop took 124 of 239 us of a 2000-row call of the 50-function kernel (about
+# 1.8 ns a phase). So a 1D kernel forms them by ``np.dot`` into a float64
+# block and rounds that, a third faster per call; from 2D up numpy's loop
+# runs at 0.7 ns a phase and beat ``dot`` plus the rounding copy by 3-4%, so
+# the kernel selects by the coordinate count. Both give the same products,
+# so the outputs do not depend on the path.
 # The budget comes from a sweep on a 2-vCPU Xeon (CHANGES.md): at 192 KiB and
 # below the per-block overhead slows the 400-function kernel by 10% or more,
 # and from 448 KiB up the 50-function 1D kernel slows by a tenth or more.
@@ -367,11 +376,18 @@ class _TrigFamily:
         phase = np.empty((W, nb), np.float32)
         harm = np.empty((2 * W, nb), np.float32)
         sums = np.empty((M.shape[1], nb), np.float32)
+        # in 1D the phases go through BLAS in float64 (see KERNEL_BLOCK_BYTES)
+        wide = np.empty(W * nb) if d == 1 else None
         for start in range(0, N, b):
             rows = X[start:start + b]
             B = len(rows)
             p, h = phase[:, :B], harm[:, :B]
-            np.matmul(lay.phase_rows, rows.T, out=p)  # in float64, rounded once to float32
+            # the phases in float64, rounded once to float32
+            if wide is None:
+                np.matmul(lay.phase_rows, rows.T, out=p)
+            else:  # np.dot takes only a C-contiguous out
+                np.copyto(p, np.dot(lay.phase_rows, rows.T, out=wide[:W * B].reshape(W, B)),
+                          casting="same_kind")
             np.cos(p, out=h[:W])
             np.sin(p[W - m:], out=h[W:W + m])
             np.sin(p[:W - m], out=h[W + m:])

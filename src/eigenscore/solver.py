@@ -70,8 +70,8 @@ SPECTRAL_FLOOR = 3.0
 OFFDIAG_CUTOFF = 1e-20
 # A node is factored in single precision and refined in double (see
 # solve_node) when its condition bound is at most SINGLE_BOUND, at least
-# DENSE_FRACTION of its P's entries survive the cut-off and it has at least
-# SINGLE_MIN_SIZE functions. Each refinement step
+# DENSE_FRACTION of its P's structural nonzeros survive the cut-off and it
+# has at least SINGLE_MIN_SIZE functions. Each refinement step
 # shrinks the error by about kappa u32, u32 = 2^-24 (Higham, *Accuracy and
 # Stability of Numerical Algorithms*, 2002, ch. 12), so the bound 2^14 keeps
 # that factor at 2^-10 or less: every step gains three digits or more. On a
@@ -154,7 +154,10 @@ class SystemAssembler:
 
     @functools.cached_property
     def kernel(self):
-        return NodeKernel(self.lam_active, self.noise_scale)
+        # P's structural nonzeros: the distinct rows that S stores
+        rows = np.zeros(self.n * self.n, dtype=bool)
+        rows[self.S.indices] = True
+        return NodeKernel(self.lam_active, self.noise_scale, np.count_nonzero(rows))
 
     def preconditioned(self, t):
         """The node at internal time t: P_t and y_t over the active basis."""
@@ -220,8 +223,10 @@ def solve_node(system):
 
     * single, LAPACK ``csytrf`` and ``csytrs``, refined in double, where the
       condition bound below is at most ``SINGLE_BOUND``, at least
-      ``DENSE_FRACTION`` of P's entries are nonzero after the cut-off and
-      P has at least ``SINGLE_MIN_SIZE`` rows.
+      ``DENSE_FRACTION`` of P's structural nonzeros (the entries that the
+      assembler's ``S`` can fill; all of P for a :class:`QuadraticSystem`)
+      are nonzero after the cut-off and P has at least ``SINGLE_MIN_SIZE``
+      rows.
       From x = 0, each step solves (P - zI) d = r for the residual
       r = (1 - i) y - (P - zI) x, taken in complex128 from the double P, and
       adds d to x (Langou et al., SC 2006; Carson and Higham, SIAM J. Sci.
@@ -267,9 +272,12 @@ def solve_node(system):
 class NodeKernel:
     """The node solve of :func:`solve_node` for every node of one fit: its
     n x n systems share delta, the active eigenvalues and, made once here,
-    the constants, the work buffers and the LAPACK workspace sizes."""
+    the constants, the work buffers and the LAPACK workspace sizes.
+    ``structural`` counts the entries of P that can be nonzero (all n^2 unless
+    given); the single path's density is the share of them that the cut-off
+    keeps."""
 
-    def __init__(self, lambdas, noise_scale):
+    def __init__(self, lambdas, noise_scale, structural=None):
         self.n = n = len(lambdas)
         self.scale = np.sqrt(-lambdas)
         self.regularized = noise_scale > 0.0
@@ -279,7 +287,8 @@ class NodeKernel:
         self.norm_shift = math.sqrt(2.0) * delta  # ||P - zI||_1 <= ||P||_1 + norm_shift
         self.tolerance = math.sqrt(n) * np.finfo(float).eps / 2.0  # LAPACK's eps, 2^-53
         # the nonzeros the single path needs, which no small system has
-        self.dense = DENSE_FRACTION * n * n if n >= SINGLE_MIN_SIZE else math.inf
+        structural = n * n if structural is None else structural
+        self.dense = DENSE_FRACTION * structural if n >= SINGLE_MIN_SIZE else math.inf
         self.keep = np.empty((n, n), dtype=bool)
         self.M = np.empty((n, n), dtype=complex)
         # the cut-off's |P| and thresholds, then the single factor, reuse M's
@@ -300,12 +309,18 @@ class NodeKernel:
         absP = np.abs(P, out=self.abs)
         # keep |P_kl| > c sqrt|P_kk P_ll|, so that the kept entries are P's
         # nonzeros after the cut-off (every nonzero of a row or column with a
-        # zero diagonal entry)
-        keep = np.greater(
-            absP, np.multiply.outer(OFFDIAG_CUTOFF * root, root, out=self.cut), out=self.keep)
-        P *= keep
-        absP *= keep
+        # zero diagonal entry). Rounding is monotone, so no threshold
+        # (c root_k) root_l exceeds (c top) top, top the largest root: where
+        # every nonzero of P exceeds that, the cut-off cuts nothing.
+        top = root.max()
+        keep = np.greater(absP, OFFDIAG_CUTOFF * top * top, out=self.keep)
         nonzero = np.count_nonzero(keep)
+        if nonzero != np.count_nonzero(P):
+            keep = np.greater(
+                absP, np.multiply.outer(OFFDIAG_CUTOFF * root, root, out=self.cut), out=self.keep)
+            P *= keep
+            absP *= keep
+            nonzero = np.count_nonzero(keep)
         diagonal = nonzero == np.count_nonzero(d)
         # ||P||_1 from the column sums of |P|
         norm = np.abs(d).max() if diagonal else absP.sum(axis=0).max()

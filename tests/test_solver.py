@@ -458,6 +458,23 @@ def test_late_nodes_match_the_solve_without_the_cutoff(tau):
     assert np.abs(node.alpha - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
+@pytest.mark.parametrize("tau, cuts", [(0.3, False), (0.7, True)])
+def test_cut_off_nodes_equal_the_explicit_cut_off(tau, cuts):
+    # where every nonzero |P_kl| exceeds c max_k |P_kk|, which bounds every
+    # threshold c sqrt|P_kk P_ll|, the solve skips the thresholds; elsewhere
+    # it cuts: either way P ends as the explicit cut-off
+    system = _small_pinwheel_assembler().preconditioned(
+        es.internal_time(es.Schedule.ve(0.01, 50.0), tau))
+    P = system.P.copy()
+    root = np.sqrt(np.abs(np.diag(P)))
+    nonzero = np.abs(P[P != 0])
+    assert bool(nonzero.min() <= es.solver.OFFDIAG_CUTOFF * root.max() ** 2) == cuts
+    kept = np.abs(P) > es.solver.OFFDIAG_CUTOFF * np.outer(root, root)
+    assert (np.count_nonzero(kept) < len(nonzero)) == cuts
+    solve_node(system)
+    assert np.array_equal(system.P, np.where(kept, P, 0.0))
+
+
 def _forced_double(system):
     """solve_node's result on the double factorization, which SINGLE_BOUND = 0
     makes every LDL node take."""
@@ -510,6 +527,27 @@ def test_nodes_outside_the_single_precision_gate_take_the_double_factorization()
     assert calls == {"zsytrf": 1, "csytrf": 0, "csytrs": 0}
     assert node.condition <= es.solver.SINGLE_BOUND and len(system.P) < es.solver.SINGLE_MIN_SIZE
     assert np.count_nonzero(system.P) >= es.solver.DENSE_FRACTION * system.P.size
+
+
+def test_structurally_sparse_dense_node_takes_the_single_factorization():
+    # a 3D torus basis whose P can fill only 69% of its entries: the cut-off
+    # removes none of them, so the node is dense for the single path, which
+    # counts the survivors against P's structural nonzeros, not n^2
+    rng = np.random.default_rng(3)
+    basis = es.trig_basis_nd(3, -3.0)
+    data = es.wrap_torus(0.4 + 0.7 * rng.standard_normal((2000, 3)))
+    assembler = es.SystemAssembler(basis, es.product_table(basis), es.modulation_shrink(
+        es.sample_moments(basis, data)))
+    with mock.patch.object(es.solver, "SINGLE_MIN_SIZE", 0):
+        system = assembler.preconditioned(es.internal_time(es.Schedule.ve(0.01, 50.0), 0.3))
+    structural = np.count_nonzero(system.P)
+    assert structural < es.solver.DENSE_FRACTION * system.P.size
+    node, calls = _solve_counting_routines(system)
+    assert calls["csytrf"] == 1 and calls["zsytrf"] == 0
+    assert np.count_nonzero(system.P) == structural
+    double = _forced_double(assembler.preconditioned(
+        es.internal_time(es.Schedule.ve(0.01, 50.0), 0.3)))
+    assert np.abs(node.alpha - double.alpha).max() <= 1e-12 * np.abs(double.alpha).max()
 
 
 def test_diverging_refinement_falls_back_to_the_double_factorization():
