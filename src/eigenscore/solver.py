@@ -77,7 +77,12 @@ OFFDIAG_CUTOFF = 1e-20
 # that factor at 2^-10 or less: every step gains three digits or more. On a
 # sparser P the float32 factor's fill-in runs into subnormal numbers: on
 # perfbench's pinwheel nodes, single precision was faster down to 89% of the
-# entries and 6-11 times slower at 21-54%. Refinement costs some 50 us a
+# entries and 6-11 times slower at 21-54%. Entries where the assembly
+# stores no term stay zero at every node and do not count: pinwheel's P can
+# fill 97% of its entries, so 90% of those is 87.6% of all, where the nodes took
+# 0.96-1.10 times the double time; on a 3D torus basis of 388 functions,
+# whose P can fill 81%, single precision took 0.69-0.88 times the double
+# time (one BLAS thread). Refinement costs some 50 us a
 # node in calls, which the cheaper factorization repays only on large
 # systems: on dense pinwheel nodes (one BLAS thread) single precision took
 # 1.02-1.39 times the double time at n = 144-220, 0.83-1.04 at 248 and
@@ -274,8 +279,8 @@ class NodeKernel:
     n x n systems share delta, the active eigenvalues and, made once here,
     the constants, the work buffers and the LAPACK workspace sizes.
     ``structural`` counts the entries of P that can be nonzero (all n^2 unless
-    given); the single path's density is the share of them that the cut-off
-    keeps."""
+    given): the single path's density is the share of them that the cut-off
+    keeps, and the cut-off is skipped where all of them clear every threshold."""
 
     def __init__(self, lambdas, noise_scale, structural=None):
         self.n = n = len(lambdas)
@@ -286,9 +291,9 @@ class NodeKernel:
         self.rhs_factor = complex(1.0, -1.0)
         self.norm_shift = math.sqrt(2.0) * delta  # ||P - zI||_1 <= ||P||_1 + norm_shift
         self.tolerance = math.sqrt(n) * np.finfo(float).eps / 2.0  # LAPACK's eps, 2^-53
+        self.structural = n * n if structural is None else structural
         # the nonzeros the single path needs, which no small system has
-        structural = n * n if structural is None else structural
-        self.dense = DENSE_FRACTION * structural if n >= SINGLE_MIN_SIZE else math.inf
+        self.dense = DENSE_FRACTION * self.structural if n >= SINGLE_MIN_SIZE else math.inf
         self.keep = np.empty((n, n), dtype=bool)
         self.M = np.empty((n, n), dtype=complex)
         # the cut-off's |P| and thresholds, then the single factor, reuse M's
@@ -310,12 +315,13 @@ class NodeKernel:
         # keep |P_kl| > c sqrt|P_kk P_ll|, so that the kept entries are P's
         # nonzeros after the cut-off (every nonzero of a row or column with a
         # zero diagonal entry). Rounding is monotone, so no threshold
-        # (c root_k) root_l exceeds (c top) top, top the largest root: where
-        # every nonzero of P exceeds that, the cut-off cuts nothing.
+        # (c root_k) root_l exceeds (c top) top, top the largest root, and P's
+        # nonzeros lie among its structural ones: where every one of those
+        # exceeds (c top) top, the cut-off cuts nothing.
         top = root.max()
         keep = np.greater(absP, OFFDIAG_CUTOFF * top * top, out=self.keep)
         nonzero = np.count_nonzero(keep)
-        if nonzero != np.count_nonzero(P):
+        if nonzero != self.structural:
             keep = np.greater(
                 absP, np.multiply.outer(OFFDIAG_CUTOFF * root, root, out=self.cut), out=self.keep)
             P *= keep

@@ -469,6 +469,10 @@ def test_cut_off_nodes_equal_the_explicit_cut_off(tau, cuts):
     root = np.sqrt(np.abs(np.diag(P)))
     nonzero = np.abs(P[P != 0])
     assert bool(nonzero.min() <= es.solver.OFFDIAG_CUTOFF * root.max() ** 2) == cuts
+    # the skip's own test: every structural nonzero clears (c top) top
+    top = root.max()
+    clear = np.count_nonzero(np.abs(P) > es.solver.OFFDIAG_CUTOFF * top * top)
+    assert (clear == system.kernel.structural) != cuts
     kept = np.abs(P) > es.solver.OFFDIAG_CUTOFF * np.outer(root, root)
     assert (np.count_nonzero(kept) < len(nonzero)) == cuts
     solve_node(system)
