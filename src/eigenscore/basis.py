@@ -105,13 +105,13 @@ def _hermite_recurrence(max_order, mean, var):
 # elementwise step runs along a block's points.
 # A block's phases are float64 products rounded once to float32. numpy forms
 # a float64 product into a float32 array in its own loop, not in BLAS: in 1D,
-# where every phase is a product of one frequency and one coordinate, that
-# loop took 124 of 239 us of a 2000-row call of the 50-function kernel (about
-# 1.8 ns a phase). So a 1D kernel forms them by ``np.dot`` into a float64
-# block and rounds that, a third faster per call; from 2D up numpy's loop
-# runs at 0.7 ns a phase and beat ``dot`` plus the rounding copy by 3-4%, so
-# the kernel selects by the coordinate count. Both give the same products,
-# so the outputs do not depend on the path.
+# where the product's inner dimension is 1, that loop took about half of a
+# 2000-row call of the 50-function kernel (100 of 195 us, 2 ns a phase, one
+# BLAS thread). So a 1D kernel forms them by ``np.dot`` into a float64 block
+# and rounds that (41 us). From 2D up numpy's loop runs at about 1 ns a phase
+# and beat ``dot`` plus the rounding copy by 10-20%, so the kernel selects by
+# the coordinate count. Each phase is one frequency times one coordinate, so
+# both give the same products and the outputs do not depend on the path.
 # The budget comes from a sweep on a 2-vCPU Xeon (CHANGES.md): at 192 KiB and
 # below the per-block overhead slows the 400-function kernel by 10% or more,
 # and from 448 KiB up the 50-function 1D kernel slows by a tenth or more.
