@@ -108,13 +108,19 @@ def _hermite_recurrence(max_order, mean, var):
 # where the product's inner dimension is 1, that loop took about half of a
 # 2000-row call of the 50-function kernel (100 of 195 us, 2 ns a phase, one
 # BLAS thread). So a 1D kernel forms them by ``np.dot`` into a float64 block
-# and rounds that (41 us). From 2D up numpy's loop runs at about 1 ns a phase
-# and beat ``dot`` plus the rounding copy by 10-20%, so the kernel selects by
-# the coordinate count. Each phase is one frequency times one coordinate, so
-# both give the same products and the outputs do not depend on the path.
+# and rounds that (41 us). From 2D up numpy's loop runs at about 1 ns a phase,
+# and ``dot`` plus the rounding copy made whole calls of the 400-function 2D
+# kernel 4.6% slower at 801 rows (faster in 2 of 21 interleaved rounds) and
+# 8% at 2000 rows, so the kernel selects by the coordinate count. Each phase
+# is one frequency times one coordinate, so both give the same products and
+# the outputs do not depend on the path.
 # The budget comes from a sweep on a 2-vCPU Xeon (CHANGES.md): at 192 KiB and
 # below the per-block overhead slows the 400-function kernel by 10% or more,
 # and from 448 KiB up the 50-function 1D kernel slows by a tenth or more.
+# The 1D kernel's float64 phase block (8 bytes a phase) lies outside the
+# budget, which block_rows leaves as swept: a 1D output depends on its
+# block's width at float32 rounding (CHANGES.md), so a new width would move
+# the outputs.
 
 KERNEL_BLOCK_BYTES = 384 * 1024
 

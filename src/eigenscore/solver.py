@@ -70,19 +70,14 @@ SPECTRAL_FLOOR = 3.0
 OFFDIAG_CUTOFF = 1e-20
 # A node is factored in single precision and refined in double (see
 # solve_node) when its condition bound is at most SINGLE_BOUND, at least
-# DENSE_FRACTION of its P's structural nonzeros survive the cut-off and it
-# has at least SINGLE_MIN_SIZE functions. Each refinement step
+# DENSE_FRACTION of its P's entries survive the cut-off and it has at least
+# SINGLE_MIN_SIZE functions. Each refinement step
 # shrinks the error by about kappa u32, u32 = 2^-24 (Higham, *Accuracy and
 # Stability of Numerical Algorithms*, 2002, ch. 12), so the bound 2^14 keeps
 # that factor at 2^-10 or less: every step gains three digits or more. On a
 # sparser P the float32 factor's fill-in runs into subnormal numbers: on
 # perfbench's pinwheel nodes, single precision was faster down to 89% of the
-# entries and 6-11 times slower at 21-54%. Entries where the assembly
-# stores no term stay zero at every node and do not count: pinwheel's P can
-# fill 97% of its entries, so 90% of those is 87.6% of all, where the nodes took
-# 0.96-1.10 times the double time; on a 3D torus basis of 388 functions,
-# whose P can fill 81%, single precision took 0.69-0.88 times the double
-# time (one BLAS thread). Refinement costs some 50 us a
+# entries and 6-11 times slower at 21-54%. Refinement costs some 50 us a
 # node in calls, which the cheaper factorization repays only on large
 # systems: on dense pinwheel nodes (one BLAS thread) single precision took
 # 1.02-1.39 times the double time at n = 144-220, 0.83-1.04 at 248 and
@@ -228,10 +223,8 @@ def solve_node(system):
 
     * single, LAPACK ``csytrf`` and ``csytrs``, refined in double, where the
       condition bound below is at most ``SINGLE_BOUND``, at least
-      ``DENSE_FRACTION`` of P's structural nonzeros (the entries that the
-      assembler's ``S`` can fill; all of P for a :class:`QuadraticSystem`)
-      are nonzero after the cut-off and P has at least ``SINGLE_MIN_SIZE``
-      rows.
+      ``DENSE_FRACTION`` of P's entries are nonzero after the cut-off and
+      P has at least ``SINGLE_MIN_SIZE`` rows.
       From x = 0, each step solves (P - zI) d = r for the residual
       r = (1 - i) y - (P - zI) x, taken in complex128 from the double P, and
       adds d to x (Langou et al., SC 2006; Carson and Higham, SIAM J. Sci.
@@ -279,8 +272,7 @@ class NodeKernel:
     n x n systems share delta, the active eigenvalues and, made once here,
     the constants, the work buffers and the LAPACK workspace sizes.
     ``structural`` counts the entries of P that can be nonzero (all n^2 unless
-    given): the single path's density is the share of them that the cut-off
-    keeps, and the cut-off is skipped where all of them clear every threshold."""
+    given): the cut-off is skipped where all of them clear every threshold."""
 
     def __init__(self, lambdas, noise_scale, structural=None):
         self.n = n = len(lambdas)
@@ -293,7 +285,7 @@ class NodeKernel:
         self.tolerance = math.sqrt(n) * np.finfo(float).eps / 2.0  # LAPACK's eps, 2^-53
         self.structural = n * n if structural is None else structural
         # the nonzeros the single path needs, which no small system has
-        self.dense = DENSE_FRACTION * self.structural if n >= SINGLE_MIN_SIZE else math.inf
+        self.dense = DENSE_FRACTION * n * n if n >= SINGLE_MIN_SIZE else math.inf
         self.keep = np.empty((n, n), dtype=bool)
         self.M = np.empty((n, n), dtype=complex)
         # the cut-off's |P| and thresholds, then the single factor, reuse M's

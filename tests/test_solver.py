@@ -533,27 +533,6 @@ def test_nodes_outside_the_single_precision_gate_take_the_double_factorization()
     assert np.count_nonzero(system.P) >= es.solver.DENSE_FRACTION * system.P.size
 
 
-def test_structurally_sparse_dense_node_takes_the_single_factorization():
-    # a 3D torus basis whose P can fill only 69% of its entries: the cut-off
-    # removes none of them, so the node is dense for the single path, which
-    # counts the survivors against P's structural nonzeros, not n^2
-    rng = np.random.default_rng(3)
-    basis = es.trig_basis_nd(3, -3.0)
-    data = es.wrap_torus(0.4 + 0.7 * rng.standard_normal((2000, 3)))
-    assembler = es.SystemAssembler(basis, es.product_table(basis), es.modulation_shrink(
-        es.sample_moments(basis, data)))
-    with mock.patch.object(es.solver, "SINGLE_MIN_SIZE", 0):
-        system = assembler.preconditioned(es.internal_time(es.Schedule.ve(0.01, 50.0), 0.3))
-    structural = np.count_nonzero(system.P)
-    assert structural < es.solver.DENSE_FRACTION * system.P.size
-    node, calls = _solve_counting_routines(system)
-    assert calls["csytrf"] == 1 and calls["zsytrf"] == 0
-    assert np.count_nonzero(system.P) == structural
-    double = _forced_double(assembler.preconditioned(
-        es.internal_time(es.Schedule.ve(0.01, 50.0), 0.3)))
-    assert np.abs(node.alpha - double.alpha).max() <= 1e-12 * np.abs(double.alpha).max()
-
-
 def test_diverging_refinement_falls_back_to_the_double_factorization():
     # corrections three times too large make the error grow twofold a step:
     # the residual test fails after MAX_SINGLE_SOLVES solves, and zsytrf
